@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -52,17 +53,14 @@ def vn_basis(n: int):
     return [2 * j for j in range(2 * n + 2)] + [2 * n + 1]
 
 
-def _falling(e: int, j: int) -> int:
-    out = 1
-    for k in range(j):
-        out *= e - k
-    return out if j <= e else 0
-
-
 def derivative_condition_matrix(n: int):
-    """Rows j = 0..2n+1 of P^(j)(1) in V_n coordinates (integer entries)."""
+    """Rows j = 0..2n+1 of the Taylor coefficients P^(j)(1)/j! in V_n coordinates.
+
+    Entry (j, e) is comb(e, j): row j of the derivative conditions P^(j)(1) = 0
+    divided by j!, so the kernel is the same with entries j! smaller.
+    """
     exps = vn_basis(n)
-    return [[_falling(e, j) for e in exps] for j in range(2 * n + 2)]
+    return [[comb(e, j) for e in exps] for j in range(2 * n + 2)]
 
 
 def _vector_to_poly(vec, n: int) -> UnivariatePoly:
@@ -161,8 +159,6 @@ def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
     Requires P_n in W_n with both extreme coefficients nonzero, so Q_n is
     homogeneous of degree 2n+1 and contains both x^(2n+1) and y^(2n+1).
     """
-    from .polynomials import divides_power
-
     if p_n.degree > 4 * n + 2:
         raise ValueError("P_n must have degree <= 4n+2")
     q_coeffs = [p_n.coefficient(2 * j) for j in range(2 * n + 2)]
@@ -174,13 +170,13 @@ def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
         raise ValueError("P_n is not of the shape q(z^2) + c*z^(2n+1)")
     if not _extremes_nonzero(p_n, n):
         raise ValueError("P_n needs nonzero constant and z^(4n+2) coefficients")
-    if not divides_power(p_n, 1, 2 * n + 2):
+    ord_at_1 = vanishing_order(p_n, 1)
+    if ord_at_1 < 2 * n + 2:
         raise ValueError("(z-1)^(2n+2) does not divide P_n")
 
     big_q = BivariatePoly(
         {(j, 2 * n + 1 - j): c for j, c in enumerate(q_coeffs) if not c.is_zero()})
     family = MixedFunction(big_q, c_n, 2 * n + 1)
-    ord_at_1 = vanishing_order(p_n, 1)
     return CounterexampleRecord(
         n=n,
         p_n=p_n,

@@ -50,8 +50,6 @@ def integer_kernel_basis(rows):
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
         for i in range(r + 1, nrows):
-            if m[i][c] == 0 and prev_pivot == 1:
-                continue
             for j in range(c + 1, ncols):
                 m[i][j] = (piv * m[i][j] - m[i][c] * m[r][j]) // prev_pivot
             m[i][c] = 0

@@ -9,6 +9,7 @@ the family xy = t produces Laurent normal forms N(x)/x^d + const.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -169,20 +170,6 @@ class UnivariatePoly:
 
     def complex_coeffs(self) -> np.ndarray:
         return np.array([c.to_complex() for c in self.coeffs], dtype=complex)
-
-    def synthetic_divide(self, a):
-        """Divide by (z - a); returns (quotient, remainder scalar)."""
-        aa = _coeff(a)
-        if not self.coeffs:
-            return UnivariatePoly(), ZERO
-        q = [ZERO] * (len(self.coeffs) - 1)
-        acc = ZERO
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = self.coeffs[k] + acc
-            q[k - 1] = acc
-            acc = acc * aa
-        rem = self.coeffs[0] + acc
-        return UnivariatePoly(q), rem
 
     def divmod(self, other):
         if other.is_zero():
@@ -651,10 +638,13 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
         constant = f.radial_coeff * ss ** f.radial_half_exp
 
     # group x^m y^n -> t^n x^(m-n) by the exponent m-n
+    t_pows = [ONE]
+    for _ in range(max((n for _, n in f.holo.support), default=0)):
+        t_pows.append(t_pows[-1] * tt)
     by_exp = {}
     for (m, n), c in f.holo.support.items():
         e = m - n
-        by_exp[e] = by_exp.get(e, ZERO) + c * tt ** n
+        by_exp[e] = by_exp.get(e, ZERO) + c * t_pows[n]
     by_exp = {e: c for e, c in by_exp.items() if not c.is_zero()}
     if not by_exp:
         return LaurentForm(UnivariatePoly(), 0, constant, t=t)
@@ -699,7 +689,10 @@ def vanishing_order(f, point) -> int:
     """Exact order of vanishing at an exact point; 0 if f(point) != 0.
 
     Accepts a UnivariatePoly or a LaurentForm (point nonzero in that case).
-    Computed by repeated exact synthetic division.  Raises
+    Denominators are cleared once: for point = u/d with u a Gaussian integer
+    and P of degree N, R(w) = L * d^N * P(w/d) has integer coefficients and
+    its order at w = u is the order of P at the point; that order is found by
+    repeated synthetic division by (w - u) on plain ints.  Raises
     IdenticallyZeroError for the zero function.
     """
     p = GaussianRational.coerce(point)
@@ -713,15 +706,54 @@ def vanishing_order(f, point) -> int:
         raise TypeError("expected UnivariatePoly or LaurentForm")
     if poly.is_zero():
         raise IdenticallyZeroError("order of vanishing of the zero function")
+
+    d = lcm(p.re.denominator, p.im.denominator)
+    cs = poly.coeffs
+    big_l = 1
+    for c in cs:
+        big_l = lcm(big_l, c.re.denominator, c.im.denominator)
+    # descending coefficients of R: L * c_k * d^(N - k) for k = N..0
+    re_desc, im_desc = [], []
+    dpow = 1
+    for c in reversed(cs):
+        re_desc.append(c.re.numerator * (big_l // c.re.denominator) * dpow)
+        im_desc.append(c.im.numerator * (big_l // c.im.denominator) * dpow)
+        dpow *= d
+    u_re, u_im = int(p.re * d), int(p.im * d)
+    if not u_im and not any(im_desc):
+        return _int_order(re_desc, u_re)
+    return _gaussian_int_order(re_desc, im_desc, u_re, u_im)
+
+
+def _int_order(desc, u: int) -> int:
+    """Order at w = u of the nonzero int polynomial with descending coefficients desc."""
     order = 0
     while True:
-        q, rem = poly.synthetic_divide(p)
-        if not rem.is_zero():
+        acc, quotient = 0, []
+        for c in desc:
+            acc = acc * u + c
+            quotient.append(acc)
+        if quotient.pop():
             return order
+        desc = quotient
         order += 1
-        poly = q
-        if poly.is_zero():
+
+
+def _gaussian_int_order(re_desc, im_desc, u_re: int, u_im: int) -> int:
+    """_int_order over Z[i], coefficients split into real and imaginary lists."""
+    order = 0
+    while True:
+        a_re = a_im = 0
+        q_re, q_im = [], []
+        for c_re, c_im in zip(re_desc, im_desc):
+            a_re, a_im = (a_re * u_re - a_im * u_im + c_re,
+                          a_re * u_im + a_im * u_re + c_im)
+            q_re.append(a_re)
+            q_im.append(a_im)
+        if q_re.pop() or q_im.pop():
             return order
+        re_desc, im_desc = q_re, q_im
+        order += 1
 
 
 def divides_power(p: UnivariatePoly, root, m: int) -> bool:

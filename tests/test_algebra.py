@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cselab import (
@@ -232,6 +232,42 @@ class TestVanishingOrder:
             return
         lhs = vanishing_order(a * b, p)
         assert lhs == vanishing_order(a, p) + vanishing_order(b, p)
+
+
+def order_by_derivatives(p, a):
+    """Independent oracle: the first k with P^(k)(a) != 0, by exact Horner."""
+    k = 0
+    while p.evaluate(a).is_zero():
+        p = p.derivative()
+        k += 1
+    return k
+
+
+# (1+i)/2 = u/d with u = 1+i, d = 2, and gcd(2, 1+i) = 1+i is not a unit
+HALF_ONE_PLUS_I = gr(Fraction(1, 2), Fraction(1, 2))
+gaussian_point = st.one_of(
+    st.sampled_from([HALF_ONE_PLUS_I, gr(0, 1), gr(Fraction(-2, 3), Fraction(1, 3))]),
+    gaussian)
+
+
+class TestVanishingOrderGaussian:
+    @given(q=univariate(3), a=gaussian_point, m=st.integers(0, 4))
+    @settings(max_examples=150, derandomize=True)
+    def test_constructed_order(self, q, a, m):
+        assume(not q.evaluate(a).is_zero())
+        p = UnivariatePoly([-a, 1]) ** m * q
+        assert vanishing_order(p, a) == m == order_by_derivatives(p, a)
+
+    def test_laurent_form_with_radial_constant(self):
+        # on xy = 1/4: x + 2i/(4x) - (1+i) = (x - (1+i)/2)^2 / x
+        x = BivariatePoly.variable("x")
+        y = BivariatePoly.variable("y")
+        f = MixedFunction(x + y.scale(gr(0, 2)), gr(-2, -2), 1)
+        form = substitute_fiber(f, Fraction(1, 4), s=Fraction(1, 2))
+        assert not form.constant.is_zero()
+        assert vanishing_order(form, HALF_ONE_PLUS_I) == 2
+        assert order_by_derivatives(form.combined_numerator(), HALF_ONE_PLUS_I) == 2
+        assert vanishing_order(form, HALF_ONE_PLUS_I.conjugate()) == 0
 
 
 class TestDividesPower:

@@ -7,6 +7,8 @@ The kernel solves are cross-checked against an independent nullspace oracle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cselab import (
     BivariatePoly,
@@ -89,6 +91,25 @@ def in_span(vector, basis):
     if not basis:
         return all(v == 0 for v in vector)
     return rank(aug) == rank(rows)
+
+
+small_int_matrix = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+        min_size=1, max_size=5))
+
+
+class TestIntegerKernelBasis:
+    @given(mat=small_int_matrix)
+    @settings(max_examples=300, derandomize=True)
+    def test_matches_rref_oracle_on_random_matrices(self, mat):
+        basis = integer_kernel_basis(mat)
+        for vec in basis:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in mat)
+        assert len(basis) == len(rref_nullspace(mat))
+        if basis:
+            # the basis vectors as columns have a trivial kernel
+            assert rref_nullspace([list(col) for col in zip(*basis)]) == []
 
 
 class TestVnBasis:
