@@ -12,10 +12,8 @@ from .polynomials import (
     IdenticallyZeroError,
     LaurentForm,
     MixedFunction,
-    NumericFiber,
     UnivariatePoly,
     divides_power,
-    numeric_fiber,
     poly_gcd,
     squarefree_decomposition,
     substitute_fiber,

@@ -36,7 +36,7 @@ from .quadrature import (
     young_combine,
 )
 from .counterexamples import holder_probe
-from .reports import emit_report, render_json, to_jsonable
+from .reports import emit_report, to_jsonable
 from . import reports
 
 
@@ -180,7 +180,7 @@ def _cmd_exponent(ns) -> int:
                                              "1/100000"])]
     try:
         report = semicontinuity_check(f, ts, delta=ns.delta)
-    except IdenticallyZeroError as e:
+    except ValueError as e:  # IdenticallyZeroError, or no exact sqrt of t
         raise UsageError(str(e))
     _emit(report, ns)
     if report.verdict == "violated" and report.holomorphic:
@@ -206,12 +206,7 @@ def _cmd_lct(ns) -> int:
             row["polygon_estimate"] = est.to_json_obj()
             row["agree"] = est == res.value
         rows.append(row)
-    text = render_json({"entries": rows})
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit({"entries": rows}, ns)
     return 0
 
 
@@ -241,12 +236,7 @@ def _cmd_polygon(ns) -> int:
                                 "germs, which is not tested here")
     except IdenticallyZeroError:
         pass
-    text = render_json(out)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(out, ns)
     return 0
 
 
@@ -305,12 +295,7 @@ def _cmd_bound(ns) -> int:
             }
     except (ValueError, IdenticallyZeroError) as e:
         raise UsageError(str(e))
-    text = render_json(payload)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, ns)
     return 2 if report.growth_flag else 0
 
 
@@ -328,12 +313,7 @@ def _cmd_counterexample(ns) -> int:
         entry = to_jsonable(rec)
         entry["verification"] = to_jsonable(rep)
         records.append(entry)
-    text = render_json({"records": records})
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit({"records": records}, ns)
     bad = any(r["verification"]["verdict"] != "violated" for r in records)
     return 2 if bad else 0
 
@@ -361,12 +341,7 @@ def _cmd_probe(ns) -> int:
         r0 = min(ns.r0, sep / 4.0, abs(loc) / 2.0)
         pr = exponent_probe_1d(fib, loc, ns.c, cfg, r0=r0)
         out.append({"zero": to_jsonable(z), "probe": to_jsonable(pr)})
-    text = render_json({"probes": out})
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit({"probes": out}, ns)
     return 0
 
 

@@ -4,7 +4,8 @@ Fibers X_t with t != 0 are smooth graphs y = t/x, so the singularity
 exponent of a restricted function at a point is the reciprocal of its
 vanishing order there.  The central fiber X_0 is the axis pair; exponents
 on it are computed per component and combined with min.  This module
-localizes fiber zeros (exactly where possible, by clustering otherwise),
+localizes fiber zeros (every t is taken exactly, so multiplicities are
+exact, and locations are exact wherever a root is a Gaussian rational),
 evaluates the resolution-data formula min (k_i + 1)/a_i, and runs the
 desk-scale semicontinuity check comparing central and fiber exponents.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +28,14 @@ from .polynomials import (
     MixedFunction,
     UnivariatePoly,
     as_mixed,
-    is_exact_scalar,
-    numeric_fiber,
+    exact_divide,
     squarefree_decomposition,
     substitute_fiber,
     vanishing_order,
 )
-from .rationals import GaussianRational
+from .rationals import GaussianRational, exact_param, param_modulus
 
 DEFAULT_DELTA = 0.1
-DEFAULT_CLUSTER_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +73,14 @@ class FiberZero:
     """A zero of the fiber function on X_t, with multiplicity.
 
     location is a GaussianRational when the zero was verified exactly,
-    otherwise a complex centroid of a numeric cluster.  Multiplicities from
-    the exact path come from squarefree decomposition and are exact even
-    when the location is not.
+    otherwise a complex float root of a squarefree factor.  Multiplicities
+    come from squarefree decomposition and are exact even when the location
+    is not.
     """
 
     location: object
     multiplicity: int
     exact_location: bool
-    cluster_radius: float = 0.0
-    exact_multiplicity: bool = True
 
     @property
     def exactness(self) -> str:
@@ -105,95 +102,66 @@ def _snap_gaussian(z: complex, max_den: int = 10 ** 6):
     return None
 
 
-def _cluster_roots(roots, rtol):
-    """Merge numeric roots within relative distance rtol into clusters."""
-    roots = list(roots)
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = max(1e-30, abs(roots[i]), abs(roots[j]))
-            if abs(roots[i] - roots[j]) <= rtol * scale:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    out = []
-    for members in groups.values():
-        centroid = sum(members) / len(members)
-        radius = max((abs(m - centroid) for m in members), default=0.0)
-        out.append((centroid, len(members), radius))
-    return out
-
-
 def _roots_of_unipoly(p: UnivariatePoly):
     if p.degree < 1:
         return np.array([], dtype=complex)
     return np.roots(p.complex_coeffs()[::-1])
 
 
-def _exact_fiber_zero_list(num: UnivariatePoly, cluster_rtol: float):
+def _exact_fiber_zero_list(num: UnivariatePoly):
+    """Zeros of num with exact multiplicities.
+
+    Each root of a squarefree factor is simple, so it carries the factor's
+    multiplicity.  A root that snaps to a Gaussian rational verified to be
+    a root of the factor is exact, and each such candidate is used once:
+    when a second root snaps to a used one, the numeric roots are taken
+    from the factor with the exact roots divided out.
+    """
     zeros = []
     for factor, mult in squarefree_decomposition(num):
-        for centroid, count, radius in _cluster_roots(
-                _roots_of_unipoly(factor), cluster_rtol):
-            # squarefree factors have simple roots; clusters should be singletons
-            snapped = _snap_gaussian(centroid)
-            if snapped is not None and factor.evaluate(snapped).is_zero():
-                zeros.append(FiberZero(snapped, mult * count, True, 0.0, True))
+        claimed, found, collided = set(), [], False
+        for root in _roots_of_unipoly(factor):
+            cand = _snap_gaussian(root)
+            if (cand is not None and cand not in claimed
+                    and factor.evaluate(cand).is_zero()):
+                claimed.add(cand)
+                found.append(FiberZero(cand, mult, True))
             else:
-                zeros.append(FiberZero(complex(centroid), mult * count,
-                                       False, radius, True))
+                collided = collided or cand in claimed
+                found.append(FiberZero(complex(root), mult, False))
+        if collided:
+            rest = factor
+            for cand in claimed:
+                rest = exact_divide(rest, UnivariatePoly([-cand, 1]))
+            found = [z for z in found if z.exact_location] + [
+                FiberZero(complex(r), mult, False) for r in _roots_of_unipoly(rest)]
+        zeros += found
     return zeros
 
 
-def _numeric_fiber_zero_list(coeffs: np.ndarray, cluster_rtol: float):
-    roots = np.roots(coeffs[::-1]) if coeffs.size > 1 else np.array([], dtype=complex)
-    out = []
-    for centroid, count, radius in _cluster_roots(roots, cluster_rtol):
-        out.append(FiberZero(complex(centroid), count, False, radius, False))
-    return out
-
-
-def fiber_zeros(f, t, delta: float = DEFAULT_DELTA,
-                cluster_rtol: float = DEFAULT_CLUSTER_RTOL):
+def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     """Zeros of the fiber function of F on X_t inside the polydisc.
 
     The region is the part of X_t with |x| <= delta and |t/x| <= delta
-    (the polydisc of radius delta around the origin).  Exact t goes through
-    squarefree decomposition, which gives exact multiplicities and, where a
-    root snaps to a verified Gaussian rational, exact locations; float t
-    falls back to root clustering at relative radius cluster_rtol.
+    (the polydisc of radius delta around the origin).  t is taken exactly
+    (a float at its binary value) and the fiber function goes through
+    squarefree decomposition, which gives exact multiplicities and, where
+    a root snaps to a verified Gaussian rational, exact locations.
 
     Raises IdenticallyZeroError when the fiber function vanishes
     identically (its exponent is 0 by convention).
     """
-    if _is_zero_scalar(t):
+    tt = exact_param(t)
+    if tt.is_zero():
         raise ValueError("t = 0 is the central fiber; use the axis restrictions")
-    if is_exact_scalar(t) or isinstance(t, GaussianRational):
-        form = substitute_fiber(f, t)
-        num = form.combined_numerator()
-        if num.is_zero():
-            raise IdenticallyZeroError("fiber function is identically zero")
-        zeros = _exact_fiber_zero_list(num, cluster_rtol)
-        t_abs = math.sqrt(float(GaussianRational.coerce(t).norm2()))
-    else:
-        fib = numeric_fiber(f, t)
-        if fib.is_zero():
-            raise IdenticallyZeroError("fiber function is identically zero")
-        zeros = _numeric_fiber_zero_list(fib.coeffs, cluster_rtol)
-        t_abs = abs(complex(t))
+    num = substitute_fiber(f, t).combined_numerator()
+    if num.is_zero():
+        raise IdenticallyZeroError("fiber function is identically zero")
+    t_abs = param_modulus(tt)
 
     slack = 1.0 + 1e-12
     kept = []
-    for z in zeros:
+    for z in _exact_fiber_zero_list(num):
         ax = abs(z.location_complex())
         if ax == 0.0:
             continue  # x = 0 is not on the fiber graph
@@ -204,14 +172,6 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA,
     return kept
 
 
-def _is_zero_scalar(t) -> bool:
-    if isinstance(t, GaussianRational):
-        return t.is_zero()
-    if isinstance(t, (int, Fraction)):
-        return t == 0
-    return complex(t) == 0
-
-
 # ---------------------------------------------------------------------------
 # exponents
 # ---------------------------------------------------------------------------
@@ -220,35 +180,35 @@ def fiber_exponent(f, t, p) -> Exponent:
     """Exponent of the fiber restriction at a point p = (x0, t/x0) of X_t.
 
     1/ord of the fiber function at x0; +infinity where it does not vanish;
-    0 for an identically zero fiber function.
+    0 for an identically zero fiber function.  An exact x0 gets its exact
+    order; a float x0 is matched by location to the fiber zeros, whose
+    multiplicities are exact.
     """
+    tt = exact_param(t)
     x0 = p[0] if isinstance(p, (tuple, list)) else p
-    if is_exact_scalar(t) and (is_exact_scalar(x0) or isinstance(x0, GaussianRational)):
-        x0g = GaussianRational.coerce(x0)
-        if x0g.is_zero():
-            raise ValueError("fiber points have x != 0")
-        if isinstance(p, (tuple, list)) and len(p) > 1 and (
-                is_exact_scalar(p[1]) or isinstance(p[1], GaussianRational)):
-            if x0g * GaussianRational.coerce(p[1]) != GaussianRational.coerce(t):
-                raise ValueError("point does not lie on the fiber xy = t")
-        form = substitute_fiber(f, t)
+    if isinstance(x0, (float, complex)):
+        x0c = complex(x0)
         try:
-            order = vanishing_order(form, x0g)
+            zeros = fiber_zeros(f, tt, delta=math.inf)
         except IdenticallyZeroError:
             return Exponent.zero()
-        return Exponent.infinite() if order == 0 else Exponent.reciprocal_order(order)
+        for z in zeros:
+            if abs(z.location_complex() - x0c) <= 1e-9 * max(1.0, abs(x0c)):
+                return Exponent.reciprocal_order(z.multiplicity)
+        return Exponent.infinite()
 
-    # numeric fallback: match against clustered zeros
-    x0c = complex(x0)
+    x0g = exact_param(x0)
+    if x0g.is_zero():
+        raise ValueError("fiber points have x != 0")
+    if isinstance(p, (tuple, list)) and len(p) > 1 and not isinstance(
+            p[1], (float, complex)):
+        if x0g * exact_param(p[1]) != tt:
+            raise ValueError("point does not lie on the fiber xy = t")
     try:
-        zeros = fiber_zeros(f, t, delta=math.inf)
+        order = vanishing_order(substitute_fiber(f, tt), x0g)
     except IdenticallyZeroError:
         return Exponent.zero()
-    for z in zeros:
-        tol = max(z.cluster_radius * 4, 1e-9 * max(1.0, abs(x0c)))
-        if abs(z.location_complex() - x0c) <= tol:
-            return Exponent.reciprocal_order(z.multiplicity)
-    return Exponent.infinite()
+    return Exponent.infinite() if order == 0 else Exponent.reciprocal_order(order)
 
 
 def central_exponent(f, component: str = "min") -> Exponent:
@@ -423,8 +383,7 @@ class SemicontinuityReport:
     largest_t_holding: object = None
 
 
-def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA,
-                         cluster_rtol: float = DEFAULT_CLUSTER_RTOL) -> SemicontinuityReport:
+def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> SemicontinuityReport:
     """Desk-scale semicontinuity verdict for the family xy = t at the origin.
 
     For every sampled t != 0 the check compares the strongest central claim
@@ -437,10 +396,10 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA,
     family and an error is raised.
     """
     f = as_mixed(f)
-    samples = sorted(t_samples, key=lambda t: -_abs_scalar(t))
+    samples = sorted(t_samples, key=lambda t: -param_modulus(t))
     if not samples:
         raise ValueError("need at least one t sample")
-    if any(_is_zero_scalar(t) for t in samples):
+    if any(exact_param(t).is_zero() for t in samples):
         raise ValueError("t samples must be nonzero")
     cmax = central_exponent(f, "max")
 
@@ -450,7 +409,7 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA,
     excluded = 0
     for t in samples:
         try:
-            zs = fiber_zeros(f, t, delta=delta, cluster_rtol=cluster_rtol)
+            zs = fiber_zeros(f, t, delta=delta)
         except IdenticallyZeroError:
             rows.append(FiberRow(t, (), None, "fiber function identically zero"))
             excluded += 1
@@ -459,7 +418,7 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA,
         row_holds = all(cmax <= e for _, e in pairs)
         rows.append(FiberRow(t, pairs, row_holds))
         if row_holds:
-            if largest_holding is None or _abs_scalar(t) > _abs_scalar(largest_holding):
+            if largest_holding is None or param_modulus(t) > param_modulus(largest_holding):
                 largest_holding = t
         elif witness is None:
             bad = min(pairs, key=lambda pe: pe[1])
@@ -480,9 +439,3 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA,
         witness=witness,
         largest_t_holding=largest_holding,
     )
-
-
-def _abs_scalar(t) -> float:
-    if isinstance(t, GaussianRational):
-        return math.sqrt(float(t.norm2()))
-    return abs(complex(t))

@@ -8,12 +8,11 @@ the family xy = t produces Laurent normal forms N(x)/x^d + const.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .rationals import GaussianRational, ZERO, ONE
+from .rationals import GaussianRational, ZERO, ONE, exact_param
 
 
 class IdenticallyZeroError(ValueError):
@@ -553,11 +552,6 @@ class LaurentForm:
             val = val / x ** self.pole_order
         return val + self.constant.to_complex()
 
-    def to_numeric(self) -> "NumericFiber":
-        return NumericFiber(self.combined_numerator().complex_coeffs(),
-                            self.pole_order,
-                            t=None if self.t is None else complex(_scalar_to_complex(self.t)))
-
     def __eq__(self, other):
         if not isinstance(other, LaurentForm):
             return NotImplemented
@@ -573,54 +567,17 @@ class LaurentForm:
         return base
 
 
-class NumericFiber:
-    """Float-coefficient fiber function coeffs(x)/x^d for quadrature work."""
-
-    __slots__ = ("coeffs", "pole_order", "t")
-
-    def __init__(self, coeffs, pole_order: int = 0, t=None):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.pole_order = int(pole_order)
-        self.t = t
-
-    def evaluate_complex(self, x):
-        x = np.asarray(x, dtype=complex)
-        acc = np.zeros_like(x)
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        if self.pole_order:
-            acc = acc / x ** self.pole_order
-        return acc
-
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 0 or not np.any(self.coeffs)
-
-
-def _scalar_to_complex(t):
-    if isinstance(t, GaussianRational):
-        return t.to_complex()
-    if isinstance(t, (int, float, Fraction)):
-        return complex(float(t), 0.0)
-    return complex(t)
-
-
-def is_exact_scalar(t) -> bool:
-    return isinstance(t, (int, Fraction, GaussianRational))
-
-
 def substitute_fiber(f, t, s=None) -> LaurentForm:
     """Laurent normal form of x -> F(x, t/x) on the fiber xy = t.
 
-    t must be a nonzero exact scalar (int, Fraction or GaussianRational).
+    t is any nonzero scalar accepted by exact_param; a float or complex t
+    is taken at its exact binary value, so every t has one exact form.
     For a MixedFunction the radial term needs t > 0 with an exact square
     root: pass s explicitly (s^2 = t) or let it be extracted when t is a
     perfect rational square.  t = 0 is rejected; the central fiber is the
     axis pair and is handled by the axis restrictions.
     """
-    if not is_exact_scalar(t):
-        raise TypeError("substitute_fiber needs an exact t; "
-                        "use numeric_fiber for float parameters")
-    tt = GaussianRational.coerce(t)
+    tt = exact_param(t)
     if tt.is_zero():
         raise ValueError("t = 0: the central fiber is not a graph; "
                          "use the axis restrictions instead")
@@ -630,11 +587,15 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
         if not tt.is_real() or tt.re <= 0:
             raise ValueError("radial term needs t to be a positive real")
         if s is not None:
-            ss = GaussianRational.coerce(s)
+            ss = exact_param(s)
             if not ss.is_real() or ss.re <= 0 or ss * ss != tt:
                 raise ValueError("s must be a positive exact scalar with s^2 = t")
         else:
-            ss = tt.exact_sqrt()
+            try:
+                ss = tt.exact_sqrt()
+            except ValueError as e:
+                raise ValueError(f"radial term needs an exact square root of "
+                                 f"t = {t} ({e}); pass s with s^2 = t") from None
         constant = f.radial_coeff * ss ** f.radial_half_exp
 
     # group x^m y^n -> t^n x^(m-n) by the exponent m-n
@@ -647,38 +608,12 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
         by_exp[e] = by_exp.get(e, ZERO) + c * t_pows[n]
     by_exp = {e: c for e, c in by_exp.items() if not c.is_zero()}
     if not by_exp:
-        return LaurentForm(UnivariatePoly(), 0, constant, t=t)
+        return LaurentForm(UnivariatePoly(), 0, constant, t=tt)
     d = max(0, -min(by_exp))
     coeffs = [ZERO] * (max(by_exp) + d + 1)
     for e, c in by_exp.items():
         coeffs[e + d] = c
-    return LaurentForm(UnivariatePoly(coeffs), d, constant, t=t)
-
-
-def numeric_fiber(f, t) -> NumericFiber:
-    """Float-coefficient fiber restriction for non-exact t."""
-    if is_exact_scalar(t):
-        return substitute_fiber(f, t).to_numeric()
-    f = as_mixed(f)
-    tc = complex(t)
-    constant = 0j
-    if not f.radial_coeff.is_zero():
-        if abs(tc.imag) > 0 or tc.real <= 0:
-            raise ValueError("radial term needs t to be a positive real")
-        constant = f.radial_coeff.to_complex() * tc.real ** (f.radial_half_exp / 2.0)
-    by_exp = {}
-    for (m, n), c in f.holo.support.items():
-        e = m - n
-        by_exp[e] = by_exp.get(e, 0j) + c.to_complex() * tc ** n
-    if not by_exp:
-        return NumericFiber(np.array([constant]), 0, t=tc)
-    d = max(0, -min(by_exp))
-    coeffs = np.zeros(max(by_exp) + d + 1, dtype=complex)
-    for e, c in by_exp.items():
-        coeffs[e + d] = c
-    if constant:
-        coeffs[d] += constant
-    return NumericFiber(coeffs, d, t=tc)
+    return LaurentForm(UnivariatePoly(coeffs), d, constant, t=tt)
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import newton
-from .degeneration import FiberZero, central_exponent, fiber_zeros
+from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
+                           fiber_zeros)
 from .exponents import Exponent
 from .expressions import format_function
 from .polynomials import (
     IdenticallyZeroError,
     LaurentForm,
-    NumericFiber,
     UnivariatePoly,
     as_mixed,
-    is_exact_scalar,
-    numeric_fiber,
     substitute_fiber,
 )
+from .rationals import exact_param, param_float, param_modulus
 
 STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
                         "0 < c < c_0(f_0)")
@@ -153,7 +152,7 @@ class SweepReport:
     function: str = ""
 
     def csv_rows(self):
-        return [(float(_as_float(r.t)), r.k_t, r.err, r.i_t, r.j_t, r.ratio)
+        return [(param_float(r.t), r.k_t, r.err, r.i_t, r.j_t, r.ratio)
                 for r in self.rows]
 
 
@@ -174,39 +173,26 @@ class ProbeResult:
     masses: tuple
 
 
-def _as_float(t) -> float:
-    try:
-        return float(t)
-    except TypeError:
-        return abs(complex(t))
-
-
 # ---------------------------------------------------------------------------
 # fiber evaluation plumbing
 # ---------------------------------------------------------------------------
 
-def _coerce_fiber(fiber) -> NumericFiber:
-    if isinstance(fiber, NumericFiber):
-        return fiber
+def _fiber_parts(fiber):
+    """(numerator, pole order) of a LaurentForm or UnivariatePoly."""
     if isinstance(fiber, LaurentForm):
-        return fiber.to_numeric()
+        return fiber.combined_numerator(), fiber.pole_order
     if isinstance(fiber, UnivariatePoly):
-        return NumericFiber(fiber.complex_coeffs(), 0)
-    raise TypeError("expected LaurentForm, NumericFiber or UnivariatePoly")
+        return fiber, 0
+    raise TypeError("expected LaurentForm or UnivariatePoly")
 
 
-def _base_fn(fib: NumericFiber, c: float, cfg: QuadratureConfig,
-             chart: str = "x", t=None):
-    """|f|^(-2c) as a vectorized function of the chart coordinate."""
-    coeffs = fib.coeffs.astype(cfg.complex_dtype)
-    d = fib.pole_order
-    tc = None
-    if chart == "y":
-        if t is None:
-            t = fib.t
-        if t is None:
-            raise ValueError("y-chart integration needs the fiber parameter t")
-        tc = cfg.complex_dtype(complex(t))
+def _base_fn(fiber, c: float, cfg: QuadratureConfig, chart: str = "x", t=None):
+    """|f|^(-2c) as a vectorized function of the chart coordinate.
+
+    The y chart evaluates the fiber function at x = t/y for the given t."""
+    num, d = _fiber_parts(fiber)
+    coeffs = num.complex_coeffs().astype(cfg.complex_dtype)
+    tc = cfg.complex_dtype(exact_param(t).to_complex()) if chart == "y" else None
 
     def evaluate(z):
         x = tc / z if chart == "y" else z
@@ -224,23 +210,12 @@ def _base_fn(fib: NumericFiber, c: float, cfg: QuadratureConfig,
     return evaluate
 
 
-def _detect_zeros(fiber, cluster_rtol=1e-6):
-    """Zero structure of a fiber function, exact when coefficients are exact."""
-    from .degeneration import _exact_fiber_zero_list, _numeric_fiber_zero_list
-
-    if isinstance(fiber, LaurentForm):
-        num = fiber.combined_numerator()
-        if num.is_zero():
-            raise IdenticallyZeroError("fiber function is identically zero")
-        return _exact_fiber_zero_list(num, cluster_rtol)
-    if isinstance(fiber, UnivariatePoly):
-        if fiber.is_zero():
-            raise IdenticallyZeroError("zero polynomial")
-        return _exact_fiber_zero_list(fiber, cluster_rtol)
-    fib = _coerce_fiber(fiber)
-    if fib.is_zero():
+def _detect_zeros(fiber):
+    """Zero structure of a fiber function, from its exact coefficients."""
+    num, _ = _fiber_parts(fiber)
+    if num.is_zero():
         raise IdenticallyZeroError("fiber function is identically zero")
-    return _numeric_fiber_zero_list(fib.coeffs, cluster_rtol)
+    return _exact_fiber_zero_list(num)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +387,9 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
 
     Parameters
     ----------
-    fiber : LaurentForm, NumericFiber or UnivariatePoly
-        The fiber function x -> F(x, t/x) (or any one-variable function).
+    fiber : LaurentForm or UnivariatePoly
+        The fiber function x -> F(x, t/x) (or any one-variable function),
+        with exact coefficients.
     c : float
         Exponent parameter, c >= 0.
     domain : Annulus
@@ -421,7 +397,7 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
         is truncated to a punctured disc (the cut is recorded in meta).
     chart : 'x' or 'y'
         'y' integrates the same fiber function against dV_y, evaluating it
-        at x = t/y; the fiber must know its t.
+        at x = t/y; t defaults to the t of a LaurentForm fiber.
     zeros : optional list of FiberZero
         Known zeros (in the x coordinate); detected automatically when
         omitted.  Used for pre-refinement and the divergence test.
@@ -429,27 +405,20 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
     cfg = config or QuadratureConfig()
     if c < 0:
         raise ValueError("c must be nonnegative")
-    fib = _coerce_fiber(fiber)
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
     if zeros is None and c > 0:
-        try:
-            zeros = _detect_zeros(fiber)
-        except IdenticallyZeroError:
-            raise
+        zeros = _detect_zeros(fiber)
     zeros = list(zeros or ())
 
-    t_val = t if t is not None else fib.t
+    if t is None and isinstance(fiber, LaurentForm):
+        t = fiber.t
     if chart == "y":
-        if t_val is None:
+        if t is None:
             raise ValueError("y-chart integration needs the fiber parameter t")
-        pts = []
-        for z in zeros:
-            loc = z.location_complex()
-            if loc != 0:
-                pts.append(FiberZero(complex(t_val) / loc, z.multiplicity,
-                                     False, z.cluster_radius, z.exact_multiplicity))
-        zeros = pts
+        tc = exact_param(t).to_complex()
+        zeros = [FiberZero(tc / z.location_complex(), z.multiplicity, False)
+                 for z in zeros if z.location_complex() != 0]
 
     work, truncated = _truncate_annulus(domain, cfg)
     interior = _interior_zeros(zeros, work)
@@ -463,7 +432,7 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
                   "multiplicity": bad.multiplicity,
                   "local_exponent": 2.0 * c * bad.multiplicity})
 
-    base = _base_fn(fib, c, cfg, chart=chart, t=t_val)
+    base = _base_fn(fiber, c, cfg, chart=chart, t=t)
     ones = lambda x: np.ones(x.shape, dtype=cfg.real_dtype)
     masses, errs, cells, flags, converged = _adaptive_polar(
         base, [ones], work, cfg,
@@ -507,7 +476,8 @@ def fiber_integral_K(f, t, c: float, radius: float,
     if not (0 < c < float(c0)):
         raise ValueError(f"{STABILITY_HYPOTHESIS}; got c={c}, c_0={c0}")
 
-    if _is_zero_param(t):
+    tt = exact_param(t)
+    if tt.is_zero():
         i_rep = _axis_disc_integral(f.holo.restrict_x_axis(), c, radius, cfg, "x")
         j_rep = _axis_disc_integral(f.holo.restrict_y_axis(), c, radius, cfg, "y")
         k_rep = IntegralReport(
@@ -522,7 +492,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
             meta={"note": "central fiber: sum over the two axis components"})
         return KReport(t=0, k_report=k_rep, i_report=i_rep, j_report=j_rep)
 
-    t_abs = _abs_param(t)
+    t_abs = param_modulus(tt)
     domain = Annulus(t_abs / radius, radius)
     zeros = fiber_zeros(f, t, delta=radius)
     bad = _divergent_zero(_interior_zeros(zeros, domain), c)
@@ -535,9 +505,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
                   "multiplicity": bad.multiplicity})
         return KReport(t=t, k_report=rep, i_report=rep, j_report=rep)
 
-    fib = (substitute_fiber(f, t).to_numeric() if is_exact_scalar(t)
-           else numeric_fiber(f, t))
-    base = _base_fn(fib, c, cfg)
+    base = _base_fn(substitute_fiber(f, tt), c, cfg)
     t2 = t_abs * t_abs
 
     def w_i(x):
@@ -567,20 +535,6 @@ def fiber_integral_K(f, t, c: float, radius: float,
     return KReport(t=t, k_report=k_rep, i_report=i_rep, j_report=j_rep)
 
 
-def _is_zero_param(t) -> bool:
-    if t is None:
-        return True
-    if is_exact_scalar(t):
-        return Fraction(t) == 0 if not isinstance(t, int) else t == 0
-    return complex(t) == 0
-
-
-def _abs_param(t) -> float:
-    if is_exact_scalar(t):
-        return abs(float(t))
-    return abs(complex(t))
-
-
 def decompose_I(f, t, c: float, radius: float, r1: float,
                 config: QuadratureConfig | None = None):
     """Three-annulus split of I_t(R) around the scale |x| ~ |s|^l.
@@ -595,11 +549,10 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
     cfg = config or QuadratureConfig()
     if r1 <= 1:
         raise ValueError("R1 must exceed 1")
-    if not is_exact_scalar(t) and complex(t).imag != 0:
+    tt = exact_param(t)
+    if not tt.is_real() or tt.re <= 0:
         raise ValueError("decomposition uses the positive real branch: t > 0")
-    t_f = float(t) if is_exact_scalar(t) else complex(t).real
-    if t_f <= 0:
-        raise ValueError("decomposition uses the positive real branch: t > 0")
+    t_f = float(tt.re)
 
     holo = as_mixed(f).holo
     polygon = newton.compute_polygon(holo)
@@ -614,9 +567,8 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
             f"partition radii are not ordered ({a0:.3g}, {a1:.3g}, {a2:.3g}, "
             f"{a3:.3g}); R1 is incompatible with this t and R")
 
-    fib = (substitute_fiber(f, t) if is_exact_scalar(t)
-           else numeric_fiber(f, t))
-    zeros = fiber_zeros(f, t, delta=radius)
+    fib = substitute_fiber(f, tt)
+    zeros = fiber_zeros(f, tt, delta=radius)
     reports = []
     z_domains = [(1.0 / r1, r1), (r1, radius / s ** l), (s ** k / radius, 1.0 / r1)]
     x_domains = [Annulus(a1, a2), Annulus(a2, a3), Annulus(a0, a1)]
@@ -661,11 +613,11 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
             "irreducibility but not sufficient; hypothesis unverified")
     if t_sequence is None:
         t_sequence = default_t_sequence()
-    ts = sorted(t_sequence, key=_abs_param, reverse=True)
-    if any(_is_zero_param(t) for t in ts):
+    ts = sorted(t_sequence, key=param_modulus, reverse=True)
+    if any(exact_param(t).is_zero() for t in ts):
         raise ValueError("t sequence must be nonzero (K_0 is computed separately)")
     for prev, cur in zip(ts, ts[1:]):
-        if not _abs_param(cur) < _abs_param(prev):
+        if not param_modulus(cur) < param_modulus(prev):
             raise ValueError("t sequence must be strictly decreasing in |t|")
 
     k0 = fiber_integral_K(f, 0, c, radius, cfg)
@@ -707,7 +659,7 @@ def uniform_bound_check(f, c: float, radius: float, t_samples,
     contradict the uniform-bound theorem and signals a failure.
     """
     cfg = config or QuadratureConfig()
-    samples = sorted(t_samples, key=_abs_param, reverse=True)
+    samples = sorted(t_samples, key=param_modulus, reverse=True)
     if not samples:
         raise ValueError("empty t sample list")
     rows = []
@@ -740,7 +692,7 @@ def growth_trend(rows) -> bool:
         return False
     slopes = []
     for a, b in zip(tail, tail[1:]):
-        dlog = math.log(_abs_param(a.t)) - math.log(_abs_param(b.t))
+        dlog = math.log(param_modulus(a.t)) - math.log(param_modulus(b.t))
         slopes.append((b.k_t - a.k_t) / dlog)
     increasing = all(a.k_t < b.k_t for a, b in zip(tail, tail[1:]))
     persistent = all(s2 >= 0.9 * s1 for s1, s2 in zip(slopes, slopes[1:]))
@@ -786,9 +738,8 @@ def exponent_probe_1d(fiber, zero, c: float,
         raise ValueError("the probe needs c > 0")
     if n_annuli < 4:
         raise ValueError("need at least 4 annuli")
-    fib = _coerce_fiber(fiber)
-    base = _base_fn(fib, c, cfg)
-    center = complex(zero) if not hasattr(zero, "to_complex") else zero.to_complex()
+    base = _base_fn(fiber, c, cfg)
+    center = exact_param(zero).to_complex()
     ones = lambda x: np.ones(x.shape, dtype=cfg.real_dtype)
 
     radii, masses = [], []

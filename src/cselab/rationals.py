@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -164,10 +165,41 @@ class GaussianRational:
 
 
 def _isqrt_exact(n: int):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+def _float_fraction(x: float) -> Fraction:
+    if not math.isfinite(x):
+        raise ValueError(f"parameter must be finite, got {x!r}")
+    return Fraction(x)
+
+
+def exact_param(t) -> GaussianRational:
+    """The exact value of a parameter given as int, Fraction, GaussianRational,
+    float or complex.
+
+    Every finite float is a dyadic rational, so Fraction(float) is its exact
+    value and float parameters take the same exact path as rational ones;
+    nan and inf are rejected.
+    """
+    if isinstance(t, complex):
+        return GaussianRational(_float_fraction(t.real), _float_fraction(t.imag))
+    if isinstance(t, float):
+        return GaussianRational(_float_fraction(t))
+    return GaussianRational.coerce(t)
+
+
+def param_modulus(t) -> float:
+    """|t| as a float; for real t this is exactly abs(float(t))."""
+    return abs(exact_param(t).to_complex())
+
+
+def param_float(t) -> float:
+    """A real parameter as a signed float, otherwise its modulus: the t
+    column of CSV and plot data."""
+    g = exact_param(t)
+    return float(g.re) if g.is_real() else param_modulus(g)
 
 
 ZERO = GaussianRational(0)

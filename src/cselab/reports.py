@@ -17,7 +17,7 @@ from .exponents import Exponent
 from .expressions import format_function
 from .polynomials import BivariatePoly, MixedFunction, UnivariatePoly
 from .quadrature import BoundReport, IntegralReport, KReport, ProbeResult, SweepReport
-from .rationals import GaussianRational
+from .rationals import GaussianRational, param_float
 
 SWEEP_CSV_HEADER = "t,K_t,err,I_t,J_t,ratio"
 
@@ -78,7 +78,7 @@ def to_jsonable(obj):
                 else complex(obj.location)),
             "multiplicity": obj.multiplicity,
             "exactness": obj.exactness,
-            "cluster_radius": fmt_float(obj.cluster_radius),
+            "cluster_radius": 0.0,
         }
     if isinstance(obj, IntegralReport):
         return {
@@ -216,20 +216,13 @@ def render_csv(report) -> str:
 def render_plot_data(report) -> str:
     """Two whitespace-separated columns for external plotting."""
     if isinstance(report, SweepReport):
-        pairs = [(_t_float(r.t), r.ratio) for r in report.rows]
+        pairs = [(param_float(r.t), r.ratio) for r in report.rows]
     elif isinstance(report, ProbeResult):
         pairs = list(zip(report.radii, report.masses))
     else:
         raise TypeError("plot-data output is defined for sweep and probe reports")
     return "\n".join(f"{fmt_float(a):.12g} {fmt_float(b):.12g}"
                      for a, b in pairs) + "\n"
-
-
-def _t_float(t) -> float:
-    try:
-        return float(t)
-    except TypeError:
-        return abs(complex(t))
 
 
 def _poly_coeff_list(p: UnivariatePoly):

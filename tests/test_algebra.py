@@ -16,7 +16,6 @@ from cselab import (
     MixedFunction,
     UnivariatePoly,
     divides_power,
-    numeric_fiber,
     poly_gcd,
     squarefree_decomposition,
     substitute_fiber,
@@ -160,9 +159,19 @@ class TestSubstituteFiber:
         with pytest.raises(ValueError):
             substitute_fiber(BivariatePoly.variable("x"), 0)
 
-    def test_float_t_rejected_exact_path(self):
-        with pytest.raises(TypeError):
-            substitute_fiber(BivariatePoly.variable("x"), 1e-3)
+    def test_float_t_gives_the_form_of_its_fraction(self):
+        x = BivariatePoly.variable("x")
+        y = BivariatePoly.variable("y")
+        f = y * y - x ** 3 + x * y
+        for t in (1e-3, 0.125, -2.5e-7, 1e-3 + 2e-4j):
+            exact = Fraction(t) if isinstance(t, float) else GaussianRational(
+                Fraction(t.real), Fraction(t.imag))
+            assert substitute_fiber(f, t) == substitute_fiber(f, exact)
+
+    def test_nonfinite_t_rejected(self):
+        for t in (math.nan, math.inf, complex(0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                substitute_fiber(BivariatePoly.variable("x"), t)
 
     @given(f=bivariate(max_points=4, max_exp=3),
            t=st.fractions(min_value=Fraction(1, 40), max_value=2,
@@ -192,15 +201,6 @@ class TestSubstituteFiber:
         if form.numerator.is_zero() or form.pole_order == 0:
             return
         assert form.numerator.valuation() == 0
-
-    def test_numeric_fiber_matches_exact(self):
-        x = BivariatePoly.variable("x")
-        y = BivariatePoly.variable("y")
-        f = y * y - x ** 3 + x * y
-        exact = substitute_fiber(f, Fraction(1, 8)).to_numeric()
-        numeric = numeric_fiber(f, 0.125)
-        assert np.allclose(exact.coeffs, numeric.coeffs)
-        assert exact.pole_order == numeric.pole_order
 
 
 class TestVanishingOrder:

@@ -35,6 +35,13 @@ class TestExponentCommand:
         assert data["verdict"] == "violated"
         assert data["holomorphic"] is False
 
+    def test_radial_term_without_exact_sqrt_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["exponent", "--f", "x + y - 2*abs(x*y)^(1/2)", "--t", "1/1000"],
+            capsys)
+        assert code == 1 and out == ""
+        assert "exact square root of t = 1/1000" in err
+
     def test_bad_expression_usage_error(self, capsys):
         code, _, err = run_cli(["exponent", "--f", "x + + y"], capsys)
         assert code == 1

@@ -101,6 +101,32 @@ class TestFiberZeros:
             assert abs(ze.location_complex() - zn.location_complex()) < 1e-8
             assert zn.multiplicity == ze.multiplicity
 
+    def test_float_t_takes_the_exact_path(self):
+        # a float t is a dyadic rational: its multiplicities are exact too
+        f = (X + Y) ** 4 * (Y * Y - X ** 3) ** 2
+        zs = fiber_zeros(f, 1e-3)
+        assert sorted(z.multiplicity for z in zs) == [2, 2, 2, 2, 2, 4, 4]
+        assert zs == fiber_zeros(f, Fraction(1e-3))
+        exps = {fiber_exponent(f, 1e-3, z.location) for z in zs}
+        assert exps == {Exponent(Fraction(1, 4)), Exponent(Fraction(1, 2))}
+        for z in zs:
+            assert fiber_exponent(f, 1e-3, z.location) == \
+                Exponent(Fraction(1, z.multiplicity))
+
+    def test_each_exact_candidate_is_used_once(self):
+        # four simple zeros, two of them 5e-9 from the exact zeros +-1/10
+        f = (X - Y) * (X - Fraction(10000001, 10000000) * Y)
+        zs = fiber_zeros(f, Fraction(1, 100), delta=1)
+        assert [z.multiplicity for z in zs] == [1, 1, 1, 1]
+        exact = sorted(str(z.location) for z in zs if z.exact_location)
+        assert exact == ["-1/10", "1/10"]
+        near = [z.location_complex() for z in zs if not z.exact_location]
+        r = math.sqrt(10000001 / 10 ** 9)
+        assert sorted(x.real for x in near) == pytest.approx([-r, r], rel=1e-12)
+        assert all(abs(x.imag) <= 1e-12 for x in near)
+        for z in zs:
+            assert fiber_exponent(f, Fraction(1, 100), z.location) == Exponent(1)
+
 
 class TestFiberExponent:
     def test_radial_half(self):

@@ -13,6 +13,7 @@ from cselab import (
     UnivariatePoly,
     annulus_integral,
     convergence_sweep,
+    counterexample_record,
     decompose_I,
     exponent_probe_1d,
     fiber_integral_K,
@@ -122,6 +123,22 @@ class TestFiberIntegralK:
     def test_symmetric_function_has_equal_parts(self):
         kr = fiber_integral_K(X + Y, Fraction(1, 100), 0.5, 1.0, CFG)
         assert kr.i_report.value == pytest.approx(kr.j_report.value, rel=1e-9)
+
+    def test_gaussian_rational_t(self):
+        kr = fiber_integral_K(Y * Y - X ** 3, GaussianRational(0, Fraction(1, 100)),
+                              0.2, 0.5, CFG)
+        assert kr.identity_residual <= 1e-6
+        kf = fiber_integral_K(Y * Y - X ** 3, 0.01j, 0.2, 0.5, CFG)
+        assert kr.k_report.value == pytest.approx(kf.k_report.value, rel=1e-9)
+
+    def test_mixed_family_needs_an_exact_square_root_of_t(self):
+        # the float 0.01 is not the square of a rational, so the radial
+        # term has no exact value there and no finite K may come back
+        family = counterexample_record(1).family
+        with pytest.raises(ValueError, match="exact square root"):
+            fiber_integral_K(family, 0.01, 0.3, 0.5, CFG)
+        kr = fiber_integral_K(family, Fraction(1, 100), 0.3, 0.5, CFG)
+        assert kr.k_report.divergent and kr.k_report.value == math.inf
 
 
 class TestDecomposeI:
