@@ -30,6 +30,7 @@ from .quadrature import (
     QuadratureConfig,
     convergence_sweep,
     decompose_I,
+    default_t_sequence,
     exponent_probe_1d,
     fiber_integral_K,
     uniform_bound_check,
@@ -106,7 +107,9 @@ def build_parser() -> _Parser:
                                         "semicontinuity verdict")
     p.add_argument("--f", required=True, help="function expression")
     p.add_argument("--t", action="append", default=None,
-                   help="fiber parameter (exact rational; repeatable)")
+                   help="fiber parameter (exact rational; repeatable; "
+                        "default 10^-2, 10^-4, 10^-6, 10^-8: squares, so that "
+                        "a radial term has an exact square root of t)")
     p.add_argument("--delta", type=float, default=0.1,
                    help="polydisc radius for zero selection (default 0.1)")
     _add_out_opts(p)
@@ -176,8 +179,8 @@ def _cmd_exponent(ns) -> int:
     f = _parse_fn(ns.f)
     if not isinstance(f, (BivariatePoly, MixedFunction)):
         raise UsageError("exponent needs a function of x and y")
-    ts = [_parse_exact(t) for t in (ns.t or ["1/100", "1/1000", "1/10000",
-                                             "1/100000"])]
+    ts = ([_parse_exact(t) for t in ns.t] if ns.t
+          else [Fraction(1, 10 ** k) ** 2 for k in range(1, 5)])
     try:
         report = semicontinuity_check(f, ts, delta=ns.delta)
     except ValueError as e:  # IdenticallyZeroError, or no exact sqrt of t
@@ -243,11 +246,10 @@ def _cmd_polygon(ns) -> int:
 def _sweep_sequence(ns):
     if ns.t:
         return [_parse_exact(t) for t in ns.t]
-    start = _parse_exact(ns.t_start)
-    ratio = _parse_exact(ns.t_ratio)
     if ns.t_count < 1:
         raise UsageError("--t-count must be >= 1")
-    return [start * ratio ** j for j in range(ns.t_count)]
+    return default_t_sequence(_parse_exact(ns.t_start),
+                              _parse_exact(ns.t_ratio), ns.t_count)
 
 
 def _cmd_sweep(ns) -> int:
@@ -264,8 +266,7 @@ def _cmd_sweep(ns) -> int:
 def _cmd_bound(ns) -> int:
     f = _parse_fn(ns.f)
     cfg = _quad_config(ns)
-    ts = ([_parse_exact(t) for t in ns.t] if ns.t
-          else [Fraction(1, 100) * Fraction(1, 4) ** j for j in range(7)])
+    ts = [_parse_exact(t) for t in ns.t] if ns.t else default_t_sequence()
     try:
         report = uniform_bound_check(f, ns.c, ns.R, ts, cfg)
         payload = {"bound": to_jsonable(report)}

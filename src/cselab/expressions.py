@@ -12,9 +12,12 @@ Grammar (whitespace-insensitive, no floats; rationals are written a/b):
 
 The radial atom must wrap exactly the monomial x*y and may appear at most
 once, as a top-level additive term scaled by a constant: that is the only
-non-holomorphic shape the library computes with.  A well-formed expression
-lowers to exactly one BivariatePoly (variables x, y), UnivariatePoly
-(variable z) or MixedFunction.
+non-holomorphic shape the library computes with.  The parser builds values
+while it reads, with no syntax tree: each rule returns a polynomial in x, y
+(z is carried as x), the radial coefficient and exponent, and the set of
+variable names written.  A well-formed expression becomes exactly one
+BivariatePoly (variables x, y), UnivariatePoly (variable z) or
+MixedFunction.
 """
 
 from __future__ import annotations
@@ -70,56 +73,36 @@ def _tokenize(text: str):
     return toks
 
 
-# -- AST ---------------------------------------------------------------------
+# -- values ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Lit:
-    value: GaussianRational
+class _Val:
+    """poly + radial_coeff * |xy|^(radial_p/2), and the variable names written.
+
+    z is carried as x in poly; the z/x/y checks read names, never poly.
+    """
+    poly: BivariatePoly
+    radial_coeff: GaussianRational = GaussianRational(0)
+    radial_p: int | None = None
+    names: frozenset = frozenset()
+
+    @property
+    def has_radial(self):
+        return not self.radial_coeff.is_zero()
+
+    def __neg__(self):
+        return _Val(-self.poly, -self.radial_coeff, self.radial_p, self.names)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+def _check_mix(names) -> None:
+    if "z" in names and names & {"x", "y"}:
+        raise ExpressionError("cannot mix z with x and y in one expression")
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Radial:
-    """abs(x*y)^(half_exp/2) with half_exp odd and positive."""
-    half_exp: int
-
+# -- parsing -----------------------------------------------------------------
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.k = 0
 
@@ -131,81 +114,103 @@ class _Parser:
         self.k += 1
         return t
 
+    def at_sym(self, syms: str) -> bool:
+        t = self.peek()
+        return t.kind == "sym" and t.text in syms
+
     def expect_sym(self, sym: str) -> _Tok:
         t = self.next()
         if t.kind != "sym" or t.text != sym:
             raise ExpressionError(f"expected {sym!r}", t.pos)
         return t
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> _Val:
+        v = self.expr()
         t = self.peek()
         if t.kind != "end":
             raise ExpressionError(f"unexpected token {t.text!r}", t.pos)
-        return node
+        return v
 
-    def expr(self):
-        node = self.term()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in "+-":
-                self.next()
-                rhs = self.term()
-                node = Add(node, rhs) if t.text == "+" else Sub(node, rhs)
-            else:
-                return node
+    def expr(self) -> _Val:
+        a = self.term()
+        while self.at_sym("+-"):
+            op = self.next()
+            b = self.term()
+            if op.text == "-":
+                b = -b
+            if a.has_radial and b.has_radial:
+                raise ExpressionError("at most one radial term is allowed",
+                                      op.pos)
+            a = _Val(a.poly + b.poly, a.radial_coeff + b.radial_coeff,
+                     a.radial_p if a.has_radial else b.radial_p,
+                     a.names | b.names)
+        return a
 
-    def term(self):
-        node = self.unary()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text == "*":
-                self.next()
-                node = Mul(node, self.unary())
-            else:
-                return node
+    def term(self) -> _Val:
+        a = self.unary()
+        while self.at_sym("*"):
+            star = self.next()
+            b = self.unary()
+            if a.has_radial and b.has_radial:
+                raise ExpressionError("radial terms cannot be multiplied "
+                                      "together", star.pos)
+            if b.has_radial:
+                a, b = b, a
+            names = a.names | b.names
+            if not a.has_radial:
+                a = _Val(a.poly * b.poly, names=names)
+                continue
+            if set(b.poly.support) - {(0, 0)}:
+                raise ExpressionError(
+                    "a radial term may only be scaled by a constant", star.pos)
+            s = b.poly.support.get((0, 0), GaussianRational(0))
+            a = _Val(a.poly * b.poly, a.radial_coeff * s, a.radial_p, names)
+        return a
 
-    def unary(self):
-        t = self.peek()
-        if t.kind == "sym" and t.text == "-":
+    def unary(self) -> _Val:
+        if self.at_sym("-"):
             self.next()
-            return Neg(self.unary())
+            return -self.unary()
         return self.power()
 
-    def power(self):
+    def power(self) -> _Val:
         base = self.atom()
-        t = self.peek()
-        if t.kind == "sym" and t.text == "^":
-            if isinstance(base, Radial):
-                raise ExpressionError("radial term already carries its exponent",
-                                      t.pos)
-            self.next()
-            e = self.next()
-            if e.kind != "num" or "/" in e.text:
-                raise ExpressionError("exponent must be a nonnegative integer",
-                                      e.pos)
-            return Pow(base, int(e.text))
-        return base
+        if not self.at_sym("^"):
+            return base
+        caret = self.next()
+        if base.has_radial:
+            raise ExpressionError("radial terms cannot be exponentiated",
+                                  caret.pos)
+        e = self.next()
+        if e.kind != "num" or "/" in e.text:
+            raise ExpressionError("exponent must be a nonnegative integer",
+                                  e.pos)
+        return _Val(base.poly ** int(e.text), names=base.names)
 
-    def atom(self):
+    def atom(self) -> _Val:
         t = self.next()
         if t.kind == "num":
-            return Lit(GaussianRational(Fraction(t.text)))
+            try:
+                value = Fraction(t.text)
+            except ZeroDivisionError:
+                raise ExpressionError("division by zero", t.pos) from None
+            return _Val(BivariatePoly.monomial(0, 0, value))
         if t.kind == "name":
             if t.text == "i":
-                return Lit(GaussianRational(0, 1))
+                return _Val(BivariatePoly.monomial(0, 0, GaussianRational(0, 1)))
             if t.text in ("x", "y", "z"):
-                return Var(t.text)
+                var = "x" if t.text == "z" else t.text
+                return _Val(BivariatePoly.variable(var), names=frozenset({t.text}))
             if t.text == "abs":
                 return self.radial(t.pos)
             raise ExpressionError(f"unknown name {t.text!r}", t.pos)
         if t.kind == "sym" and t.text == "(":
-            node = self.expr()
+            v = self.expr()
             self.expect_sym(")")
-            return node
+            return v
         raise ExpressionError(f"unexpected token {t.text!r}", t.pos)
 
-    def radial(self, at: int):
+    def radial(self, at: int) -> _Val:
         self.expect_sym("(")
         inner = self.expr()
         self.expect_sym(")")
@@ -233,125 +238,24 @@ class _Parser:
             raise ExpressionError("radial exponent numerator must be odd and "
                                   "positive", num.pos)
         self.expect_sym(")")
-        lowered = _lower(inner)
-        if not isinstance(lowered, BivariatePoly) or \
-                lowered != BivariatePoly.monomial(1, 1):
+        _check_mix(inner.names)
+        if "z" in inner.names or inner.has_radial or \
+                inner.poly != BivariatePoly.monomial(1, 1):
             raise ExpressionError("abs(...) must wrap exactly the monomial x*y",
                                   at)
-        return Radial(p)
-
-
-# -- lowering ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Val:
-    poly: BivariatePoly
-    radial_coeff: GaussianRational
-    radial_p: int | None
-
-    @property
-    def has_radial(self):
-        return self.radial_p is not None and not self.radial_coeff.is_zero()
-
-
-def _plain(poly: BivariatePoly) -> _Val:
-    return _Val(poly, GaussianRational(0), None)
-
-
-def _lower_val(node) -> _Val:
-    if isinstance(node, Lit):
-        return _plain(BivariatePoly.monomial(0, 0, node.value))
-    if isinstance(node, Var):
-        return _plain(BivariatePoly.variable(node.name))
-    if isinstance(node, Radial):
-        return _Val(BivariatePoly.zero(), GaussianRational(1), node.half_exp)
-    if isinstance(node, Neg):
-        v = _lower_val(node.arg)
-        return _Val(-v.poly, -v.radial_coeff, v.radial_p)
-    if isinstance(node, (Add, Sub)):
-        a = _lower_val(node.left)
-        b = _lower_val(node.right)
-        if isinstance(node, Sub):
-            b = _Val(-b.poly, -b.radial_coeff, b.radial_p)
-        if a.has_radial and b.has_radial:
-            raise ExpressionError("at most one radial term is allowed")
-        p = a.radial_p if a.has_radial else b.radial_p
-        return _Val(a.poly + b.poly, a.radial_coeff + b.radial_coeff, p)
-    if isinstance(node, Mul):
-        a = _lower_val(node.left)
-        b = _lower_val(node.right)
-        if a.has_radial and b.has_radial:
-            raise ExpressionError("radial terms cannot be multiplied together")
-        if b.has_radial:
-            a, b = b, a
-        if a.has_radial:
-            if not _is_constant(b.poly) or b.has_radial:
-                raise ExpressionError(
-                    "a radial term may only be scaled by a constant")
-            s = b.poly.support.get((0, 0), GaussianRational(0))
-            return _Val(a.poly * b.poly, a.radial_coeff * s, a.radial_p)
-        return _plain(a.poly * b.poly)
-    if isinstance(node, Pow):
-        v = _lower_val(node.base)
-        if v.has_radial:
-            raise ExpressionError("radial terms cannot be exponentiated")
-        return _plain(v.poly ** node.exponent)
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-def _is_constant(p: BivariatePoly) -> bool:
-    return all(k == (0, 0) for k in p.support)
-
-
-def _vars_used(node) -> set:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, (Lit, Radial)):
-        return {"x", "y"} if isinstance(node, Radial) else set()
-    if isinstance(node, Neg):
-        return _vars_used(node.arg)
-    if isinstance(node, (Add, Sub, Mul)):
-        return _vars_used(node.left) | _vars_used(node.right)
-    if isinstance(node, Pow):
-        return _vars_used(node.base)
-    return set()
-
-
-def _lower(node):
-    used = _vars_used(node)
-    if "z" in used and used & {"x", "y"}:
-        raise ExpressionError("cannot mix z with x and y in one expression")
-    if "z" in used:
-        return _lower_univariate(node)
-    v = _lower_val(node)
-    if v.has_radial:
-        return MixedFunction(v.poly, v.radial_coeff, v.radial_p)
-    return v.poly
-
-
-def _lower_univariate(node) -> UnivariatePoly:
-    if isinstance(node, Lit):
-        return UnivariatePoly([node.value])
-    if isinstance(node, Var):
-        return UnivariatePoly.monomial(1)
-    if isinstance(node, Neg):
-        return -_lower_univariate(node.arg)
-    if isinstance(node, Add):
-        return _lower_univariate(node.left) + _lower_univariate(node.right)
-    if isinstance(node, Sub):
-        return _lower_univariate(node.left) - _lower_univariate(node.right)
-    if isinstance(node, Mul):
-        return _lower_univariate(node.left) * _lower_univariate(node.right)
-    if isinstance(node, Pow):
-        return _lower_univariate(node.base) ** node.exponent
-    if isinstance(node, Radial):
-        raise ExpressionError("radial terms live in the x, y variables")
-    raise TypeError(f"unknown AST node {node!r}")
+        return _Val(BivariatePoly.zero(), GaussianRational(1), p,
+                    frozenset({"x", "y"}))
 
 
 def parse_expression(text: str):
     """Parse text to a BivariatePoly, UnivariatePoly or MixedFunction."""
-    return _lower(_Parser(text).parse())
+    v = _Parser(text).parse()
+    _check_mix(v.names)
+    if "z" in v.names:
+        return v.poly.restrict_x_axis()
+    if v.has_radial:
+        return MixedFunction(v.poly, v.radial_coeff, v.radial_p)
+    return v.poly
 
 
 # -- canonical printing ------------------------------------------------------
@@ -379,13 +283,19 @@ def _format_scalar(c: GaussianRational, lead_context: bool):
     return "+", f"({re_txt}{sign}{itxt})"
 
 
-def _format_monomial(names_exps) -> str:
-    parts = []
-    for name, e in names_exps:
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def _terms(poly):
+    """(sign, body) per nonzero term of a BivariatePoly or UnivariatePoly."""
+    if isinstance(poly, BivariatePoly):
+        items = [((("x", m), ("y", n)), c) for (m, n), c in poly.sorted_items()]
+    else:
+        items = [((("z", e),), c) for e, c in enumerate(poly.coeffs)
+                 if not c.is_zero()]
+    terms = []
+    for powers, c in items:
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+        sign, coeff = _format_scalar(c, lead_context=bool(mono))
+        terms.append((sign, "*".join(filter(None, (coeff, mono)))))
+    return terms
 
 
 def _join_terms(terms) -> str:
@@ -403,41 +313,10 @@ def format_function(obj) -> str:
     if isinstance(obj, MixedFunction):
         if obj.is_holomorphic():
             return format_function(obj.holo)
-        holo_txt_terms = _poly_terms(obj.holo)
         sign, coeff = _format_scalar(obj.radial_coeff, lead_context=True)
-        body = f"abs(x*y)^({obj.radial_half_exp}/2)"
-        body = body if not coeff else f"{coeff}*{body}"
-        return _join_terms(holo_txt_terms + [(sign, body)])
-    if isinstance(obj, BivariatePoly):
-        if obj.is_zero():
-            return "0"
-        return _join_terms(_poly_terms(obj))
-    if isinstance(obj, UnivariatePoly):
-        if obj.is_zero():
-            return "0"
-        terms = []
-        for e, c in enumerate(obj.coeffs):
-            if c.is_zero():
-                continue
-            mono = _format_monomial([("z", e)])
-            sign, coeff = _format_scalar(c, lead_context=bool(mono))
-            if mono:
-                body = mono if not coeff else f"{coeff}*{mono}"
-            else:
-                body = coeff if coeff else "1"
-            terms.append((sign, body))
-        return _join_terms(terms)
-    raise TypeError("expected BivariatePoly, UnivariatePoly or MixedFunction")
-
-
-def _poly_terms(p: BivariatePoly):
-    terms = []
-    for (m, n), c in p.sorted_items():
-        mono = _format_monomial([("x", m), ("y", n)])
-        sign, coeff = _format_scalar(c, lead_context=bool(mono))
-        if mono:
-            body = mono if not coeff else f"{coeff}*{mono}"
-        else:
-            body = coeff if coeff else "1"
-        terms.append((sign, body))
-    return terms
+        radial = f"abs(x*y)^({obj.radial_half_exp}/2)"
+        return _join_terms(
+            _terms(obj.holo) + [(sign, "*".join(filter(None, (coeff, radial))))])
+    if not isinstance(obj, (BivariatePoly, UnivariatePoly)):
+        raise TypeError("expected BivariatePoly, UnivariatePoly or MixedFunction")
+    return _join_terms(_terms(obj)) or "0"

@@ -29,12 +29,6 @@ def fmt_float(x) -> float:
     return float(f"{x:.12g}")
 
 
-def exact_str(v) -> str:
-    if isinstance(v, GaussianRational):
-        return str(v)
-    return str(Fraction(v))
-
-
 def scalar_jsonable(v):
     """Exact scalars become ints or exact strings; floats are normalized."""
     if isinstance(v, GaussianRational):

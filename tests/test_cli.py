@@ -35,6 +35,16 @@ class TestExponentCommand:
         assert data["verdict"] == "violated"
         assert data["holomorphic"] is False
 
+    def test_radial_violation_with_default_t(self, capsys):
+        # the default t are squares, so the radial term has an exact sqrt(t)
+        code, out, _ = run_cli(
+            ["exponent", "--f", "x + y - 2*abs(x*y)^(1/2)"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "violated"
+        assert [row["t"] for row in data["rows"]] == [
+            "1/100", "1/10000", "1/1000000", "1/100000000"]
+
     def test_radial_term_without_exact_sqrt_is_usage_error(self, capsys):
         code, out, err = run_cli(
             ["exponent", "--f", "x + y - 2*abs(x*y)^(1/2)", "--t", "1/1000"],

@@ -1,8 +1,11 @@
-"""Expression grammar: parsing, lowering, canonical round trips."""
+"""Expression grammar: parsing, errors, canonical round trips."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_algebra import bivariate, gaussian, univariate
 
 from cselab import (
     BivariatePoly,
@@ -98,6 +101,25 @@ class TestParseErrors:
         with pytest.raises(ExpressionError):
             parse_expression("x^-2")
 
+    def test_radial_of_z_rejected(self):
+        # z is read as a polynomial in x, but the name written still counts
+        with pytest.raises(ExpressionError, match="cannot mix z"):
+            parse_expression("abs(z*y)^(1/2)")
+        with pytest.raises(ExpressionError, match="monomial x\\*y"):
+            parse_expression("abs(z*z)^(1/2)")
+        with pytest.raises(ExpressionError, match="cannot mix z"):
+            parse_expression("0*z + abs(x*y)^(1/2)")
+
+    def test_zero_denominator_has_position(self):
+        with pytest.raises(ExpressionError, match="position 4"):
+            parse_expression("x + 1/0")
+
+    def test_radial_errors_have_positions(self):
+        with pytest.raises(ExpressionError, match="exponentiated.*position 16"):
+            parse_expression("(abs(x*y)^(1/2))^2")
+        with pytest.raises(ExpressionError, match="scaled.*position 1"):
+            parse_expression("x*abs(x*y)^(1/2)")
+
 
 def corpus():
     """50 canonical expressions covering the grammar."""
@@ -134,3 +156,19 @@ class TestRoundTrip:
 
     def test_signs(self):
         assert format_function(parse_expression("-x^3 + y^2")) == "y^2 - x^3"
+
+
+nonzero = gaussian.filter(lambda c: not c.is_zero())
+odd = st.integers(0, 4).map(lambda k: 2 * k + 1)
+functions = st.one_of(
+    bivariate(),
+    st.builds(MixedFunction, bivariate(max_points=3), nonzero, odd),
+    # a constant's text names no variable, so it reads back as x, y
+    univariate().filter(lambda p: len(p.coeffs) > 1),
+)
+
+
+@given(v=functions)
+@settings(max_examples=60, derandomize=True)
+def test_format_then_parse_reproduces_constructed_values(v):
+    assert parse_expression(format_function(v)) == v
