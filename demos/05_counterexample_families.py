@@ -1,7 +1,8 @@
 """The non-holomorphic families that break exponent semicontinuity.
 
-For each n, a kernel element P_n of the space {q(z^2) + c z^(2n+1)} divisible
-by (z-1)^(2n+2) with nonzero extreme terms yields
+For each n, the polynomials q(z^2) + c z^(2n+1) divisible by (z-1)^(2n+2)
+form a line W_n, spanned by the divided difference over the exponents
+(wn_generator); its generator P_n has nonzero extreme terms and yields
 
     F_n(x, y) = q_n(x/y) y^(2n+1) + c_n |xy|^((2n+1)/2),
 
@@ -17,16 +18,16 @@ from cselab import (
     counterexample_record,
     format_function,
     holder_probe,
-    solve_wn,
     verify_violation,
     vn_basis,
+    wn_generator,
 )
 
-print("kernel spaces W_n and their witnesses:")
+print("W_n is a line (dim W_n = 1, proved by the divided-difference kernel);")
+print("its generator P_n vanishes to order exactly 2n+2 at z = 1 (Descartes):")
 for n in range(4):
-    basis = solve_wn(n)
-    print(f"  n = {n}: dim V_n = {len(vn_basis(n))}, dim W_n = {len(basis)}, "
-          f"P_{n} = {format_function(basis[0])}")
+    print(f"  n = {n}: dim V_n = {len(vn_basis(n))}, dim W_n = 1, "
+          f"P_{n} = {format_function(wn_generator(n))}")
 print()
 
 s_samples = [Fraction(1, 10), Fraction(1, 7), Fraction(1, 3)]

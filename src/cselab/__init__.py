@@ -69,11 +69,9 @@ from .counterexamples import (
     build_family,
     counterexample_record,
     holder_probe,
-    membership_N,
-    solve_wn,
-    symmetrize,
     verify_violation,
     vn_basis,
+    wn_generator,
 )
 from .expressions import ExpressionError, format_function, parse_expression
 from .reports import emit_report

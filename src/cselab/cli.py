@@ -331,7 +331,7 @@ def _cmd_probe(ns) -> int:
     t = _parse_exact(ns.t)
     from .polynomials import substitute_fiber
     fib = substitute_fiber(f, t)
-    zeros = fiber_zeros(f, t, delta=ns.delta)
+    zeros = fiber_zeros(fib, t, delta=ns.delta)
     if not zeros:
         raise UsageError("no fiber zeros inside the polydisc to probe")
     locs = [z.location_complex() for z in zeros]

@@ -1,10 +1,27 @@
 """Families that break exponent semicontinuity along xy = t.
 
-The construction: inside the space V_n of polynomials q(z^2) + c*z^(2n+1)
-with deg q <= 2n+1 (dimension 2n+3), the subspace W_n of elements divisible
-by (z-1)^(2n+2) is nonzero by dimension count.  A kernel element P_n with
-nonzero constant and z^(4n+2) terms yields a homogeneous polynomial
-Q_n(x, y) = q_n(x/y) * y^(2n+1) and the non-holomorphic family
+The construction: V_n is the space of polynomials q(z^2) + c*z^(2n+1) with
+deg q <= 2n+1, spanned by the monomials z^e for e in E = vn_basis(n)
+(2n+3 distinct exponents), and W_n is its subspace of elements divisible
+by (z-1)^(2n+2).
+
+W_n is one-dimensional, with a closed-form generator.  P = sum v_e z^e lies
+in W_n iff P^(j)(1)/j! = sum_e v_e comb(e, j) = 0 for j < 2n+2, and the
+comb(e, j) span the polynomials in e of degree below 2n+2; so v annuls all
+of them, which on 2n+3 distinct nodes makes v a multiple of the divided
+difference (exact_linalg): v_e is proportional to
+w_e = 1/prod_{f in E, f != e} (e - f), and the generator is
+
+    P_n = sum_{e in E} (w_e / w_{4n+2}) z^e.
+
+The sign of w_e is (-1)^#{f in E : f > e}, so the 2n+3 coefficients alternate
+in sign along the sorted exponents.  By Descartes' rule of signs P_n has at
+most 2n+2 positive roots counted with multiplicity, and (z-1)^(2n+2)
+divides it; hence ord_{z=1} P_n = 2n+2 exactly, for every n.  E and w are
+symmetric under e -> 4n+2-e, so P_n is palindromic and both extreme
+coefficients are 1.  It yields a homogeneous polynomial
+Q_n(x, y) = q_n(x/y) * y^(2n+1) containing x^(2n+1) and y^(2n+1), and the
+non-holomorphic family
 
     F_n(x, y) = Q_n(x, y) + c_n * |xy|^((2n+1)/2).
 
@@ -12,7 +29,7 @@ Restricted to the fiber xy = s^2 (s > 0), F_n collapses back to P_n:
 
     x^(2n+1) * F_n(x, s^2/x) = s^(4n+2) * P_n(x/s),
 
-so the exponent at (s, s) is 1/ord_{z=1} P_n <= 1/(2n+2), strictly below
+so the exponent at (s, s) is 1/ord_{z=1} P_n = 1/(2n+2), strictly below
 the exponent 1/(2n+1) of the homogeneous restriction to the central fiber.
 All of this is verified in exact arithmetic.
 """
@@ -21,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
-from .exact_linalg import integer_kernel_basis
+from .exact_linalg import divided_difference_weights
 from .exponents import Exponent
 from .polynomials import (
     BivariatePoly,
@@ -53,90 +69,12 @@ def vn_basis(n: int):
     return [2 * j for j in range(2 * n + 2)] + [2 * n + 1]
 
 
-def derivative_condition_matrix(n: int):
-    """Rows j = 0..2n+1 of the Taylor coefficients P^(j)(1)/j! in V_n coordinates.
-
-    Entry (j, e) is comb(e, j): row j of the derivative conditions P^(j)(1) = 0
-    divided by j!, so the kernel is the same with entries j! smaller.
-    """
+def wn_generator(n: int) -> UnivariatePoly:
+    """The generator of W_n (module docstring), with z^(4n+2) coefficient 1."""
     exps = vn_basis(n)
-    return [[comb(e, j) for e in exps] for j in range(2 * n + 2)]
-
-
-def _vector_to_poly(vec, n: int) -> UnivariatePoly:
-    exps = vn_basis(n)
-    coeffs = [GaussianRational(0)] * (4 * n + 3)
-    for e, v in zip(exps, vec):
-        coeffs[e] = coeffs[e] + GaussianRational.coerce(
-            v if isinstance(v, (int, Fraction)) else Fraction(v))
-    return UnivariatePoly(coeffs)
-
-
-def _normalize_witness(p: UnivariatePoly, n: int) -> UnivariatePoly:
-    lead = p.coefficient(4 * n + 2)
-    if not lead.is_zero():
-        return p.scale(lead.inverse())
-    const = p.coefficient(0)
-    if not const.is_zero():
-        return p.scale(const.inverse())
-    for c in p.coeffs:
-        if not c.is_zero():
-            return p.scale(c.inverse())
-    return p
-
-
-def solve_wn(n: int):
-    """Exact kernel basis of W_n, each element normalized.
-
-    The kernel of the derivative-conditions map is nonempty by the dimension
-    count dim V_n = 2n+3 > 2n+2 conditions; an empty result would be a bug.
-    """
-    basis = integer_kernel_basis(derivative_condition_matrix(n))
-    if not basis:
-        raise AssertionError(f"W_{n} kernel came out empty; dimension count "
-                             "guarantees it is not")
-    polys = [_normalize_witness(_vector_to_poly(v, n), n) for v in basis]
-    return sorted(polys, key=lambda p: [(str(c)) for c in p.coeffs])
-
-
-def symmetrize(p: UnivariatePoly, n: int) -> UnivariatePoly:
-    """P(z) + z^(4n+2) * P(1/z); stays in V_n and keeps (z-1)^(2n+2) divisibility."""
-    if p.degree > 4 * n + 2:
-        raise ValueError("symmetrize needs deg P <= 4n+2")
-    return p + p.reversed_within(4 * n + 2)
-
-
-def _extremes_nonzero(p: UnivariatePoly, n: int) -> bool:
-    return (not p.coefficient(0).is_zero()
-            and not p.coefficient(4 * n + 2).is_zero())
-
-
-def membership_N(n: int):
-    """Search W_n for a witness with nonzero constant and z^(4n+2) terms.
-
-    Tries raw kernel elements first, then their symmetrizations, then small
-    integer combinations of basis pairs.  Returns (found, witness-or-None).
-    The infinite-descent argument showing infinitely many n succeed is not
-    reproduced here; the table is empirical.
-    """
-    kernel = solve_wn(n)
-    for p in kernel:
-        if _extremes_nonzero(p, n):
-            return True, p
-    for p in kernel:
-        sp = symmetrize(p, n)
-        if not sp.is_zero() and _extremes_nonzero(sp, n):
-            from .polynomials import divides_power
-            if not divides_power(sp, 1, 2 * n + 2):
-                raise AssertionError("symmetrization left W_n; construction bug")
-            return True, _normalize_witness(sp, n)
-    for i, p in enumerate(kernel):
-        for q in kernel[i + 1:]:
-            for lam in (1, 2, 3):
-                cand = p + q.scale(lam)
-                if _extremes_nonzero(cand, n):
-                    return True, _normalize_witness(cand, n)
-    return False, None
+    weights = dict(zip(exps, divided_difference_weights(exps)))
+    lead = weights[4 * n + 2]
+    return UnivariatePoly([weights.get(e, 0) / lead for e in range(4 * n + 3)])
 
 
 @dataclass(frozen=True)
@@ -156,8 +94,9 @@ class CounterexampleRecord:
 def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
     """Assemble Q_n and F_n from a witness P_n = q_n(z^2) + c_n z^(2n+1).
 
-    Requires P_n in W_n with both extreme coefficients nonzero, so Q_n is
-    homogeneous of degree 2n+1 and contains both x^(2n+1) and y^(2n+1).
+    Requires P_n in W_n (so ord_{z=1} P_n = 2n+2) with both extreme
+    coefficients nonzero, so Q_n is homogeneous of degree 2n+1 and contains
+    both x^(2n+1) and y^(2n+1).
     """
     if p_n.degree > 4 * n + 2:
         raise ValueError("P_n must have degree <= 4n+2")
@@ -168,11 +107,11 @@ def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
         _interleave_even(q_coeffs, 4 * n + 3)) + UnivariatePoly.monomial(2 * n + 1, c_n)
     if rebuilt != p_n:
         raise ValueError("P_n is not of the shape q(z^2) + c*z^(2n+1)")
-    if not _extremes_nonzero(p_n, n):
+    if p_n.coefficient(0).is_zero() or p_n.coefficient(4 * n + 2).is_zero():
         raise ValueError("P_n needs nonzero constant and z^(4n+2) coefficients")
     ord_at_1 = vanishing_order(p_n, 1)
-    if ord_at_1 < 2 * n + 2:
-        raise ValueError("(z-1)^(2n+2) does not divide P_n")
+    if ord_at_1 != 2 * n + 2:
+        raise ValueError(f"ord_(z=1) P_n is {ord_at_1}, not 2n+2 = {2 * n + 2}")
 
     big_q = BivariatePoly(
         {(j, 2 * n + 1 - j): c for j, c in enumerate(q_coeffs) if not c.is_zero()})
@@ -221,7 +160,7 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
     exponent is 1/(2n+1); (d) the strict violation inequality.  Any failure
     of (a) raises ViolationCheckError: the construction itself is broken.
     """
-    from .degeneration import central_exponent, fiber_exponent
+    from .degeneration import central_exponent
 
     n = record.n
     samples = tuple(Fraction(s) for s in s_samples)
@@ -244,9 +183,8 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
         if lhs != rhs:
             raise ViolationCheckError(
                 f"fiber identity failed at n={n}, s={s}: construction bug")
-        # fiber_exponent is exactly 1/order, so this also checks the order
-        fexp = fiber_exponent(record.family, t, (s, s))
-        if fexp != Exponent.reciprocal_order(ord_z1):
+        # the fiber exponent at (s, s) is 1/order of this same form at x = s
+        if vanishing_order(fib, s) != ord_z1:
             raise ViolationCheckError("fiber exponent mismatch")
 
     central = central_exponent(record.family, "min")
@@ -267,11 +205,8 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
 
 
 def counterexample_record(n: int) -> CounterexampleRecord:
-    """Membership search plus family assembly for a single n."""
-    found, witness = membership_N(n)
-    if not found:
-        raise ValueError(f"no witness with nonzero extreme terms found for n={n}")
-    return build_family(n, witness)
+    """The family built on the generator of W_n."""
+    return build_family(n, wn_generator(n))
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,17 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     squarefree decomposition, which gives exact multiplicities and, where
     a root snaps to a verified Gaussian rational, exact locations.
 
+    A caller that has already built the fiber form substitute_fiber(f, t)
+    may pass that LaurentForm as f, so the fiber is substituted once.
+
     Raises IdenticallyZeroError when the fiber function vanishes
     identically (its exponent is 0 by convention).
     """
     tt = exact_param(t)
     if tt.is_zero():
         raise ValueError("t = 0 is the central fiber; use the axis restrictions")
-    num = substitute_fiber(f, t).combined_numerator()
+    fib = f if isinstance(f, LaurentForm) else substitute_fiber(f, t)
+    num = fib.combined_numerator()
     if num.is_zero():
         raise IdenticallyZeroError("fiber function is identically zero")
     t_abs = param_modulus(tt)

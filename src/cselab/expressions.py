@@ -319,4 +319,8 @@ def format_function(obj) -> str:
             _terms(obj.holo) + [(sign, "*".join(filter(None, (coeff, radial))))])
     if not isinstance(obj, (BivariatePoly, UnivariatePoly)):
         raise TypeError("expected BivariatePoly, UnivariatePoly or MixedFunction")
+    if isinstance(obj, UnivariatePoly) and obj.degree < 1:
+        # a constant names z, so that it reads back as a UnivariatePoly
+        sign, coeff = _format_scalar(obj.coefficient(0), lead_context=True)
+        return _join_terms([(sign, "*".join(filter(None, (coeff, "z^0"))))])
     return _join_terms(_terms(obj)) or "0"

@@ -494,7 +494,8 @@ def fiber_integral_K(f, t, c: float, radius: float,
 
     t_abs = param_modulus(tt)
     domain = Annulus(t_abs / radius, radius)
-    zeros = fiber_zeros(f, t, delta=radius)
+    fib = substitute_fiber(f, t)
+    zeros = fiber_zeros(fib, tt, delta=radius)
     bad = _divergent_zero(_interior_zeros(zeros, domain), c)
     if bad is not None:
         rep = IntegralReport(
@@ -505,7 +506,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
                   "multiplicity": bad.multiplicity})
         return KReport(t=t, k_report=rep, i_report=rep, j_report=rep)
 
-    base = _base_fn(substitute_fiber(f, tt), c, cfg)
+    base = _base_fn(fib, c, cfg)
     t2 = t_abs * t_abs
 
     def w_i(x):
@@ -568,7 +569,7 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
             f"{a3:.3g}); R1 is incompatible with this t and R")
 
     fib = substitute_fiber(f, tt)
-    zeros = fiber_zeros(f, tt, delta=radius)
+    zeros = fiber_zeros(fib, tt, delta=radius)
     reports = []
     z_domains = [(1.0 / r1, r1), (r1, radius / s ** l), (s ** k / radius, 1.0 / r1)]
     x_domains = [Annulus(a1, a2), Annulus(a2, a3), Annulus(a0, a1)]

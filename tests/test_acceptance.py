@@ -32,21 +32,19 @@ from cselab import (
     holder_probe,
     lct_from_resolution,
     lct_polygon_estimate,
-    membership_N,
     parse_expression,
     semicontinuity_check,
-    solve_wn,
     substitute_fiber,
     uniform_bound_check,
     vanishing_order,
     verify_violation,
+    wn_generator,
     young_combine,
 )
 from cselab.cli import main
-from cselab.counterexamples import derivative_condition_matrix
 from cselab.degeneration import central_exponent
 
-from test_counterexamples import in_span, rref_nullspace
+from test_counterexamples import derivative_condition_matrix, in_span, rref_nullspace
 
 X = BivariatePoly.variable("x")
 Y = BivariatePoly.variable("y")
@@ -91,12 +89,14 @@ def test_criterion_01_diagonal_family_exact_reproduction(tmp_path, capsys):
 
 
 def test_criterion_02_families_up_to_five():
-    """Membership and exact violation checks for n = 0..5, under 30 s."""
+    """Witnesses with nonzero extremes and exact violation checks for n = 0..5, under 30 s."""
     s_samples = [Fraction(1, 10), Fraction(1, 7), Fraction(1, 3)]
     with Timer() as tm:
         results = []
         for n in range(6):
-            found, witness = membership_N(n)
+            witness = wn_generator(n)
+            found = (not witness.coefficient(0).is_zero()
+                     and not witness.coefficient(4 * n + 2).is_zero())
             rec = counterexample_record(n)
             rep = verify_violation(rec, s_samples)
             results.append(
@@ -114,11 +114,10 @@ def test_criterion_03_kernel_golden_with_independent_oracle():
     golden = UnivariatePoly([1, 0, -9, 16, -9, 0, 1])
     mat = derivative_condition_matrix(1)
     oracle = rref_nullspace(mat)                      # independent route
-    basis = solve_wn(1)                               # fraction-free route
+    generator = wn_generator(1)                       # closed form
     golden_coords = [Fraction(v) for v in [1, -9, -9, 1, 16]]  # V_1 basis order
     ok = (len(oracle) == 1
-          and len(basis) == 1
-          and basis[0] == golden
+          and generator == golden
           and in_span(golden_coords, oracle)
           and vanishing_order(golden, 1) == 4)
     assert report(3, ok)

@@ -1,9 +1,11 @@
-"""The V/W kernel construction and the exponent-violation families.
+"""The closed-form W_n generator and the exponent-violation families.
 
-The kernel solves are cross-checked against an independent nullspace oracle
-(plain Fraction row reduction, no shared code with the fraction-free path).
+The generator is cross-checked against an independent nullspace oracle
+(plain Fraction row reduction of the derivative conditions, no shared code
+with the divided-difference formula).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,16 +23,13 @@ from cselab import (
     counterexample_record,
     divides_power,
     holder_probe,
-    membership_N,
-    solve_wn,
     substitute_fiber,
-    symmetrize,
     vanishing_order,
     verify_violation,
     vn_basis,
+    wn_generator,
 )
-from cselab.counterexamples import derivative_condition_matrix
-from cselab.exact_linalg import integer_kernel_basis
+from cselab.exact_linalg import divided_difference_weights
 
 P1_COEFFS = [1, 0, -9, 16, -9, 0, 1]
 
@@ -93,23 +92,33 @@ def in_span(vector, basis):
     return rank(aug) == rank(rows)
 
 
-small_int_matrix = st.integers(1, 6).flatmap(
-    lambda ncols: st.lists(
-        st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
-        min_size=1, max_size=5))
+def derivative_condition_matrix(n):
+    """Row j: the Taylor coefficient P^(j)(1)/j! = sum_e v_e comb(e, j) in V_n coordinates."""
+    exps = vn_basis(n)
+    return [[math.comb(e, j) for e in exps] for j in range(2 * n + 2)]
 
 
-class TestIntegerKernelBasis:
-    @given(mat=small_int_matrix)
-    @settings(max_examples=300, derandomize=True)
-    def test_matches_rref_oracle_on_random_matrices(self, mat):
-        basis = integer_kernel_basis(mat)
-        for vec in basis:
-            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in mat)
-        assert len(basis) == len(rref_nullspace(mat))
-        if basis:
-            # the basis vectors as columns have a trivial kernel
-            assert rref_nullspace([list(col) for col in zip(*basis)]) == []
+def integer_coords(p, n):
+    """V_n coordinates of a rational p, scaled to integers by a common denominator."""
+    coords = [p.coefficient(e) for e in vn_basis(n)]
+    assert all(c.im == 0 for c in coords)
+    den = math.lcm(*(c.re.denominator for c in coords))
+    return [int(c.re * den) for c in coords]
+
+
+class TestDividedDifferenceWeights:
+    @given(nodes=st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True))
+    @settings(max_examples=100, derandomize=True)
+    def test_annuls_lower_powers_and_picks_the_leading_one(self, nodes):
+        w = divided_difference_weights(nodes)
+        m = len(nodes) - 1
+        for k in range(m):
+            assert sum(wi * e ** k for wi, e in zip(w, nodes)) == 0
+        assert sum(wi * e ** m for wi, e in zip(w, nodes)) == 1
+
+    def test_repeated_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            divided_difference_weights([0, 2, 2])
 
 
 class TestVnBasis:
@@ -127,86 +136,90 @@ class TestVnBasis:
 
 
 class TestSolveWn:
+    """W_n solved in closed form by wn_generator, against the oracles."""
+
     def test_n0_golden(self):
-        basis = solve_wn(0)
-        assert len(basis) == 1
-        assert basis[0] == UnivariatePoly([1, -2, 1])
+        assert wn_generator(0) == UnivariatePoly([1, -2, 1])
 
     def test_n1_golden(self):
-        basis = solve_wn(1)
-        assert len(basis) == 1
-        assert basis[0] == UnivariatePoly(P1_COEFFS)
-        assert vanishing_order(basis[0], 1) == 4
+        p = wn_generator(1)
+        assert p == UnivariatePoly(P1_COEFFS)
+        assert vanishing_order(p, 1) == 4
 
     def test_matches_rref_oracle(self):
-        for n in range(6):
-            mat = derivative_condition_matrix(n)
-            oracle = rref_nullspace(mat)
-            mine = integer_kernel_basis(mat)
-            assert len(mine) == len(oracle)
-            for vec in mine:
-                assert in_span([Fraction(v) for v in vec], oracle)
+        for n in [*range(13), 25]:
+            oracle = rref_nullspace(derivative_condition_matrix(n))
+            assert len(oracle) == 1
+            assert in_span([Fraction(v) for v in integer_coords(wn_generator(n), n)],
+                           oracle)
 
     def test_kernel_nonempty_up_to_ten(self):
+        # the generator is nonzero, of degree 4n+2 with leading coefficient 1
         for n in range(11):
-            assert len(solve_wn(n)) >= 1
+            p = wn_generator(n)
+            assert p.degree == 4 * n + 2
+            assert p.coefficient(4 * n + 2) == GaussianRational(1)
 
     def test_derivative_conditions_vanish(self):
         for n in range(6):
-            for p in solve_wn(n):
-                q = p
-                for _ in range(2 * n + 2):
-                    assert q.evaluate(1) == GaussianRational(0)
-                    q = q.derivative()
+            q = wn_generator(n)
+            for _ in range(2 * n + 2):
+                assert q.evaluate(1) == GaussianRational(0)
+                q = q.derivative()
+            assert q.evaluate(1) != GaussianRational(0)
 
     def test_divisibility(self):
         for n in range(6):
-            for p in solve_wn(n):
-                assert divides_power(p, 1, 2 * n + 2)
+            assert divides_power(wn_generator(n), 1, 2 * n + 2)
 
 
-class TestSymmetrize:
-    def test_square_doubles(self):
-        p = UnivariatePoly([1, -2, 1])
-        assert symmetrize(p, 0) == p.scale(2)
+class TestClosedForm:
+    """The facts behind the Descartes argument, for every n <= 25."""
 
-    def test_palindromic_doubles(self):
-        p = UnivariatePoly([3, 7, 3])
-        assert symmetrize(p, 0) == p.scale(2)
+    N_MAX = 25
 
-    def test_involution_identity(self):
-        # symmetrize(symmetrize(P)) = 2 * symmetrize(P) for deg <= 4n+2
-        for n in range(3):
-            p = UnivariatePoly(list(range(1, 4 * n + 4)))
-            s = symmetrize(p, n)
-            assert symmetrize(s, n) == s.scale(2)
+    def test_annuls_the_condition_rows(self):
+        for n in range(self.N_MAX + 1):
+            v = integer_coords(wn_generator(n), n)
+            for row in derivative_condition_matrix(n):
+                assert sum(a * b for a, b in zip(row, v)) == 0
 
-    def test_preserves_divisibility(self):
-        for n in range(4):
-            for p in solve_wn(n):
-                s = symmetrize(p, n)
-                if s.is_zero():
-                    continue
-                assert divides_power(s, 1, 2 * n + 2)
+    def test_extremes_nonzero_and_signs_alternate(self):
+        for n in range(self.N_MAX + 1):
+            p = wn_generator(n)
+            assert not p.coefficient(0).is_zero()
+            assert not p.coefficient(4 * n + 2).is_zero()
+            signs = [p.coefficient(e).re > 0 for e in sorted(vn_basis(n))]
+            assert all(a != b for a, b in zip(signs, signs[1:])), n
 
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            symmetrize(UnivariatePoly.monomial(3), 0)
+    def test_palindromic(self):
+        for n in range(self.N_MAX + 1):
+            p = wn_generator(n)
+            assert p.reversed_within(4 * n + 2) == p
+
+    def test_order_at_one_is_exact(self):
+        for n in range(self.N_MAX + 1):
+            assert vanishing_order(wn_generator(n), 1) == 2 * n + 2
+
+    def test_record_fiber_exponent(self):
+        for n in range(self.N_MAX + 1):
+            rec = counterexample_record(n)
+            assert rec.fiber_exponent_at_diagonal == Exponent(Fraction(1, 2 * n + 2))
 
 
 class TestMembership:
+    """Every n is in N; the record carries the generator as its witness."""
+
     def test_table_up_to_ten(self):
-        # empirical table: every index up to 10 admits a witness
         for n in range(11):
-            found, witness = membership_N(n)
-            assert found, n
-            assert not witness.coefficient(0).is_zero()
-            assert not witness.coefficient(4 * n + 2).is_zero()
-            assert divides_power(witness, 1, 2 * n + 2)
+            rec = counterexample_record(n)
+            assert rec.in_n
+            assert rec.p_n == wn_generator(n)
+            assert divides_power(rec.p_n, 1, 2 * n + 2)
 
     def test_witnesses_golden(self):
-        assert membership_N(0)[1] == UnivariatePoly([1, -2, 1])
-        assert membership_N(1)[1] == UnivariatePoly(P1_COEFFS)
+        assert counterexample_record(0).p_n == UnivariatePoly([1, -2, 1])
+        assert counterexample_record(1).p_n == UnivariatePoly(P1_COEFFS)
 
 
 class TestBuildFamily:
@@ -238,6 +251,8 @@ class TestBuildFamily:
             build_family(0, UnivariatePoly([1, 0, 0, 1]))  # degree too high
         with pytest.raises(ValueError):
             build_family(1, UnivariatePoly([0, 0, -2, 0, 1]))  # zero extremes
+        with pytest.raises(ValueError):
+            build_family(0, UnivariatePoly([1, -3, 1]))  # not in W_0
 
 
 class TestVerifyViolation:

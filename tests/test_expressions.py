@@ -157,14 +157,19 @@ class TestRoundTrip:
     def test_signs(self):
         assert format_function(parse_expression("-x^3 + y^2")) == "y^2 - x^3"
 
+    def test_constant_univariate_names_z(self):
+        # a constant's text must name z to read back as a UnivariatePoly
+        assert format_function(UnivariatePoly([])) == "0*z^0"
+        assert format_function(UnivariatePoly([Fraction(-3, 2)])) == "-3/2*z^0"
+        assert parse_expression("0*z^0") == UnivariatePoly([])
+
 
 nonzero = gaussian.filter(lambda c: not c.is_zero())
 odd = st.integers(0, 4).map(lambda k: 2 * k + 1)
 functions = st.one_of(
     bivariate(),
     st.builds(MixedFunction, bivariate(max_points=3), nonzero, odd),
-    # a constant's text names no variable, so it reads back as x, y
-    univariate().filter(lambda p: len(p.coeffs) > 1),
+    univariate(),
 )
 
 
