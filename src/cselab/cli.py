@@ -15,30 +15,32 @@ import os
 import sys
 from fractions import Fraction
 
-from . import newton
-from .counterexamples import counterexample_record, verify_violation
+from . import newton, reports
+from .counterexamples import counterexample_record, holder_probe, verify_violation
 from .degeneration import (
     builtin_catalog,
+    central_exponent,
     fiber_zeros,
     lct_from_resolution,
     load_catalog,
     semicontinuity_check,
 )
 from .expressions import ExpressionError, format_function, parse_expression
-from .polynomials import BivariatePoly, IdenticallyZeroError, MixedFunction, as_mixed
+from .polynomials import (
+    IdenticallyZeroError,
+    UnivariatePoly,
+    as_mixed,
+    substitute_fiber,
+)
 from .quadrature import (
     QuadratureConfig,
     convergence_sweep,
-    decompose_I,
     default_t_sequence,
     exponent_probe_1d,
-    fiber_integral_K,
     uniform_bound_check,
     young_combine,
 )
-from .counterexamples import holder_probe
 from .reports import emit_report, to_jsonable
-from . import reports
 
 
 class UsageError(Exception):
@@ -71,10 +73,14 @@ def _parse_exact(text: str) -> Fraction:
 
 
 def _parse_fn(text: str):
+    """A BivariatePoly or MixedFunction; a polynomial in z is a usage error."""
     try:
-        return parse_expression(text)
+        f = parse_expression(text)
     except ExpressionError as e:
         raise UsageError(f"bad expression: {e}")
+    if isinstance(f, UnivariatePoly):
+        raise UsageError(f"need a function of x and y, not of z: {text!r}")
+    return f
 
 
 def _add_quad_opts(p):
@@ -177,8 +183,6 @@ def build_parser() -> _Parser:
 
 def _cmd_exponent(ns) -> int:
     f = _parse_fn(ns.f)
-    if not isinstance(f, (BivariatePoly, MixedFunction)):
-        raise UsageError("exponent needs a function of x and y")
     ts = ([_parse_exact(t) for t in ns.t] if ns.t
           else [Fraction(1, 10 ** k) ** 2 for k in range(1, 5)])
     try:
@@ -214,10 +218,7 @@ def _cmd_lct(ns) -> int:
 
 
 def _cmd_polygon(ns) -> int:
-    f = _parse_fn(ns.f)
-    f = as_mixed(f).holo if isinstance(f, (BivariatePoly, MixedFunction)) else f
-    if not isinstance(f, BivariatePoly):
-        raise UsageError("polygon needs a polynomial in x and y")
+    f = as_mixed(_parse_fn(ns.f)).holo
     polygon = newton.compute_polygon(f)
     out = {
         "function": format_function(f),
@@ -272,7 +273,6 @@ def _cmd_bound(ns) -> int:
         payload = {"bound": to_jsonable(report)}
         if ns.factor:
             factors = [_parse_fn(x) for x in ns.factor]
-            from .degeneration import central_exponent
             orders, bounds = [], []
             for g in factors:
                 c0 = central_exponent(g, "min")
@@ -329,9 +329,11 @@ def _cmd_probe(ns) -> int:
         raise UsageError("multiplicity probes need --f and --t")
     f = _parse_fn(ns.f)
     t = _parse_exact(ns.t)
-    from .polynomials import substitute_fiber
-    fib = substitute_fiber(f, t)
-    zeros = fiber_zeros(fib, t, delta=ns.delta)
+    try:
+        fib = substitute_fiber(f, t)
+        zeros = fiber_zeros(fib, t, delta=ns.delta)
+    except ValueError as e:  # t = 0, no exact sqrt of t, or a zero fiber
+        raise UsageError(str(e))
     if not zeros:
         raise UsageError("no fiber zeros inside the polydisc to probe")
     locs = [z.location_complex() for z in zeros]

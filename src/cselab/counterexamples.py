@@ -146,10 +146,6 @@ class ViolationReport:
     fiber: Exponent
     violated: bool
 
-    @property
-    def all_checks_pass(self) -> bool:
-        return self.identity_ok and self.violated
-
 
 def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport:
     """Exact verification of the four defining facts of a family record.

@@ -105,7 +105,7 @@ def _snap_gaussian(z: complex, max_den: int = 10 ** 6):
 def _roots_of_unipoly(p: UnivariatePoly):
     if p.degree < 1:
         return np.array([], dtype=complex)
-    return np.roots(p.complex_coeffs()[::-1])
+    return np.roots([c.to_complex() for c in reversed(p.coeffs)])
 
 
 def _exact_fiber_zero_list(num: UnivariatePoly):

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from math import lcm
 
-import numpy as np
-
 from .rationals import GaussianRational, ZERO, ONE, exact_param
 
 
@@ -157,18 +155,6 @@ class UnivariatePoly:
         for c in reversed(self.coeffs):
             acc = acc * zz + c
         return acc
-
-    def evaluate_complex(self, z):
-        """Float Horner evaluation; accepts scalars and numpy arrays."""
-        if not self.coeffs:
-            return np.zeros_like(np.asarray(z, dtype=complex))
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.to_complex()
-        return acc
-
-    def complex_coeffs(self) -> np.ndarray:
-        return np.array([c.to_complex() for c in self.coeffs], dtype=complex)
 
     def divmod(self, other):
         if other.is_zero():
@@ -364,15 +350,6 @@ class BivariatePoly:
             acc = acc + c * (xx ** m) * (yy ** n)
         return acc
 
-    def evaluate_complex(self, x, y):
-        """Float evaluation; x and y may be numpy arrays of equal shape."""
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for (m, n), c in self.sorted_items():
-            acc = acc + c.to_complex() * x ** m * y ** n
-        return acc
-
     def restrict_x_axis(self) -> UnivariatePoly:
         """F(x, 0) as a univariate polynomial in x."""
         if not self.support:
@@ -392,9 +369,6 @@ class BivariatePoly:
             if m == 0:
                 out[n] = c
         return UnivariatePoly(out)
-
-    def swap_xy(self) -> "BivariatePoly":
-        return BivariatePoly({(n, m): c for (m, n), c in self.support.items()})
 
     def total_degree(self) -> int:
         if not self.support:
@@ -457,13 +431,6 @@ class MixedFunction:
 
     def __hash__(self):
         return hash((self.holo, self.radial_coeff, self.radial_half_exp))
-
-    def evaluate_complex(self, x, y):
-        val = self.holo.evaluate_complex(x, y)
-        if not self.radial_coeff.is_zero():
-            r = np.abs(np.asarray(x, dtype=complex) * np.asarray(y, dtype=complex))
-            val = val + self.radial_coeff.to_complex() * r ** (self.radial_half_exp / 2.0)
-        return val
 
     def evaluate(self, x, y) -> GaussianRational:
         """Exact evaluation; needs |xy| to have an exact rational square root."""
@@ -544,13 +511,6 @@ class LaurentForm:
         if self.pole_order:
             val = val / xx ** self.pole_order
         return val + self.constant
-
-    def evaluate_complex(self, x):
-        x = np.asarray(x, dtype=complex)
-        val = self.numerator.evaluate_complex(x)
-        if self.pole_order:
-            val = val / x ** self.pole_order
-        return val + self.constant.to_complex()
 
     def __eq__(self, other):
         if not isinstance(other, LaurentForm):

@@ -23,7 +23,6 @@ import numpy as np
 from . import newton
 from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
                            fiber_zeros)
-from .exponents import Exponent
 from .expressions import format_function
 from .polynomials import (
     IdenticallyZeroError,
@@ -37,6 +36,11 @@ from .rationals import exact_param, param_float, param_modulus
 STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
                         "0 < c < c_0(f_0)")
 
+RATIO_BAND = 0.05          # final |K_t/K_0 - 1| a converged sweep allows
+TREND_SLACK = 0.02         # per-step rise of |K_t/K_0 - 1| a sweep forgives
+INNER_CUT_DECADES = 30.0   # an inner radius 0 is cut to R * 10^-30
+PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
+
 
 # ---------------------------------------------------------------------------
 # configuration and report types
@@ -44,11 +48,11 @@ STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs of the adaptive scheme.
+    """The five knobs of the adaptive scheme.
 
     radial_cells_per_decade and angular_cells size the initial grid;
     max_refinement_depth caps dyadic splitting; target_rel_tolerance is the
-    per-cell two-level disagreement threshold.  precision 'extended' runs
+    per-cell two-level disagreement threshold; precision 'extended' runs
     the cell arithmetic in long double.
     """
 
@@ -57,9 +61,6 @@ class QuadratureConfig:
     max_refinement_depth: int = 14
     target_rel_tolerance: float = 1e-3
     precision: str = "double"
-    ratio_band: float = 0.05
-    trend_slack: float = 0.02
-    inner_cut_decades: float = 30.0
 
     def __post_init__(self):
         if self.radial_cells_per_decade < 4 or self.angular_cells < 4:
@@ -189,9 +190,10 @@ def _fiber_parts(fiber):
 def _base_fn(fiber, c: float, cfg: QuadratureConfig, chart: str = "x", t=None):
     """|f|^(-2c) as a vectorized function of the chart coordinate.
 
-    The y chart evaluates the fiber function at x = t/y for the given t."""
+    This is the one float evaluator of fiber functions.  The y chart
+    evaluates the fiber function at x = t/y for the given t."""
     num, d = _fiber_parts(fiber)
-    coeffs = num.complex_coeffs().astype(cfg.complex_dtype)
+    coeffs = np.array([ck.to_complex() for ck in num.coeffs], dtype=cfg.complex_dtype)
     tc = cfg.complex_dtype(exact_param(t).to_complex()) if chart == "y" else None
 
     def evaluate(z):
@@ -226,13 +228,19 @@ _CHILD_U = np.array([0.25, 0.75, 0.25, 0.75])
 _CHILD_T = np.array([0.25, 0.25, 0.75, 0.75])
 
 
-def _adaptive_polar(base_fn, weight_fns, annulus: Annulus, cfg: QuadratureConfig,
-                    zero_points=(), center=0j, primary=-1):
+def _unit_weight(x):
+    return np.ones(x.shape)
+
+
+def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
+                    weight_fns=(_unit_weight,), zero_points=(), center=0j,
+                    primary=-1):
     """Masses of base*w_k over the annulus for every weight w_k.
 
     Returns (masses, errors, cells_used, flags, converged).  The refinement
     decision is driven by the weight at index `primary`; all weights share
-    the grid, so linear identities between them hold to rounding.
+    the grid, so linear identities between them hold to rounding.  The
+    default is the single unit weight.
     """
     rdt = cfg.real_dtype
     u_lo = math.log(annulus.r_inner)
@@ -352,27 +360,24 @@ def _split_cells(u0, u1, t0, t1, depth, mask, keep_only_split=False):
             np.concatenate([depth[keep], cd]))
 
 
-def _truncate_annulus(domain: Annulus, cfg: QuadratureConfig):
-    if domain.r_inner > 0:
-        return domain, False
-    r_in = domain.r_outer * 10.0 ** (-cfg.inner_cut_decades)
-    return Annulus(r_in, domain.r_outer), True
-
-
-def _interior_zeros(zeros, domain: Annulus, center=0j):
+def _interior_zeros(zeros, domain: Annulus):
     slack = 1e-12
-    out = []
-    for z in zeros:
-        rho = abs(z.location_complex() - complex(center))
-        if domain.r_inner * (1 - slack) <= rho <= domain.r_outer * (1 + slack):
-            out.append(z)
-    return out
+    return [z for z in zeros
+            if domain.r_inner * (1 - slack) <= abs(z.location_complex())
+            <= domain.r_outer * (1 + slack)]
 
 
-def _divergent_zero(zeros, c: float):
-    for z in zeros:
+def _divergent_report(interior, c: float, domain: Annulus, chart: str):
+    """The divergent report for the first interior zero with 2cm >= 2, else None."""
+    for z in interior:
         if 2.0 * c * z.multiplicity >= 2.0:
-            return z
+            return IntegralReport(
+                value=math.inf, error_estimate=math.inf, cells_used=0,
+                refinement_flags=("divergent",), domain=domain, chart=chart,
+                c=c, converged=False, divergent=True,
+                meta={"divergent_zero": str(z.location_complex()),
+                      "multiplicity": z.multiplicity,
+                      "local_exponent": 2.0 * c * z.multiplicity})
     return None
 
 
@@ -420,23 +425,17 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
         zeros = [FiberZero(tc / z.location_complex(), z.multiplicity, False)
                  for z in zeros if z.location_complex() != 0]
 
-    work, truncated = _truncate_annulus(domain, cfg)
+    truncated = domain.r_inner == 0
+    work = (Annulus(domain.r_outer * 10.0 ** -INNER_CUT_DECADES, domain.r_outer)
+            if truncated else domain)
     interior = _interior_zeros(zeros, work)
-    bad = _divergent_zero(interior, c) if c > 0 else None
-    if bad is not None:
-        return IntegralReport(
-            value=math.inf, error_estimate=math.inf, cells_used=0,
-            refinement_flags=("divergent",), domain=domain, chart=chart,
-            c=c, converged=False, divergent=True,
-            meta={"divergent_zero": str(bad.location_complex()),
-                  "multiplicity": bad.multiplicity,
-                  "local_exponent": 2.0 * c * bad.multiplicity})
+    divergent = _divergent_report(interior, c, domain, chart)
+    if divergent is not None:
+        return divergent
 
     base = _base_fn(fiber, c, cfg, chart=chart, t=t)
-    ones = lambda x: np.ones(x.shape, dtype=cfg.real_dtype)
     masses, errs, cells, flags, converged = _adaptive_polar(
-        base, [ones], work, cfg,
-        zero_points=[z.location_complex() for z in interior])
+        base, work, cfg, zero_points=[z.location_complex() for z in interior])
     meta = {"inner_truncated": truncated}
     if truncated:
         meta["inner_cut"] = work.r_inner
@@ -444,16 +443,6 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
         value=masses[0], error_estimate=errs[0], cells_used=cells,
         refinement_flags=flags, domain=domain, chart=chart, c=c,
         converged=converged, meta=meta)
-
-
-def _axis_disc_integral(restriction: UnivariatePoly, c: float, radius: float,
-                        cfg: QuadratureConfig, axis: str) -> IntegralReport:
-    """Central-fiber component integral over the punctured disc |z| < R."""
-    if restriction.is_zero():
-        raise IdenticallyZeroError(
-            f"restriction to the {axis}-axis is identically zero")
-    return annulus_integral(restriction, c, Annulus(0.0, radius),
-                            chart="x", config=cfg)
 
 
 def fiber_integral_K(f, t, c: float, radius: float,
@@ -478,15 +467,22 @@ def fiber_integral_K(f, t, c: float, radius: float,
 
     tt = exact_param(t)
     if tt.is_zero():
-        i_rep = _axis_disc_integral(f.holo.restrict_x_axis(), c, radius, cfg, "x")
-        j_rep = _axis_disc_integral(f.holo.restrict_y_axis(), c, radius, cfg, "y")
+        # 0 < c < c_0 keeps both axis restrictions nonzero
+        disc = Annulus(0.0, radius)
+        i_rep = annulus_integral(f.holo.restrict_x_axis(), c, disc, config=cfg)
+        j_rep = annulus_integral(f.holo.restrict_y_axis(), c, disc, config=cfg)
+        # sum the counts per kind; the kinds sort alphabetically in the
+        # order _adaptive_polar emits them, after a bare 'divergent'
+        counts = {}
+        for flag in sorted(i_rep.refinement_flags + j_rep.refinement_flags):
+            kind, _, n = flag.partition(":")
+            counts[kind] = counts.get(kind, 0) + int(n or 0)
         k_rep = IntegralReport(
             value=i_rep.value + j_rep.value,
             error_estimate=i_rep.error_estimate + j_rep.error_estimate,
             cells_used=i_rep.cells_used + j_rep.cells_used,
-            refinement_flags=tuple(set(i_rep.refinement_flags)
-                                   | set(j_rep.refinement_flags)),
-            domain=Annulus(0.0, radius), chart="central", c=c,
+            refinement_flags=tuple(f"{k}:{n}" if n else k for k, n in counts.items()),
+            domain=disc, chart="central", c=c,
             converged=i_rep.converged and j_rep.converged,
             divergent=i_rep.divergent or j_rep.divergent,
             meta={"note": "central fiber: sum over the two axis components"})
@@ -496,21 +492,13 @@ def fiber_integral_K(f, t, c: float, radius: float,
     domain = Annulus(t_abs / radius, radius)
     fib = substitute_fiber(f, t)
     zeros = fiber_zeros(fib, tt, delta=radius)
-    bad = _divergent_zero(_interior_zeros(zeros, domain), c)
-    if bad is not None:
-        rep = IntegralReport(
-            value=math.inf, error_estimate=math.inf, cells_used=0,
-            refinement_flags=("divergent",), domain=domain, chart="x", c=c,
-            converged=False, divergent=True,
-            meta={"divergent_zero": str(bad.location_complex()),
-                  "multiplicity": bad.multiplicity})
-        return KReport(t=t, k_report=rep, i_report=rep, j_report=rep)
+    divergent = _divergent_report(_interior_zeros(zeros, domain), c, domain, "x")
+    if divergent is not None:
+        return KReport(t=t, k_report=divergent, i_report=divergent,
+                       j_report=divergent)
 
     base = _base_fn(fib, c, cfg)
     t2 = t_abs * t_abs
-
-    def w_i(x):
-        return np.ones(x.shape, dtype=cfg.real_dtype)
 
     def w_j(x):
         ax2 = np.abs(x) ** 2
@@ -522,7 +510,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
         return (ax2 + t2 / ax2) / ax2
 
     masses, errs, cells, flags, converged = _adaptive_polar(
-        base, [w_i, w_j, w_k], domain, cfg,
+        base, domain, cfg, weight_fns=(_unit_weight, w_j, w_k),
         zero_points=[z.location_complex() for z in zeros], primary=2)
 
     mk = dict(cells_used=cells, refinement_flags=flags, domain=domain,
@@ -582,6 +570,12 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
     return tuple(reports)
 
 
+def _sweep_row(t, kr: KReport, ratio: float) -> SweepRow:
+    return SweepRow(t=t, k_t=kr.k_report.value, err=kr.k_report.error_estimate,
+                    i_t=kr.i_report.value, j_t=kr.j_report.value, ratio=ratio,
+                    flags=kr.k_report.refinement_flags)
+
+
 def default_t_sequence(start=Fraction(1, 100), ratio=Fraction(1, 4), count=7):
     """Geometric decay t_j = start * ratio^j, exact when inputs are exact."""
     start, ratio = Fraction(start), Fraction(ratio)
@@ -596,9 +590,9 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
     single segment (two or more segments certify reducibility, outside the
     stability theorem's scope; note that a single segment is only a
     necessary condition, which the report records) and 0 < c < c_0(f_0).
-    The verdict is "converged" when the final ratio sits inside the
-    configured band around 1 and |ratio - 1| decreases monotonically up to
-    the trend slack plus quadrature error.
+    The verdict is "converged" when the final ratio sits inside RATIO_BAND
+    around 1 and |ratio - 1| decreases monotonically up to TREND_SLACK plus
+    quadrature error.
     """
     cfg = config or QuadratureConfig()
     f = as_mixed(f)
@@ -626,23 +620,19 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
     any_divergent = False
     for t in ts:
         kr = fiber_integral_K(f, t, c, radius, cfg)
-        flags = kr.k_report.refinement_flags
         if kr.k_report.divergent:
             any_divergent = True
         ratio = (kr.k_report.value / k0.k_report.value
                  if k0.k_report.value else math.inf)
-        rows.append(SweepRow(t=t, k_t=kr.k_report.value,
-                             err=kr.k_report.error_estimate,
-                             i_t=kr.i_report.value, j_t=kr.j_report.value,
-                             ratio=ratio, flags=flags))
+        rows.append(_sweep_row(t, kr, ratio))
 
     verdict = "inconclusive"
     if len(rows) >= 2 and not any_divergent and k0.k_report.value > 0:
-        final_ok = abs(rows[-1].ratio - 1.0) <= cfg.ratio_band
+        final_ok = abs(rows[-1].ratio - 1.0) <= RATIO_BAND
         errs = [r.err / k0.k_report.value for r in rows]
         devs = [abs(r.ratio - 1.0) for r in rows]
         monotone = all(
-            devs[i + 1] <= devs[i] + cfg.trend_slack + errs[i] + errs[i + 1]
+            devs[i + 1] <= devs[i] + TREND_SLACK + errs[i] + errs[i + 1]
             for i in range(len(devs) - 1))
         if final_ok and monotone:
             verdict = "converged"
@@ -663,13 +653,8 @@ def uniform_bound_check(f, c: float, radius: float, t_samples,
     samples = sorted(t_samples, key=param_modulus, reverse=True)
     if not samples:
         raise ValueError("empty t sample list")
-    rows = []
-    for t in samples:
-        kr = fiber_integral_K(f, t, c, radius, cfg)
-        rows.append(SweepRow(t=t, k_t=kr.k_report.value,
-                             err=kr.k_report.error_estimate,
-                             i_t=kr.i_report.value, j_t=kr.j_report.value,
-                             ratio=math.nan, flags=kr.k_report.refinement_flags))
+    rows = [_sweep_row(t, fiber_integral_K(f, t, c, radius, cfg), math.nan)
+            for t in samples]
     bound = max(r.k_t + r.err for r in rows)
     growth = growth_trend(rows)
     note = ("K_t grows toward t = 0 with non-decaying slope beyond the "
@@ -725,29 +710,26 @@ def young_combine(bounds) -> float:
 
 def exponent_probe_1d(fiber, zero, c: float,
                       config: QuadratureConfig | None = None,
-                      r0: float = 0.05, n_annuli: int = 8) -> ProbeResult:
+                      r0: float = 0.05) -> ProbeResult:
     """Numeric multiplicity estimate from annulus masses around a zero.
 
-    Integrates |f|^(-2c) over the annuli A(r, 2r) centered at the zero for
-    r = r0 * 2^-j and fits the slope alpha of log mass against log r; the
-    local model mass ~ r^(2 - 2cm) gives m = (2 - alpha)/(2c).  Needs
-    c * multiplicity < 1 so the masses stay finite, and at least 4 usable
-    annuli.
+    Integrates |f|^(-2c) over the PROBE_ANNULI annuli A(r, 2r) centered at
+    the zero for r = r0 * 2^-j and fits the slope alpha of log mass against
+    log r; the local model mass ~ r^(2 - 2cm) gives m = (2 - alpha)/(2c).
+    Needs c * multiplicity < 1 so the masses stay finite, and at least 4
+    usable annuli.
     """
     cfg = config or QuadratureConfig()
     if c <= 0:
         raise ValueError("the probe needs c > 0")
-    if n_annuli < 4:
-        raise ValueError("need at least 4 annuli")
     base = _base_fn(fiber, c, cfg)
     center = exact_param(zero).to_complex()
-    ones = lambda x: np.ones(x.shape, dtype=cfg.real_dtype)
 
     radii, masses = [], []
-    for j in range(n_annuli):
+    for j in range(PROBE_ANNULI):
         r = r0 * 2.0 ** (-j)
         ann = Annulus(r, 2.0 * r)
-        m, _, _, _, _ = _adaptive_polar(base, [ones], ann, cfg, center=center)
+        m, _, _, _, _ = _adaptive_polar(base, ann, cfg, center=center)
         if math.isfinite(m[0]) and m[0] > 0:
             radii.append(r)
             masses.append(m[0])

@@ -43,6 +43,7 @@ from cselab import (
 )
 from cselab.cli import main
 from cselab.degeneration import central_exponent
+from cselab.quadrature import TREND_SLACK
 
 from test_counterexamples import derivative_condition_matrix, in_span, rref_nullspace
 
@@ -155,7 +156,7 @@ def test_criterion_05_integral_stability_bands():
     results = {}
     for name, rep in (("cusp", cusp), ("line", line)):
         devs = [abs(r.ratio - 1.0) for r in rep.rows]
-        slack = cfg.trend_slack + 2 * max(r.err for r in rep.rows) / rep.k0
+        slack = TREND_SLACK + 2 * max(r.err for r in rep.rows) / rep.k0
         monotone = all(b <= a + slack for a, b in zip(devs, devs[1:]))
         final = rep.rows[-1].ratio
         results[name] = (0.95 <= final <= 1.05, monotone, final)

@@ -156,6 +156,29 @@ class TestProbeCommand:
         assert code == 1
 
 
+class TestUsageErrors:
+    BAD = {
+        "probe-t-zero": ["probe", "--kind", "multiplicity", "--f", "x+y", "--t", "0"],
+        "probe-no-exact-sqrt": ["probe", "--kind", "multiplicity", "--f",
+                                "x + y - 2*abs(x*y)^(1/2)", "--t", "1/1000"],
+        "probe-zero-fiber": ["probe", "--kind", "multiplicity", "--f", "x*y - 1/100",
+                             "--t", "1/100"],
+        "sweep-z": ["sweep", "--f", "z^2", "--c", "0.3", "--R", "1"],
+        "bound-z": ["bound", "--f", "z^2", "--c", "0.3", "--R", "1"],
+        "bound-factor-z": ["bound", "--f", "x+y", "--c", "0.3", "--R", "1",
+                           "--t", "1/100", "--factor", "z"],
+        "exponent-z": ["exponent", "--f", "z^2"],
+        "polygon-z": ["polygon", "--f", "z^2"],
+    }
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_one_error_line(self, name, capsys):
+        code, out, err = run_cli(self.BAD[name], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     CASES = [
         ["exponent", "--f", "y^2-x^3", "--t", "1e-3"],

@@ -139,6 +139,19 @@ class TestFiberIntegralK:
             fiber_integral_K(family, 0.01, 0.3, 0.5, CFG)
         kr = fiber_integral_K(family, Fraction(1, 100), 0.3, 0.5, CFG)
         assert kr.k_report.divergent and kr.k_report.value == math.inf
+        # the zero at x = s = 1/10 has order 2n+2 = 4: local exponent 2*0.3*4
+        assert kr.k_report.meta["multiplicity"] == 4
+        assert kr.k_report.meta["local_exponent"] == pytest.approx(2.4)
+
+    def test_central_flags_sum_the_axis_counts(self):
+        # both axes force the same number of cells; K_0 reports their sum
+        cfg = QuadratureConfig(max_refinement_depth=4, target_rel_tolerance=1e-6)
+        kr = fiber_integral_K(X ** 2 + X ** 3 + Y ** 2 + Y ** 3, 0, 0.2, 0.5, cfg)
+        (flag,) = kr.i_report.refinement_flags
+        assert flag.startswith("max-depth-reached:")
+        assert kr.j_report.refinement_flags == (flag,)
+        forced = int(flag.split(":")[1])
+        assert kr.k_report.refinement_flags == (f"max-depth-reached:{2 * forced}",)
 
 
 class TestDecomposeI:
@@ -290,5 +303,3 @@ class TestExponentProbe:
     def test_guards(self):
         with pytest.raises(ValueError):
             exponent_probe_1d(z_poly(0, 1), 0.0, 0.0, CFG)
-        with pytest.raises(ValueError):
-            exponent_probe_1d(z_poly(0, 1), 0.0, 0.3, CFG, n_annuli=3)
