@@ -28,6 +28,7 @@ from .polynomials import (
     MixedFunction,
     UnivariatePoly,
     as_mixed,
+    divides_power,
     exact_divide,
     squarefree_decomposition,
     substitute_fiber,
@@ -123,7 +124,7 @@ def _exact_fiber_zero_list(num: UnivariatePoly):
         for root in _roots_of_unipoly(factor):
             cand = _snap_gaussian(root)
             if (cand is not None and cand not in claimed
-                    and factor.evaluate(cand).is_zero()):
+                    and divides_power(factor, cand, 1)):
                 claimed.add(cand)
                 found.append(FiberZero(cand, mult, True))
             else:

@@ -8,7 +8,8 @@ the family xy = t produces Laurent normal forms N(x)/x^d + const.
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
 from .rationals import GaussianRational, ZERO, ONE, exact_param
 
@@ -156,26 +157,6 @@ class UnivariatePoly:
             acc = acc * zz + c
         return acc
 
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = other.coeffs[-1].inverse()
-        q = [ZERO] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] * lead_inv
-            q[k] = f
-            for j in range(d + 1):
-                rem[k + j] = rem[k + j] - f * other.coeffs[j]
-            rem.pop()
-        return UnivariatePoly(q), UnivariatePoly(rem)
-
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self
@@ -200,43 +181,203 @@ class UnivariatePoly:
         return f"UnivariatePoly({[str(c) for c in self.coeffs]})"
 
 
+# ---------------------------------------------------------------------------
+# gcd and squarefree decomposition on Gaussian-integer numerators
+# ---------------------------------------------------------------------------
+# Inside this section a polynomial is a list of ascending coefficients, each
+# a Gaussian integer stored as an (re, im) pair of ints, with a nonzero last
+# entry ([] is zero).  Z[i] is a Euclidean domain, so Gauss's lemma holds:
+# a primitive polynomial that divides an integral one over Q(i) divides it
+# over Z[i], and the primitive parts of a pseudo-remainder sequence end in a
+# primitive gcd (Collins 1967; Brown & Traub 1971).
+
+def _numerators(p: UnivariatePoly):
+    """L * p as ascending (re, im) int pairs, L the lcm of all denominators."""
+    big_l = lcm(*(d for c in p.coeffs for d in (c.re.denominator, c.im.denominator)))
+    return [(c.re.numerator * (big_l // c.re.denominator),
+             c.im.numerator * (big_l // c.im.denominator)) for c in p.coeffs]
+
+
+def _monic_poly(p) -> UnivariatePoly:
+    """The monic UnivariatePoly proportional to the nonzero int polynomial p."""
+    lr, li = p[-1]
+    n = lr * lr + li * li
+    # c / lc = c * conj(lc) / |lc|^2
+    return UnivariatePoly([GaussianRational(Fraction(cr * lr + ci * li, n),
+                                            Fraction(ci * lr - cr * li, n))
+                           for cr, ci in p])
+
+
+def _gaussian_gcd(a, b):
+    """A gcd in Z[i] of the pairs a and b, up to a unit (Euclid with the
+    rounded quotient, which at least halves the norm each step)."""
+    ar, ai = a
+    br, bi = b
+    while br or bi:
+        n = br * br + bi * bi
+        # a / b = a * conj(b) / |b|^2, each part rounded to the nearest int
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _gaussian_quotient(a, b):
+    """a / b in Z[i]; ValueError when b does not divide a."""
+    ar, ai = a
+    br, bi = b
+    if bi:
+        ar, ai, br = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
+    qr, rr = divmod(ar, br)
+    qi, ri = divmod(ai, br)
+    if rr or ri:
+        raise ValueError("exact_divide: nonzero remainder")
+    return qr, qi
+
+
+def _primitive(p):
+    """p divided by its content, a gcd in Z[i] of its coefficients.
+
+    With every imaginary part zero the content is the math.gcd of the real
+    parts; otherwise the rational-integer content comes off first and the
+    Gaussian gcd of what is left (say 1+i in (1+i)z + 2) after it.
+    """
+    g = gcd(*(v for c in p for v in c))
+    if g != 1:
+        p = [(cr // g, ci // g) for cr, ci in p]
+    if not any(ci for _, ci in p):
+        return p
+    u = (0, 0)
+    for c in p:
+        u = _gaussian_gcd(c, u)
+        if u[0] * u[0] + u[1] * u[1] == 1:
+            return p
+    return [_gaussian_quotient(c, u) for c in p]
+
+
+def _derivative(p):
+    return [(k * cr, k * ci) for k, (cr, ci) in enumerate(p[1:], 1)]
+
+
+def _subtract(a, b):
+    if len(a) < len(b):
+        a = a + [(0, 0)] * (len(b) - len(a))
+    out = list(a)
+    for k, (br, bi) in enumerate(b):
+        ar, ai = out[k]
+        out[k] = (ar - br, ai - bi)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _pseudo_remainder(a, b):
+    """lc(b)^k * a mod b, one factor lc(b) per reduction step, so that no
+    step divides."""
+    br, bi = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        cr, ci = r.pop()
+        s = len(r) - db
+        # r <- lc(b) * r - lc(r) * z^s * b, the leading terms cancelling
+        r = [(br * xr - bi * xi, br * xi + bi * xr) for xr, xi in r]
+        for j in range(db):
+            yr, yi = b[j]
+            xr, xi = r[s + j]
+            r[s + j] = (xr - cr * yr + ci * yi, xi - cr * yi - ci * yr)
+        while r and r[-1] == (0, 0):
+            r.pop()
+    return r
+
+
+def _prs_gcd(a, b):
+    """Primitive gcd of two int polynomials, not both zero, up to a unit:
+    the primitive pseudo-remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = _primitive(a)
+    while b:
+        if len(b) == 1:
+            return [(1, 0)]
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    return a
+
+
+def _quotient(a, b):
+    """a / b for int polynomials with b | a over Z[i]; ValueError otherwise."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [(0, 0)] * max(0, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        qr, qi = q[k] = _gaussian_quotient(r[k + db], lead)
+        for j in range(db):
+            yr, yi = b[j]
+            xr, xi = r[k + j]
+            r[k + j] = (xr - qr * yr + qi * yi, xi - qr * yi - qi * yr)
+    if any(v for c in r[:db] for v in c):
+        raise ValueError("exact_divide: nonzero remainder")
+    return q
+
+
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd by the Euclidean algorithm (exact field coefficients)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd; the zero polynomial when a and b are both zero.
+
+    Each argument is scaled once to integer numerators over Z[i]; the gcd is
+    the last nonzero term of the primitive pseudo-remainder sequence, each
+    remainder divided by its Gaussian content, made monic at the end.
+    """
+    if a.is_zero() and b.is_zero():
+        return a
+    return _monic_poly(_prs_gcd(_numerators(a), _numerators(b)))
 
 
 def exact_divide(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    q, r = a.divmod(b)
-    if not r.is_zero():
-        raise ValueError("exact_divide: nonzero remainder")
-    return q
+    """a / b when b divides a exactly; ValueError on a nonzero remainder.
+
+    Runs on integer numerators: A = L*a divided by the primitive part B of
+    b is integral by Gauss's lemma, and A/B scaled to the leading
+    coefficient lc(a)/lc(b) is a/b.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero():
+        return a
+    q = _quotient(_numerators(a), _primitive(_numerators(b)))
+    return _monic_poly(q).scale(a.coeffs[-1] / b.coeffs[-1])
 
 
 def squarefree_decomposition(p: UnivariatePoly):
     """Yun's algorithm: returns [(factor, multiplicity)] with factors squarefree.
 
-    The product of factor^multiplicity equals p up to a constant.
-    Characteristic zero only.
+    The product of factor^multiplicity equals p up to a constant; each
+    factor is monic and the multiplicities increase.  p is scaled once to
+    a primitive polynomial P with Gaussian-integer coefficients, and Yun's
+    loop runs on P over Z[i]: the gcds are primitive pseudo-remainder gcds,
+    so every exact division by them stays in Z[i].  Yun's d_i are not made
+    primitive: c_i and d_i are always divided by the same gcd, so that
+    d_i - c_i' keeps the derivative relation at c_i's own scale.  Each
+    factor is made monic at the end.  Characteristic zero only.
     """
     if p.is_zero():
         raise IdenticallyZeroError("squarefree decomposition of zero")
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
+    f = _primitive(_numerators(p))
+    df = _derivative(f)
+    g = _prs_gcd(f, df)
+    c = _quotient(f, g)
+    d = _subtract(_quotient(df, g), _derivative(c))
     out = []
-    c = exact_divide(p, g)
-    d = exact_divide(dp, g) - c.derivative()
     m = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, m))
-        c = exact_divide(c, a)
-        d = exact_divide(d, a) - c.derivative()
+    while len(c) > 1:
+        a = _prs_gcd(c, d)
+        if len(a) > 1:
+            out.append((_monic_poly(a), m))
+        c = _quotient(c, a)
+        d = _subtract(_quotient(d, a), _derivative(c))
         m += 1
     return out
 
@@ -603,16 +744,12 @@ def vanishing_order(f, point) -> int:
         raise IdenticallyZeroError("order of vanishing of the zero function")
 
     d = lcm(p.re.denominator, p.im.denominator)
-    cs = poly.coeffs
-    big_l = 1
-    for c in cs:
-        big_l = lcm(big_l, c.re.denominator, c.im.denominator)
     # descending coefficients of R: L * c_k * d^(N - k) for k = N..0
     re_desc, im_desc = [], []
     dpow = 1
-    for c in reversed(cs):
-        re_desc.append(c.re.numerator * (big_l // c.re.denominator) * dpow)
-        im_desc.append(c.im.numerator * (big_l // c.im.denominator) * dpow)
+    for c_re, c_im in reversed(_numerators(poly)):
+        re_desc.append(c_re * dpow)
+        im_desc.append(c_im * dpow)
         dpow *= d
     u_re, u_im = int(p.re * d), int(p.im * d)
     if not u_im and not any(im_desc):

@@ -671,9 +671,10 @@ def growth_trend(rows) -> bool:
     monotone growth alone is healthy; divergence shows up as per-log-t
     slopes that persist or grow as t shrinks (log or power blowup), while a
     bounded approach has geometrically decaying slopes.  rows are SweepRow
-    records sorted by decreasing |t|.
+    records sorted by decreasing |t|; a t = 0 row has no log |t| and is
+    left out of the tail.
     """
-    tail = list(rows)[-4:]
+    tail = [r for r in rows if param_modulus(r.t) > 0][-4:]
     if len(tail) < 3:
         return False
     slopes = []

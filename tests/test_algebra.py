@@ -23,6 +23,7 @@ from cselab import (
     substitute_fiber,
     vanishing_order,
 )
+from cselab.polynomials import exact_divide
 
 # the kernel witness for n = 1 (cross-derived in test_counterexamples)
 P1 = UnivariatePoly([1, 0, -9, 16, -9, 0, 1])
@@ -298,11 +299,105 @@ class TestDividesPower:
         assert divides_power(UnivariatePoly.monomial(2), 5, 0)
 
 
+# Leading coefficients of the drawn factors.  Over Q(i) they give the input
+# a Gaussian content that is not a rational integer, as in
+# (1+i)z + 2 = (1+i)(z + 1 - i), so a gcd whose content is taken over Z
+# alone does not divide the input over Z[i].
+RATIONAL_LEADS = (gr(1), gr(-3), gr(Fraction(2, 5)), gr(6))
+GAUSSIAN_LEADS = (gr(1, 1), gr(2, -1), gr(0, 3), gr(Fraction(1, 2), Fraction(1, 2)), gr(1))
+rational_root = small_fraction.map(gr)
+Z = UnivariatePoly([0, 1])
+
+
+@st.composite
+def known_factors(draw, gaussian_coeffs):
+    """[(factor, multiplicity, roots)]: pairwise coprime squarefree linear
+    and quadratic factors, each with its known Gaussian-rational roots, and
+    maybe one quadratic (z - a)^2 - q with q in {2, 3} and no root in Q(i)."""
+    roots = draw(st.lists(gaussian if gaussian_coeffs else rational_root,
+                          min_size=1, max_size=4, unique=True))
+    leads = GAUSSIAN_LEADS if gaussian_coeffs else RATIONAL_LEADS
+    factors = []
+    while roots:
+        k = draw(st.integers(1, min(2, len(roots))))
+        group, roots = roots[:k], roots[k:]
+        f = UnivariatePoly([draw(st.sampled_from(leads))])
+        for r in group:
+            f = f * (Z - UnivariatePoly([r]))
+        factors.append((f, draw(st.integers(1, 3)), tuple(group)))
+    if draw(st.booleans()):
+        a = draw(rational_root)
+        shifted = Z - UnivariatePoly([a])
+        factors.append((shifted * shifted - UnivariatePoly([draw(st.sampled_from((2, 3)))]),
+                        draw(st.integers(1, 3)), ()))
+    return factors
+
+
+def product(polys):
+    out = UnivariatePoly([1])
+    for f in polys:
+        out = out * f
+    return out
+
+
 class TestGcdAndSquarefree:
     def test_gcd_of_shared_factor(self):
         f = UnivariatePoly([-1, 1])  # z - 1
         g = UnivariatePoly([2, 1])   # z + 2
         assert poly_gcd(f * g, f * f) == f
+
+    def test_exact_divide(self):
+        f = UnivariatePoly([2, gr(1, 1)])  # (1+i)z + 2
+        g = UnivariatePoly([gr(0, Fraction(1, 3)), 1, 5])
+        assert exact_divide(f * g, f) == g
+        with pytest.raises(ValueError):
+            exact_divide(f * g + UnivariatePoly([1]), f)
+        with pytest.raises(ZeroDivisionError):
+            exact_divide(f, UnivariatePoly())
+
+    def test_gaussian_content(self):
+        # (1+i)z * ((1+i)z + 1 - i) * (z^2 - 2z - 1)^2: a gcd in Yun's loop
+        # has content 1+i over Z[i], which must come off before dividing
+        p = (UnivariatePoly([0, gr(1, 1)]) * UnivariatePoly([gr(1, -1), gr(1, 1)])
+             * UnivariatePoly([-1, -2, 1]) ** 2)
+        assert squarefree_decomposition(p) == [
+            (UnivariatePoly([0, gr(0, -1), 1]), 1), (UnivariatePoly([-1, -2, 1]), 2)]
+
+    @pytest.mark.parametrize("gaussian_coeffs", [False, True], ids=["Q", "Q(i)"])
+    def test_against_known_factorization(self, gaussian_coeffs):
+        @given(factors=known_factors(gaussian_coeffs))
+        @settings(max_examples=25, derandomize=True, deadline=None)
+        def check(factors):
+            p = product(f ** m for f, m, _ in factors)
+            expected = {}
+            for f, m, _ in factors:
+                expected[m] = expected.get(m, UnivariatePoly([1])) * f
+            parts = squarefree_decomposition(p)
+            assert [m for _, m in parts] == sorted(expected)
+            assert dict((m, g) for g, m in parts) == {
+                m: g.monic() for m, g in expected.items()}
+            for g, m in parts:
+                assert g.coefficient(g.degree) == gr(1)
+                for f, fm, roots in factors:
+                    if fm == m:
+                        assert all(vanishing_order(g, r) == 1 for r in roots)
+            assert product(g ** m for g, m in parts) == p.monic()
+
+        check()
+
+    @pytest.mark.parametrize("gaussian_coeffs", [False, True], ids=["Q", "Q(i)"])
+    def test_gcd_of_products_with_a_known_factor(self, gaussian_coeffs):
+        @given(factors=known_factors(gaussian_coeffs), split=st.integers(0, 6))
+        @settings(max_examples=25, derandomize=True, deadline=None)
+        def check(factors, split):
+            # f, g, h are coprime products of distinct factors, so gcd(fg, fh) = f
+            f = product(f for f, _, _ in factors[: split % 3])
+            g = product(f for f, _, _ in factors[split % 3::2])
+            h = product(f for f, _, _ in factors[split % 3 + 1::2])
+            assert poly_gcd(f * g, f * h) == f.monic()
+            assert exact_divide(f * g, g) == f
+
+        check()
 
     def test_squarefree_decomposition_structure(self):
         f = UnivariatePoly([-1, 1])

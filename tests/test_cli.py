@@ -156,6 +156,16 @@ class TestProbeCommand:
         assert code == 1
 
 
+class TestBoundCommand:
+    def test_central_fiber_among_three_samples(self, capsys):
+        code, out, _ = run_cli(["bound", "--f", "x^2-y^2", "--c", "0.2", "--R", "0.5",
+                                "--t", "1/100", "--t", "1/400", "--t", "0"], capsys)
+        assert code == 0
+        data = json.loads(out)["bound"]
+        assert [r["t"] for r in data["rows"]] == ["1/100", "1/400", 0]
+        assert data["growth_flag"] is False
+
+
 class TestUsageErrors:
     BAD = {
         "probe-t-zero": ["probe", "--kind", "multiplicity", "--f", "x+y", "--t", "0"],

@@ -241,6 +241,14 @@ class TestUniformBound:
         with pytest.raises(ValueError):
             uniform_bound_check(X + Y, 0.5, 1.0, [], CFG)
 
+    def test_central_fiber_among_three_samples(self):
+        # t = 0 has no log |t|: it is a bound sample but not a trend point
+        ts = [Fraction(1, 100), Fraction(1, 400), 0]
+        rep = uniform_bound_check(X * X - Y * Y, 0.2, 0.5, ts, CFG)
+        assert [r.t for r in rep.rows] == ts
+        assert math.isfinite(rep.bound)
+        assert not rep.growth_flag
+
     def test_growth_trend_heuristic(self):
         from cselab.quadrature import SweepRow, growth_trend
 
@@ -258,6 +266,10 @@ class TestUniformBound:
         # power blowup: accelerating slopes
         power_growth = [(10.0 ** (2 + j)) ** 0.3 for j in range(5)]
         assert growth_trend(rows(power_growth))
+        # a t = 0 row after the tail leaves the verdict as it was
+        central = SweepRow(t=0, k_t=20.0, err=1e-6, i_t=0, j_t=0, ratio=1)
+        assert growth_trend(rows(log_growth) + [central])
+        assert not growth_trend(rows(bounded) + [central])
 
 
 class TestYoungCombine:
