@@ -39,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact_linalg import divided_difference_weights
 from .exponents import Exponent
 from .polynomials import (
@@ -227,6 +225,7 @@ def holder_probe(n: int, sample_scale: float = 1.0, profile=None) -> HolderProbe
     building block the slope is 1/2.  A custom profile can be passed for
     smooth controls, whose estimate saturates at 1.
     """
+    import numpy as np  # here, so the exact families load no numpy
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (sample_scale > 0) or not np.isfinite(sample_scale):
@@ -256,6 +255,7 @@ def holder_probe(n: int, sample_scale: float = 1.0, profile=None) -> HolderProbe
 def _nth_derivative(profile, n: int, r: float) -> float:
     if n == 0:
         return float(profile(r))
+    import numpy as np
     h = r / 64.0
     offsets = (np.arange(n + 1) - n / 2.0) * h
     samples = np.array([profile(r + o) for o in offsets], dtype=float)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exponents import Exponent
 from .expressions import format_function
@@ -74,7 +73,9 @@ class FiberZero:
     """A zero of the fiber function on X_t, with multiplicity.
 
     location is a GaussianRational when the zero was verified exactly,
-    otherwise a complex float root of a squarefree factor.  Multiplicities
+    otherwise a complex float root of a squarefree factor, found by the
+    Aberth-Ehrlich iteration of _roots_of_unipoly and stopped once its
+    residual is at the rounding level of the evaluation.  Multiplicities
     come from squarefree decomposition and are exact even when the location
     is not.
     """
@@ -103,10 +104,136 @@ def _snap_gaussian(z: complex, max_den: int = 10 ** 6):
     return None
 
 
-def _roots_of_unipoly(p: UnivariatePoly):
-    if p.degree < 1:
-        return np.array([], dtype=complex)
-    return np.roots([c.to_complex() for c in reversed(p.coeffs)])
+ABERTH_MAX_PASSES = 500
+
+
+def _roots_of_unipoly(p: UnivariatePoly) -> list:
+    """Complex float roots of a squarefree factor p, one per unit of degree.
+
+    Zero low coefficients give exact roots 0.  The rest has closed forms in
+    degrees 1 and 2 (the quadratic without cancellation) and otherwise goes
+    through the Aberth-Ehrlich iteration (Aberth 1973) on the float
+    coefficients a_k: each pass moves every unfinished root z_k, in place, by
+
+        w_k = p(z_k) / (p'(z_k) - p(z_k) * sum_{j != k} 1/(z_k - z_j)),
+
+    starting from circles read off the upper hull of the points (k, log|a_k|)
+    (Bini 1996), so roots of very different sizes start near their own
+    modulus.  A root stops after the step taken when its Horner residual
+    |p(z_k)| is at most 4 n eps sum_k |a_k| |z_k|^k, the rounding error of
+    the evaluation itself.  A factor with real coefficients gets exact
+    conjugate pairs, and its real roots an imaginary part of exactly 0.0.
+    Raises ArithmeticError if some root has not stopped after
+    ABERTH_MAX_PASSES passes.
+    """
+    low = 0
+    while low < p.degree and p.coeffs[low].is_zero():
+        low += 1
+    a = [c.to_complex() for c in p.coeffs[low:]]
+    real = all(c.is_real() for c in p.coeffs)
+    n = len(a) - 1
+    if n < 1:
+        roots = []
+    elif n == 1:
+        roots = [-a[0] / a[1]]
+    elif n == 2:
+        roots = _quadratic_roots(*a)
+    else:
+        roots = _aberth(a)
+    if real:
+        roots = _conjugate_closed(roots)
+    return [0j] * low + roots
+
+
+def _quadratic_roots(c: complex, b: complex, a: complex) -> list:
+    s = cmath.sqrt(b * b - 4.0 * a * c)
+    if (b.conjugate() * s).real < 0:
+        s = -s
+    q = -0.5 * (b + s)
+    return [q / a, c / q]
+
+
+def _aberth(a) -> list:
+    """Roots of sum a_k z^k (a_0 and a_n nonzero, n >= 3); see _roots_of_unipoly."""
+    n = len(a) - 1
+    desc = a[::-1]
+    mods = [abs(c) for c in desc]
+    z = _start_circles([abs(c) for c in a])
+    tol = 4.0 * n * sys.float_info.epsilon
+    active = range(n)
+    for _ in range(ABERTH_MAX_PASSES):
+        unfinished = []
+        for k in active:
+            zk = z[k]
+            pv, dv = desc[0], 0j
+            for c in desc[1:]:
+                dv = dv * zk + pv
+                pv = pv * zk + c
+            r, bound = abs(zk), 0.0
+            for m in mods:
+                bound = bound * r + m
+            if pv:
+                sigma = 0j
+                for j, zj in enumerate(z):
+                    if j != k:
+                        sigma += 1.0 / (zk - zj)
+                den = dv - pv * sigma
+                if den:
+                    z[k] = zk - pv / den
+            if not abs(pv) <= tol * bound < math.inf:   # nan or overflow: not done
+                unfinished.append(k)
+        if not unfinished:
+            return z
+        active = unfinished
+    raise ArithmeticError(f"Aberth iteration: {len(active)} of {n} roots "
+                          f"unresolved after {ABERTH_MAX_PASSES} passes")
+
+
+def _start_circles(mods) -> list:
+    """Starting points: for each edge (i, j) of the upper hull of (k, log|a_k|),
+    j - i evenly spaced points on the circle of radius (|a_i|/|a_j|)^(1/(j - i)),
+    turned by 0.7 rad so that none starts on the real axis."""
+    n = len(mods) - 1
+    hull = []
+    for k, m in enumerate(mods):
+        pt = (k, math.log(max(m, sys.float_info.min)))
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) < 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    z = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        radius = math.exp((li - lj) / (j - i))
+        offset = 2.0 * math.pi * i / n + 0.7
+        z += [cmath.rect(radius, offset + 2.0 * math.pi * q / (j - i))
+              for q in range(j - i)]
+    return z
+
+
+def _conjugate_closed(roots) -> list:
+    """The roots of a real polynomial as exact conjugate pairs (the one with
+    positive imaginary part first) and real roots with imaginary part 0.0.
+
+    A root is real when no other root lies nearer to its conjugate than the
+    root itself does; otherwise it is paired with that nearest root and the
+    pair is replaced by the mean of the root and the partner's conjugate.
+    """
+    left = list(roots)
+    out = []
+    # adding 0.0 turns a real part -0.0 into 0.0, which prints without a sign
+    while left:
+        z = left.pop(0)
+        zc = z.conjugate()
+        j = min(range(len(left)), key=lambda i: abs(left[i] - zc), default=None)
+        if j is None or abs(left[j] - zc) >= abs(z - zc):
+            out.append(complex(z.real + 0.0, 0.0))
+            continue
+        w = left.pop(j)
+        re, im = 0.5 * (z.real + w.real) + 0.0, 0.5 * abs(z.imag - w.imag)
+        out += [complex(re, im), complex(re, -im)]
+    return out
 
 
 def _exact_fiber_zero_list(num: UnivariatePoly):
@@ -172,9 +299,16 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
             continue  # x = 0 is not on the fiber graph
         if ax <= delta * slack and t_abs / ax <= delta * slack:
             kept.append(z)
-    kept.sort(key=lambda z: (abs(z.location_complex()),
-                             cmath.phase(z.location_complex())))
+    kept.sort(key=_zero_order)
     return kept
+
+
+def _zero_order(z: FiberZero):
+    """Modulus at the 12 significant digits the artifacts print, then phase:
+    zeros of equal modulus (the five zeros of x^5 = t^2) then keep an order
+    that the last bits of the root finder cannot change."""
+    loc = z.location_complex()
+    return float(f"{abs(loc):.12g}"), cmath.phase(loc)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,13 @@ class PrincipalPart:
 
 
 def _pareto_minimal(points):
+    """The points no other point is below and left of, sorted: in (i, j)
+    order a point is minimal iff its j is below the j of every earlier one."""
     out = []
-    for p in points:
-        if any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in points):
-            continue
-        out.append(p)
-    return sorted(out)
+    for p in sorted(points):
+        if not out or p[1] < out[-1][1]:
+            out.append(p)
+    return out
 
 
 def compute_polygon(f: BivariatePoly) -> NewtonPolygon:

@@ -191,11 +191,16 @@ class UnivariatePoly:
 # over Z[i], and the primitive parts of a pseudo-remainder sequence end in a
 # primitive gcd (Collins 1967; Brown & Traub 1971).
 
-def _numerators(p: UnivariatePoly):
-    """L * p as ascending (re, im) int pairs, L the lcm of all denominators."""
-    big_l = lcm(*(d for c in p.coeffs for d in (c.re.denominator, c.im.denominator)))
+def _common_denominator(coeffs) -> int:
+    """The lcm of the denominators of the Gaussian rationals coeffs."""
+    return lcm(*(d for c in coeffs for d in (c.re.denominator, c.im.denominator)))
+
+
+def _numerators(coeffs):
+    """L * c for each c in coeffs as (re, im) int pairs, L their common denominator."""
+    big_l = _common_denominator(coeffs)
     return [(c.re.numerator * (big_l // c.re.denominator),
-             c.im.numerator * (big_l // c.im.denominator)) for c in p.coeffs]
+             c.im.numerator * (big_l // c.im.denominator)) for c in coeffs]
 
 
 def _monic_poly(p) -> UnivariatePoly:
@@ -331,7 +336,7 @@ def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     """
     if a.is_zero() and b.is_zero():
         return a
-    return _monic_poly(_prs_gcd(_numerators(a), _numerators(b)))
+    return _monic_poly(_prs_gcd(_numerators(a.coeffs), _numerators(b.coeffs)))
 
 
 def exact_divide(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
@@ -345,7 +350,7 @@ def exact_divide(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return a
-    q = _quotient(_numerators(a), _primitive(_numerators(b)))
+    q = _quotient(_numerators(a.coeffs), _primitive(_numerators(b.coeffs)))
     return _monic_poly(q).scale(a.coeffs[-1] / b.coeffs[-1])
 
 
@@ -365,7 +370,7 @@ def squarefree_decomposition(p: UnivariatePoly):
         raise IdenticallyZeroError("squarefree decomposition of zero")
     if p.degree == 0:
         return []
-    f = _primitive(_numerators(p))
+    f = _primitive(_numerators(p.coeffs))
     df = _derivative(f)
     g = _prs_gcd(f, df)
     c = _quotient(f, g)
@@ -699,22 +704,36 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
                                  f"t = {t} ({e}); pass s with s^2 = t") from None
         constant = f.radial_coeff * ss ** f.radial_half_exp
 
-    # group x^m y^n -> t^n x^(m-n) by the exponent m-n
-    t_pows = [ONE]
-    for _ in range(max((n for _, n in f.holo.support), default=0)):
-        t_pows.append(t_pows[-1] * tt)
+    # group x^m y^n -> t^n x^(m-n) by the exponent m-n, on Gaussian-integer
+    # numerators: with F = G/L and t = u/d, the coefficient of x^e is
+    # sum over m - n = e of G_mn u^n d^(top-n), over the one denominator L d^top
+    support = f.holo.support
+    values = list(support.values())
+    top = max((n for _, n in support), default=0)
+    d = _common_denominator([tt])
+    u = tt * d
+    u_re, u_im = int(u.re), int(u.im)
+    u_pows, d_pows = [(1, 0)], [1]
+    for _ in range(top):
+        a, b = u_pows[-1]
+        u_pows.append((a * u_re - b * u_im, a * u_im + b * u_re))
+        d_pows.append(d_pows[-1] * d)
     by_exp = {}
-    for (m, n), c in f.holo.support.items():
-        e = m - n
-        by_exp[e] = by_exp.get(e, ZERO) + c * t_pows[n]
-    by_exp = {e: c for e, c in by_exp.items() if not c.is_zero()}
+    for (m, n), (g_re, g_im) in zip(support, _numerators(values)):
+        a, b = u_pows[n]
+        w = d_pows[top - n]
+        acc_re, acc_im = by_exp.get(m - n, (0, 0))
+        by_exp[m - n] = (acc_re + (g_re * a - g_im * b) * w,
+                         acc_im + (g_re * b + g_im * a) * w)
+    by_exp = {e: c for e, c in by_exp.items() if c != (0, 0)}
     if not by_exp:
         return LaurentForm(UnivariatePoly(), 0, constant, t=tt)
-    d = max(0, -min(by_exp))
-    coeffs = [ZERO] * (max(by_exp) + d + 1)
-    for e, c in by_exp.items():
-        coeffs[e + d] = c
-    return LaurentForm(UnivariatePoly(coeffs), d, constant, t=tt)
+    den = _common_denominator(values) * d_pows[top]
+    shift = max(0, -min(by_exp))
+    coeffs = [ZERO] * (max(by_exp) + shift + 1)
+    for e, (c_re, c_im) in by_exp.items():
+        coeffs[e + shift] = GaussianRational(Fraction(c_re, den), Fraction(c_im, den))
+    return LaurentForm(UnivariatePoly(coeffs), shift, constant, t=tt)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +766,7 @@ def vanishing_order(f, point) -> int:
     # descending coefficients of R: L * c_k * d^(N - k) for k = N..0
     re_desc, im_desc = [], []
     dpow = 1
-    for c_re, c_im in reversed(_numerators(poly)):
+    for c_re, c_im in reversed(_numerators(poly.coeffs)):
         re_desc.append(c_re * dpow)
         im_desc.append(c_im * dpow)
         dpow *= d

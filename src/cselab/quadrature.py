@@ -10,6 +10,10 @@ an interior zero are reported divergent rather than returning a number.
 
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.
+
+numpy is imported inside the functions that run cells, not at module level,
+so importing this module (and cselab) does not load it: only an integral or
+a probe does.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import newton
 from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
@@ -74,10 +76,12 @@ class QuadratureConfig:
 
     @property
     def complex_dtype(self):
+        import numpy as np
         return np.clongdouble if self.precision == "extended" else np.complex128
 
     @property
     def real_dtype(self):
+        import numpy as np
         return np.longdouble if self.precision == "extended" else np.float64
 
 
@@ -192,6 +196,7 @@ def _base_fn(fiber, c: float, cfg: QuadratureConfig, chart: str = "x", t=None):
 
     This is the one float evaluator of fiber functions.  The y chart
     evaluates the fiber function at x = t/y for the given t."""
+    import numpy as np
     num, d = _fiber_parts(fiber)
     coeffs = np.array([ck.to_complex() for ck in num.coeffs], dtype=cfg.complex_dtype)
     tc = cfg.complex_dtype(exact_param(t).to_complex()) if chart == "y" else None
@@ -224,11 +229,13 @@ def _detect_zeros(fiber):
 # the adaptive engine
 # ---------------------------------------------------------------------------
 
-_CHILD_U = np.array([0.25, 0.75, 0.25, 0.75])
-_CHILD_T = np.array([0.25, 0.25, 0.75, 0.75])
+# the four fine-rule points of a cell, as fractions of its u and theta sides
+_CHILD_U = (0.25, 0.75, 0.25, 0.75)
+_CHILD_T = (0.25, 0.25, 0.75, 0.75)
 
 
 def _unit_weight(x):
+    import numpy as np
     return np.ones(x.shape)
 
 
@@ -242,6 +249,7 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     the grid, so linear identities between them hold to rounding.  The
     default is the single unit weight.
     """
+    import numpy as np
     rdt = cfg.real_dtype
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
@@ -282,6 +290,7 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     tol = cfg.target_rel_tolerance
     cplx = cfg.complex_dtype
     ctr = cplx(complex(center))
+    child_u, child_t = np.array(_CHILD_U), np.array(_CHILD_T)
 
     while u0.size:
         du = u1 - u0
@@ -291,8 +300,8 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
         tm = 0.5 * (t0 + t1)
         xm = ctr + np.exp(um.astype(cplx) + 1j * tm.astype(cplx))
         bm = base_fn(xm) * np.exp(2.0 * um)
-        uu = u0[:, None] + du[:, None] * _CHILD_U
-        tt = t0[:, None] + dt[:, None] * _CHILD_T
+        uu = u0[:, None] + du[:, None] * child_u
+        tt = t0[:, None] + dt[:, None] * child_t
         xf = ctr + np.exp(uu.astype(cplx) + 1j * tt.astype(cplx))
         bf = base_fn(xf) * np.exp(2.0 * uu)
 
@@ -342,6 +351,7 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
 
 
 def _split_cells(u0, u1, t0, t1, depth, mask, keep_only_split=False):
+    import numpy as np
     su0, su1 = u0[mask], u1[mask]
     st0, st1 = t0[mask], t1[mask]
     sd = depth[mask] + 1
@@ -497,6 +507,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
         return KReport(t=t, k_report=divergent, i_report=divergent,
                        j_report=divergent)
 
+    import numpy as np
     base = _base_fn(fib, c, cfg)
     t2 = t_abs * t_abs
 
@@ -736,6 +747,7 @@ def exponent_probe_1d(fiber, zero, c: float,
             masses.append(m[0])
     if len(radii) < 4:
         raise ValueError("fewer than 4 usable annuli")
+    import numpy as np
     lr = np.log(np.array(radii))
     lm = np.log(np.array(masses))
     slope, intercept = np.polyfit(lr, lm, 1)

@@ -50,9 +50,10 @@ def univariate(max_deg=5):
 
 
 @pytest.mark.parametrize("module", ["rationals", "polynomials", "exponents", "newton",
-                                    "exact_linalg", "expressions"])
+                                    "exact_linalg", "expressions", "degeneration"])
 def test_exact_modules_import_no_numpy(module):
-    """Floats live in quadrature and the zero finder, not in the exact layer."""
+    """numpy lives in quadrature and the Hoelder probe, not in the exact layer
+    nor in the zero finder."""
     tree = ast.parse((Path(cselab.__file__).parent / f"{module}.py").read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -187,6 +188,25 @@ class TestSubstituteFiber:
             exact = Fraction(t) if isinstance(t, float) else GaussianRational(
                 Fraction(t.real), Fraction(t.imag))
             assert substitute_fiber(f, t) == substitute_fiber(f, exact)
+
+    @given(f=bivariate(max_points=6, max_exp=5), t=gaussian)
+    @settings(max_examples=150, derandomize=True)
+    def test_equals_the_gaussian_rational_construction(self, f, t):
+        assume(not t.is_zero())
+        form = substitute_fiber(f, t)
+        # the coefficients as sums of GaussianRational products c * t^n
+        by_exp = {}
+        for (m, n), c in f.support.items():
+            by_exp[m - n] = by_exp.get(m - n, gr(0)) + c * t ** n
+        by_exp = {e: c for e, c in by_exp.items() if not c.is_zero()}
+        d = max(0, -min(by_exp, default=0))
+        coeffs = [gr(0)] * (max(by_exp, default=-1) + d + 1)
+        for e, c in by_exp.items():
+            coeffs[e + d] = c
+        expected = LaurentForm(UnivariatePoly(coeffs), d, t=t)
+        assert form.numerator.coeffs == expected.numerator.coeffs
+        assert (form.pole_order, form.constant, form.t) == (
+            expected.pole_order, expected.constant, t)
 
     def test_nonfinite_t_rejected(self):
         for t in (math.nan, math.inf, complex(0.0, math.inf)):

@@ -1,6 +1,10 @@
 """Command line interface: subcommands, exit codes, deterministic artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,25 @@ class TestDeterminism:
         assert main(args + ["--out", str(p1)]) == main(args + ["--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes()  # nonempty
+
+
+class TestNoNumpyOnTheExactPath:
+    """Subcommands that integrate nothing run without importing numpy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--name", "cusp"],
+        ["polygon", "--f", "y^2-x^3"],
+        ["counterexample", "--n", "2", "--s", "3/7"],
+        ["exponent", "--f", "y^2-x^3", "--t", "1e-4"],   # numeric zero locations
+    ], ids=lambda argv: argv[0])
+    def test_subcommand_leaves_numpy_unloaded(self, argv):
+        code = ("import contextlib, io, sys\n"
+                "from cselab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({argv!r}) == 0\n"
+                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

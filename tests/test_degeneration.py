@@ -1,10 +1,14 @@
 """Fiber zeros, exponents, the resolution-data formula, semicontinuity."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cselab import (
     BivariatePoly,
@@ -24,7 +28,9 @@ from cselab import (
     semicontinuity_check,
     volume_density,
 )
-from cselab.degeneration import catalog_to_jsonable
+from cselab import degeneration
+from cselab.degeneration import _roots_of_unipoly, catalog_to_jsonable
+from cselab.polynomials import UnivariatePoly, squarefree_decomposition
 
 X = BivariatePoly.variable("x")
 Y = BivariatePoly.variable("y")
@@ -75,6 +81,10 @@ class TestFiberZeros:
         assert all(z.multiplicity == 1 for z in zs)
         radius = abs(zs[0].location_complex())
         assert radius == pytest.approx(float(Fraction(1, 10000)) ** (2 / 5))
+        # one modulus for all five: listed by phase, whatever their last bits
+        phases = [cmath.phase(z.location_complex()) for z in zs]
+        assert phases == sorted(phases)
+        assert phases[2] == 0.0 and zs[2].location_complex().imag == 0.0
 
     def test_polydisc_filter_uses_both_coordinates(self):
         # fiber zeros of y^2 - x^5 sit at |x| = t^(2/7) which is outside
@@ -126,6 +136,107 @@ class TestFiberZeros:
         assert all(abs(x.imag) <= 1e-12 for x in near)
         for z in zs:
             assert fiber_exponent(f, Fraction(1, 100), z.location) == Exponent(1)
+
+
+# k/d with d <= 6 and |k/d| <= 3
+small_fraction = st.integers(1, 6).flatmap(
+    lambda d: st.integers(-3 * d, 3 * d).map(lambda k: Fraction(k, d)))
+
+
+def from_roots(roots, lead=1):
+    p = UnivariatePoly([lead])
+    for r in roots:
+        p = p * UnivariatePoly([-r, 1])
+    return p
+
+
+def assert_same_roots(found, roots, rel=1e-10):
+    """found is roots (complex floats) up to order, each within rel."""
+    assert len(found) == len(roots)
+    left = list(found)
+    for r in roots:
+        j = min(range(len(left)), key=lambda i: abs(left[i] - r))
+        assert abs(left.pop(j) - r) <= rel * max(1.0, abs(r))
+
+
+def assert_conjugate_closed(roots):
+    """Exact conjugate pairs, and real roots with imaginary part +0.0."""
+    assert sorted((z.real, z.imag) for z in roots) == \
+        sorted((z.real, -z.imag) for z in roots)
+    assert all(math.copysign(1.0, z.imag) > 0 for z in roots if z.imag == 0)
+
+
+@st.composite
+def separated_roots(draw, real_coeffs):
+    """Distinct Gaussian-rational roots at least 1/10 apart; with real_coeffs,
+    real roots and conjugate pairs (x +- iy, y != 0)."""
+    if real_coeffs:
+        reals = draw(st.lists(small_fraction, max_size=5, unique=True))
+        pairs = draw(st.lists(st.tuples(small_fraction, small_fraction.filter(bool)),
+                              max_size=3, unique_by=lambda p: (p[0], abs(p[1]))))
+        roots = [GaussianRational(x) for x in reals]
+        roots += [GaussianRational(x, s * abs(y)) for x, y in pairs for s in (1, -1)]
+    else:
+        roots = draw(st.lists(st.builds(GaussianRational, small_fraction, small_fraction),
+                              min_size=1, max_size=8, unique=True))
+    assume(roots)
+    cs = [r.to_complex() for r in roots]
+    assume(all(abs(a - b) >= 0.1 for i, a in enumerate(cs) for b in cs[i + 1:]))
+    return roots
+
+
+class TestAberthRoots:
+    @pytest.mark.parametrize("real_coeffs", [True, False], ids=["Q", "Q(i)"])
+    def test_known_separated_roots(self, real_coeffs):
+        leads = [1, -3, Fraction(2, 7)] + ([] if real_coeffs else [GaussianRational(1, 2)])
+
+        @given(roots=separated_roots(real_coeffs), lead=st.sampled_from(leads))
+        @settings(max_examples=50, derandomize=True, deadline=None)
+        def check(roots, lead):
+            found = _roots_of_unipoly(from_roots(roots, lead))
+            assert_same_roots(found, [r.to_complex() for r in roots])
+            if real_coeffs:
+                assert_conjugate_closed(found)
+                assert sum(z.imag == 0 for z in found) == sum(r.is_real() for r in roots)
+
+        check()
+
+    @given(coeffs=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                           min_size=4, max_size=13),
+           real=st.booleans())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_against_numpy_roots(self, coeffs, real):
+        p = UnivariatePoly([GaussianRational(a, 0 if real else b) for a, b in coeffs])
+        assume(p.degree >= 3 and not p.coeffs[0].is_zero())
+        assume(squarefree_decomposition(p) == [(p.monic(), 1)])
+        found = _roots_of_unipoly(p)
+        expected = np.roots([c.to_complex() for c in reversed(p.coeffs)])
+        assert_same_roots(found, list(expected), rel=1e-8)
+        if real:
+            assert_conjugate_closed(found)
+
+    def test_zero_roots_and_closed_forms(self):
+        assert _roots_of_unipoly(UnivariatePoly([0, 2, 1])) == [0j, complex(-2.0, 0.0)]
+        # z^2 + 1/10^4: +-i/100 with real part +0.0
+        assert _roots_of_unipoly(UnivariatePoly([Fraction(1, 10 ** 4), 0, 1])) == [
+            complex(0.0, 0.01), complex(0.0, -0.01)]
+        (w,) = _roots_of_unipoly(UnivariatePoly([GaussianRational(1, 1), 2]))
+        assert w == complex(-0.5, -0.5)
+
+    def test_roots_of_many_sizes(self):
+        # roots from 1e-9 to 1e3 in one factor: the start circles follow
+        # the upper hull of log|a_k|, one circle per size
+        roots = [Fraction(1, 10 ** 9), Fraction(-3, 10 ** 6), Fraction(7, 10 ** 3),
+                 Fraction(1, 2), Fraction(-40), Fraction(900)]
+        found = _roots_of_unipoly(from_roots(roots))
+        assert sorted(z.real for z in found) == pytest.approx(
+            sorted(float(r) for r in roots), rel=1e-13)
+        assert all(z.imag == 0 for z in found)
+
+    def test_unfinished_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(degeneration, "ABERTH_MAX_PASSES", 1)
+        with pytest.raises(ArithmeticError, match="unresolved"):
+            _roots_of_unipoly(from_roots([1, 2, 3, 4, 5]))
 
 
 class TestFiberExponent:

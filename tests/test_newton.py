@@ -17,6 +17,7 @@ from cselab import (
     single_segment,
     vanishing_order,
 )
+from cselab.newton import _pareto_minimal
 
 
 def poly_from_points(points):
@@ -94,6 +95,15 @@ class TestComputePolygon:
     def test_matches_bruteforce_oracle(self, pts):
         polygon = compute_polygon(poly_from_points(pts))
         assert list(polygon.vertices) == oracle_hull_vertices(pts)
+
+    @given(pts=st.sets(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                       min_size=1, max_size=60))
+    @settings(max_examples=300, derandomize=True)
+    def test_staircase_sweep_matches_quadratic_filter(self, pts):
+        # the minimal points by the all-pairs test the sweep replaced
+        quadratic = sorted(p for p in pts if not any(
+            q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts))
+        assert _pareto_minimal(list(pts)) == quadratic
 
 
 class TestSingleSegment:
