@@ -1,7 +1,8 @@
-"""Golden artifacts: the exact stdout bytes of pinned CLI invocations.
+"""Golden artifacts: the exact bytes of pinned CLI invocations and library reports.
 
 The determinism tests compare the CLI with itself; these compare it with
 files committed under tests/golden/, so any drift in an artifact shows.
+Every report type that reaches JSON, CSV or plot data has a golden here.
 Regenerate the files (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,13 +11,20 @@ Regenerate the files (only when a change of output is intended) with
 import io
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cselab.cli import main
+from cselab.expressions import parse_expression
+from cselab.quadrature import QuadratureConfig, fiber_integral_K
+from cselab.reports import render_json
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
+
+SMALL_SWEEP = ["sweep", "--f", "x+y", "--c", "0.5", "--R", "1", "--t-count", "2",
+               "--angular-cells", "16", "--radial-cells", "6"]
 
 CASES = {
     # every zero of the node's fiber is an exact Gaussian rational
@@ -26,6 +34,18 @@ CASES = {
     "lct_cusp": ["lct", "--name", "cusp"],
     "polygon_cusp": ["polygon", "--f", "y^2-x^3"],
     "counterexample_n2": ["counterexample", "--n", "2", "--s", "3/7"],
+    "counterexample_n0_3": ["counterexample", "--n-min", "0", "--n-max", "3"],
+    "sweep_line_csv": SMALL_SWEEP + ["--format", "csv"],
+    "sweep_line_json": SMALL_SWEEP + ["--format", "json"],
+    "sweep_line_plot": SMALL_SWEEP + ["--format", "plot-data"],
+    "bound_node_young": ["bound", "--f", "x^2-y^2", "--c", "0.2", "--R", "0.5",
+                         "--t", "1/100", "--t", "1/400",
+                         "--angular-cells", "16", "--radial-cells", "6",
+                         "--factor", "x+y", "--factor", "x-y"],
+    "probe_holder_n1": ["probe", "--kind", "holder", "--n", "1"],
+    "probe_multiplicity_double_line": ["probe", "--kind", "multiplicity",
+                                       "--f", "(x+y)^2", "--t", "1/1000",
+                                       "--c", "0.2"],
 }
 
 
@@ -37,14 +57,31 @@ def run_stdout(argv) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def cusp_k_json(t) -> bytes:
+    """The library JSON of a KReport (no subcommand prints one)."""
+    cfg = QuadratureConfig(radial_cells_per_decade=6, angular_cells=16)
+    rep = fiber_integral_K(parse_expression("y^2-x^3"), t, 0.2, 0.5, cfg)
+    return render_json(rep).encode("utf-8")
+
+
+ARTIFACTS = {name: (run_stdout, argv) for name, argv in CASES.items()}
+ARTIFACTS["K_cusp_t1e-3"] = (cusp_k_json, Fraction(1, 1000))
+ARTIFACTS["K_cusp_t0"] = (cusp_k_json, 0)
+
+
+def produce(name) -> bytes:
+    fn, arg = ARTIFACTS[name]
+    return fn(arg)
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
 def test_stdout_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.out").read_bytes()
-    assert run_stdout(CASES[name]) == expected
+    assert produce(name) == expected
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
-        (GOLDEN_DIR / f"{name}.out").write_bytes(run_stdout(argv))
+    for name in sorted(ARTIFACTS):
+        (GOLDEN_DIR / f"{name}.out").write_bytes(produce(name))
         print(f"wrote {name}.out", file=sys.stderr)
