@@ -3,19 +3,20 @@
 Subcommands: exponent, lct, polygon, sweep, bound, counterexample, probe.
 Exit codes: 0 when verdicts match the theorem expectations, 2 when a
 holomorphic input produces a violated (or failed-stability) verdict, 1 on
-usage errors.  The environment variable CSE_LAB_PRECISION (double or
+a rejected input (one "error:" line on stderr).  The environment variable CSE_LAB_PRECISION (double or
 extended) selects the quadrature arithmetic.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import newton, reports
+from . import newton
 from .counterexamples import counterexample_record, holder_probe, verify_violation
 from .degeneration import (
     builtin_catalog,
@@ -40,7 +41,7 @@ from .quadrature import (
     uniform_bound_check,
     young_combine,
 )
-from .reports import emit_report, to_jsonable
+from .reports import emit_report
 
 
 class UsageError(Exception):
@@ -185,10 +186,7 @@ def _cmd_exponent(ns) -> int:
     f = _parse_fn(ns.f)
     ts = ([_parse_exact(t) for t in ns.t] if ns.t
           else [Fraction(1, 10 ** k) ** 2 for k in range(1, 5)])
-    try:
-        report = semicontinuity_check(f, ts, delta=ns.delta)
-    except ValueError as e:  # IdenticallyZeroError, or no exact sqrt of t
-        raise UsageError(str(e))
+    report = semicontinuity_check(f, ts, delta=ns.delta)
     _emit(report, ns)
     if report.verdict == "violated" and report.holomorphic:
         return 2
@@ -205,12 +203,11 @@ def _cmd_lct(ns) -> int:
                              f"{', '.join(sorted(entries))}")
         e = entries[name]
         res = lct_from_resolution(e.divisors, e.is_log_resolution)
-        row = {"name": name, "resolution_value": res.value.to_json_obj(),
-               "label": res.label}
+        row = {"name": name, "resolution_value": res.value, "label": res.label}
         if e.curve:
             est = newton.lct_polygon_estimate(_parse_fn(e.curve))
             row["curve"] = e.curve
-            row["polygon_estimate"] = est.to_json_obj()
+            row["polygon_estimate"] = est
             row["agree"] = est == res.value
         rows.append(row)
     _emit({"entries": rows}, ns)
@@ -221,21 +218,20 @@ def _cmd_polygon(ns) -> int:
     f = as_mixed(_parse_fn(ns.f)).holo
     polygon = newton.compute_polygon(f)
     out = {
-        "function": format_function(f),
-        "vertices": [list(v) for v in polygon.vertices],
-        "segments": [[list(a), list(b)] for a, b in polygon.segments],
+        "function": f,
+        "vertices": polygon.vertices,
+        "segments": polygon.segments,
         "single_segment": newton.single_segment(polygon),
     }
     try:
         k, l = newton.endpoints(polygon)
         out["endpoints"] = {"k": k, "l": l}
-        pp = newton.principal_part(f, (k, l))
-        out["principal_part"] = format_function(pp.poly)
+        out["principal_part"] = newton.principal_part(f, (k, l)).poly
     except IdenticallyZeroError as e:
         out["endpoints"] = None
         out["endpoint_error"] = str(e)
     try:
-        out["lct_polygon_estimate"] = newton.lct_polygon_estimate(f).to_json_obj()
+        out["lct_polygon_estimate"] = newton.lct_polygon_estimate(f)
         out["estimate_note"] = ("estimate: exact only for Newton-nondegenerate "
                                 "germs, which is not tested here")
     except IdenticallyZeroError:
@@ -256,10 +252,7 @@ def _sweep_sequence(ns):
 def _cmd_sweep(ns) -> int:
     f = _parse_fn(ns.f)
     cfg = _quad_config(ns)
-    try:
-        report = convergence_sweep(f, ns.c, ns.R, _sweep_sequence(ns), cfg)
-    except (ValueError, IdenticallyZeroError) as e:
-        raise UsageError(str(e))
+    report = convergence_sweep(f, ns.c, ns.R, _sweep_sequence(ns), cfg)
     _emit(report, ns)
     return 0 if report.verdict == "converged" else 2
 
@@ -268,34 +261,29 @@ def _cmd_bound(ns) -> int:
     f = _parse_fn(ns.f)
     cfg = _quad_config(ns)
     ts = [_parse_exact(t) for t in ns.t] if ns.t else default_t_sequence()
-    try:
-        report = uniform_bound_check(f, ns.c, ns.R, ts, cfg)
-        payload = {"bound": to_jsonable(report)}
-        if ns.factor:
-            factors = [_parse_fn(x) for x in ns.factor]
-            orders, bounds = [], []
-            for g in factors:
-                c0 = central_exponent(g, "min")
-                if c0.is_infinite or c0.value == 0:
-                    raise UsageError(f"factor {format_function(g)} has no "
-                                     "usable central order")
-                li = int(1 / c0.value)
-                orders.append(li)
-            total = sum(orders)
-            for g, li in zip(factors, orders):
-                ci = ns.c * total / li
-                rep = uniform_bound_check(g, ci, ns.R, ts, cfg)
-                bounds.append((li, rep.bound))
-            combined = young_combine(bounds)
-            payload["young"] = {
-                "factors": [format_function(g) for g in factors],
-                "orders": orders,
-                "factor_bounds": [reports.fmt_float(m) for _, m in bounds],
-                "combined_bound": reports.fmt_float(combined),
-                "product_bound_le_combined": report.bound <= combined,
-            }
-    except (ValueError, IdenticallyZeroError) as e:
-        raise UsageError(str(e))
+    report = uniform_bound_check(f, ns.c, ns.R, ts, cfg)
+    payload = {"bound": report}
+    if ns.factor:
+        factors = [_parse_fn(x) for x in ns.factor]
+        orders, bounds = [], []
+        for g in factors:
+            c0 = central_exponent(g, "min")
+            if c0.is_infinite or c0.value == 0:
+                raise UsageError(f"factor {format_function(g)} has no "
+                                 "usable central order")
+            orders.append(int(1 / c0.value))
+        total = sum(orders)
+        for g, li in zip(factors, orders):
+            rep = uniform_bound_check(g, ns.c * total / li, ns.R, ts, cfg)
+            bounds.append((li, rep.bound))
+        combined = young_combine(bounds)
+        payload["young"] = {
+            "factors": factors,
+            "orders": orders,
+            "factor_bounds": [m for _, m in bounds],
+            "combined_bound": combined,
+            "product_bound_le_combined": report.bound <= combined,
+        }
     _emit(payload, ns)
     return 2 if report.growth_flag else 0
 
@@ -305,18 +293,17 @@ def _cmd_counterexample(ns) -> int:
         indices = [ns.n]
     else:
         hi = ns.n_max if ns.n_max is not None else ns.n_min
-        indices = list(range(ns.n_min, hi + 1))
+        if hi < ns.n_min:
+            raise UsageError(f"--n-max {hi} is below --n-min {ns.n_min}")
+        indices = range(ns.n_min, hi + 1)
     s_samples = [_parse_exact(s) for s in (ns.s or ["1/10", "1/7", "1/3"])]
     records = []
     for n in indices:
         rec = counterexample_record(n)
-        rep = verify_violation(rec, s_samples)
-        entry = to_jsonable(rec)
-        entry["verification"] = to_jsonable(rep)
-        records.append(entry)
+        records.append(dataclasses.replace(
+            rec, verification=verify_violation(rec, s_samples)))
     _emit({"records": records}, ns)
-    bad = any(r["verification"]["verdict"] != "violated" for r in records)
-    return 2 if bad else 0
+    return 0 if all(r.verification.violated for r in records) else 2
 
 
 def _cmd_probe(ns) -> int:
@@ -329,11 +316,8 @@ def _cmd_probe(ns) -> int:
         raise UsageError("multiplicity probes need --f and --t")
     f = _parse_fn(ns.f)
     t = _parse_exact(ns.t)
-    try:
-        fib = substitute_fiber(f, t)
-        zeros = fiber_zeros(fib, t, delta=ns.delta)
-    except ValueError as e:  # t = 0, no exact sqrt of t, or a zero fiber
-        raise UsageError(str(e))
+    fib = substitute_fiber(f, t)
+    zeros = fiber_zeros(fib, t, delta=ns.delta)
     if not zeros:
         raise UsageError("no fiber zeros inside the polydisc to probe")
     locs = [z.location_complex() for z in zeros]
@@ -343,7 +327,7 @@ def _cmd_probe(ns) -> int:
         sep = min((abs(loc - o) for o in locs if o != loc), default=math.inf)
         r0 = min(ns.r0, sep / 4.0, abs(loc) / 2.0)
         pr = exponent_probe_1d(fib, loc, ns.c, cfg, r0=r0)
-        out.append({"zero": to_jsonable(z), "probe": to_jsonable(pr)})
+        out.append({"zero": z, "probe": pr})
     _emit({"probes": out}, ns)
     return 0
 
@@ -364,7 +348,8 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.command](ns)
-    except UsageError as e:
+    except (UsageError, ValueError, OSError) as e:
+        # ValueError covers IdenticallyZeroError and every rejected value
         print(f"error: {e}", file=sys.stderr)
         return 1
 

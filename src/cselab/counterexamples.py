@@ -87,6 +87,24 @@ class CounterexampleRecord:
     central_exponent: Exponent
     fiber_exponent_at_diagonal: Exponent
     note: str = NORMALIZATION_NOTE
+    verification: ViolationReport | None = None  # attached by the CLI
+
+    def to_json_obj(self):
+        out = {
+            "n": self.n,
+            "p_coefficients": self.p_n.coeffs,
+            "q_coefficients": self.q_n.coeffs,
+            "c_n": self.c_n,
+            "Q_support": {f"{i},{j}": c for (i, j), c in self.big_q.sorted_items()},
+            "family": self.family,
+            "in_N": self.in_n,
+            "central_exponent": self.central_exponent,
+            "fiber_exponent_at_diagonal": self.fiber_exponent_at_diagonal,
+            "note": self.note,
+        }
+        if self.verification is not None:
+            out["verification"] = self.verification
+        return out
 
 
 def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
@@ -143,6 +161,12 @@ class ViolationReport:
     central: Exponent
     fiber: Exponent
     violated: bool
+
+    def to_json_obj(self):
+        return {"n": self.n, "s_samples": self.s_samples,
+                "identity_ok": self.identity_ok, "fiber_order": self.fiber_order,
+                "central_exponent": self.central, "fiber_exponent": self.fiber,
+                "verdict": "violated" if self.violated else "holds"}
 
 
 def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport:
@@ -213,6 +237,10 @@ class HolderProbeResult:
     raw_slope: float
     fit_residual: float
     points_used: int
+
+    def to_json_obj(self):
+        return {"estimate": self.estimate, "raw_slope": self.raw_slope,
+                "fit_residual": self.fit_residual, "points_used": self.points_used}
 
 
 def holder_probe(n: int, sample_scale: float = 1.0, profile=None) -> HolderProbeResult:

@@ -93,6 +93,13 @@ class FiberZero:
             return self.location.to_complex()
         return complex(self.location)
 
+    def to_json_obj(self):
+        exact = isinstance(self.location, GaussianRational)
+        return {"location": self.location if exact else complex(self.location),
+                "multiplicity": self.multiplicity,
+                "exactness": self.exactness,
+                "cluster_radius": 0.0}
+
 
 def _snap_gaussian(z: complex, max_den: int = 10 ** 6):
     scale = max(1.0, abs(z))
@@ -401,6 +408,9 @@ class Divisor:
         if self.k < 0:
             raise ValueError("discrepancy k must be >= 0")
 
+    def to_json_obj(self):
+        return {"k": self.k, "a": self.a, "through": self.through}
+
 
 @dataclass(frozen=True)
 class LctResult:
@@ -435,6 +445,11 @@ class CatalogEntry:
     divisors: tuple
     is_log_resolution: bool
     curve: str | None = None  # matching germ for the polygon cross-check
+
+    def to_json_obj(self):
+        """The load_catalog form of this entry."""
+        return {"name": self.name, "divisors": self.divisors,
+                "log_resolution": self.is_log_resolution, "curve": self.curve}
 
 
 def builtin_catalog():
@@ -482,20 +497,6 @@ def load_catalog(path):
     return entries
 
 
-def catalog_to_jsonable(entries):
-    out = []
-    for name in sorted(entries):
-        e = entries[name]
-        out.append({
-            "name": e.name,
-            "divisors": [{"k": d.k, "a": d.a, "through": d.through}
-                         for d in e.divisors],
-            "log_resolution": e.is_log_resolution,
-            "curve": e.curve,
-        })
-    return out
-
-
 # ---------------------------------------------------------------------------
 # semicontinuity check
 # ---------------------------------------------------------------------------
@@ -520,6 +521,27 @@ class SemicontinuityReport:
     verdict: str                    # "holds" | "violated"
     witness: tuple | None = None    # (t, FiberZero, central_max, fiber_exponent)
     largest_t_holding: object = None
+
+    def to_json_obj(self):
+        witness = None
+        if self.witness is not None:
+            t, zero, cmax, fexp = self.witness
+            witness = {"t": t, "zero": zero, "central_max": cmax,
+                       "fiber_exponent": fexp}
+        return {
+            "function": self.function,
+            "holomorphic": self.holomorphic,
+            "central": {"x_axis": self.central_x, "y_axis": self.central_y,
+                        "min": min(self.central_x, self.central_y),
+                        "max": self.central_max},
+            "delta": float(self.delta),
+            "verdict": self.verdict,
+            "witness": witness,
+            "largest_t_holding": self.largest_t_holding,
+            "rows": [{"t": r.t, "holds": r.holds, "note": r.note,
+                      "zeros": [{"zero": z, "exponent": e} for z, e in r.zeros]}
+                     for r in self.rows],
+        }
 
 
 def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> SemicontinuityReport:

@@ -117,6 +117,14 @@ class IntegralReport:
         if not self.divergent and self.value < 0:
             raise ValueError("integral values are nonnegative")
 
+    def to_json_obj(self):
+        return {"value": self.value, "error_estimate": self.error_estimate,
+                "cells_used": self.cells_used,
+                "refinement_flags": self.refinement_flags,
+                "domain": str(self.domain), "chart": self.chart,
+                "c": float(self.c), "converged": self.converged,
+                "divergent": self.divergent, "meta": self.meta}
+
 
 @dataclass
 class KReport:
@@ -135,6 +143,10 @@ class KReport:
             return math.inf
         return abs(k - (self.i_report.value + self.j_report.value)) / k
 
+    def to_json_obj(self):
+        return {"t": self.t, "K": self.k_report, "I": self.i_report,
+                "J": self.j_report, "identity_residual": self.identity_residual}
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -145,6 +157,10 @@ class SweepRow:
     j_t: float
     ratio: float
     flags: tuple = ()
+
+    def to_json_obj(self):
+        return {"t": self.t, "K_t": self.k_t, "err": self.err, "I_t": self.i_t,
+                "J_t": self.j_t, "ratio": self.ratio, "flags": self.flags}
 
 
 @dataclass
@@ -160,6 +176,11 @@ class SweepReport:
         return [(param_float(r.t), r.k_t, r.err, r.i_t, r.j_t, r.ratio)
                 for r in self.rows]
 
+    def to_json_obj(self):
+        return {"function": self.function, "K0": self.k0, "K0_err": self.k0_err,
+                "verdict": self.verdict, "hypothesis_note": self.hypothesis_note,
+                "rows": self.rows}
+
 
 @dataclass
 class BoundReport:
@@ -167,6 +188,12 @@ class BoundReport:
     rows: tuple
     growth_flag: bool
     note: str = ""
+
+    def to_json_obj(self):
+        return {"bound": self.bound, "growth_flag": self.growth_flag,
+                "note": self.note,
+                "rows": [{"t": r.t, "K_t": r.k_t, "err": r.err}
+                         for r in self.rows]}
 
 
 @dataclass(frozen=True)
@@ -176,6 +203,11 @@ class ProbeResult:
     fit_residual: float
     radii: tuple
     masses: tuple
+
+    def to_json_obj(self):
+        return {"multiplicity_estimate": self.multiplicity_estimate,
+                "slope": self.slope, "fit_residual": self.fit_residual,
+                "radii": self.radii, "masses": self.masses}
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +272,13 @@ def _unit_weight(x):
 
 
 def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
-                    weight_fns=(_unit_weight,), zero_points=(), center=0j,
-                    primary=-1):
+                    weight_fns=(_unit_weight,), zero_points=(), center=0j):
     """Masses of base*w_k over the annulus for every weight w_k.
 
     Returns (masses, errors, cells_used, flags, converged).  The refinement
-    decision is driven by the weight at index `primary`; all weights share
-    the grid, so linear identities between them hold to rounding.  The
-    default is the single unit weight.
+    decision is driven by the last weight; all weights share the grid, so
+    linear identities between them hold to rounding.  The default is the
+    single unit weight.
     """
     import numpy as np
     rdt = cfg.real_dtype
@@ -314,13 +345,13 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
             fine[k] = (bf * wf).sum(axis=1) * (area / 4.0)
 
         if abs_floor is None:
-            finite0 = np.isfinite(coarse[primary])
-            scale0 = float(np.abs(coarse[primary][finite0]).sum())
+            finite0 = np.isfinite(coarse[-1])
+            scale0 = float(np.abs(coarse[-1][finite0]).sum())
             abs_floor = tol * max(scale0, 1e-300) / (4.0 * max(u0.size, 1))
 
-        dis = np.abs(fine[primary] - coarse[primary])
+        dis = np.abs(fine[-1] - coarse[-1])
         all_finite = np.isfinite(fine).all(axis=0) & np.isfinite(coarse).all(axis=0)
-        within = all_finite & (dis <= tol * np.abs(fine[primary]) + abs_floor)
+        within = all_finite & (dis <= tol * np.abs(fine[-1]) + abs_floor)
         at_cap = depth >= cfg.max_refinement_depth
         accept = within | at_cap
 
@@ -522,7 +553,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
 
     masses, errs, cells, flags, converged = _adaptive_polar(
         base, domain, cfg, weight_fns=(_unit_weight, w_j, w_k),
-        zero_points=[z.location_complex() for z in zeros], primary=2)
+        zero_points=[z.location_complex() for z in zeros])
 
     mk = dict(cells_used=cells, refinement_flags=flags, domain=domain,
               c=c, converged=converged)

@@ -42,10 +42,6 @@ class GaussianRational:
             return v
         return cls(_as_fraction(v))
 
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -204,4 +200,3 @@ def param_float(t) -> float:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cselab.cli import main
-from cselab.reports import SWEEP_CSV_HEADER
+from cselab.reports import SWEEP_CSV_HEADER, to_jsonable
 
 
 def run_cli(args, capsys):
@@ -183,6 +183,16 @@ class TestUsageErrors:
                            "--t", "1/100", "--factor", "z"],
         "exponent-z": ["exponent", "--f", "z^2"],
         "polygon-z": ["polygon", "--f", "z^2"],
+        "polygon-zero": ["polygon", "--f", "0"],
+        "probe-holder-negative-n": ["probe", "--kind", "holder", "--n", "-1"],
+        "probe-holder-zero-scale": ["probe", "--kind", "holder", "--scale", "0"],
+        "probe-c-zero": ["probe", "--kind", "multiplicity", "--f", "x+y",
+                         "--t", "1/100", "--c", "0"],
+        "counterexample-negative-n": ["counterexample", "--n", "-1"],
+        "counterexample-zero-s": ["counterexample", "--s", "0"],
+        "counterexample-empty-range": ["counterexample", "--n-min", "3",
+                                       "--n-max", "1"],
+        "lct-missing-catalog": ["lct", "--catalog", "/nonexistent/catalog.json"],
     }
 
     @pytest.mark.parametrize("name", BAD)
@@ -191,6 +201,26 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestToJsonable:
+    """The one JSON writer: raw fields in, normalized JSON values out."""
+
+    def test_fields_of_to_json_obj_are_normalized(self):
+        from fractions import Fraction
+
+        class Report:
+            def to_json_obj(self):
+                return {"x": 1 / 3, "q": Fraction(2, 6), "n": Fraction(4, 2),
+                        "z": 1j, "rows": (Fraction(1, 2), None)}
+
+        assert to_jsonable([Report()]) == [{
+            "x": 0.333333333333, "q": "1/3", "n": 2,
+            "z": {"re": 0.0, "im": 1.0}, "rows": ["1/2", None]}]
+
+    def test_object_without_json_form_is_rejected(self):
+        with pytest.raises(TypeError, match="no JSON form for object"):
+            to_jsonable({"a": object()})
 
 
 class TestDeterminism:
