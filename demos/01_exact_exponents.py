@@ -40,8 +40,8 @@ f = y ** 2 - x ** 3
 form = substitute_fiber(f, t)
 print(f"F = {format_function(f)} on xy = {t}:  {form}")
 zs = fiber_zeros(f, Fraction(1, 10 ** 4), delta=0.1)
-print(f"  at t = 1/10000 the fiber has {len(zs)} simple zeros on the circle "
-      f"|x| = |t|^(2/5) ~ {abs(zs[0].location_complex()):.4f}")
+print(f"  at t = 1/10000 the fiber has {len(zs)} simple zeros ({zs[0].exactness} "
+      f"locations) on the circle |x| = |t|^(2/5) ~ {abs(zs[0].location_complex()):.4f}")
 print(f"  each carries exponent {fiber_exponent(f, Fraction(1, 10**4), zs[0].location_complex())}, "
       f"central exponent is {central_exponent(f, 'min')}")
 print()

@@ -86,7 +86,7 @@ class FiberZero:
 
     @property
     def exactness(self) -> str:
-        return "exact" if self.exact_location else "numeric-clustered"
+        return "exact" if self.exact_location else "numeric"
 
     def location_complex(self) -> complex:
         if isinstance(self.location, GaussianRational):
@@ -97,8 +97,7 @@ class FiberZero:
         exact = isinstance(self.location, GaussianRational)
         return {"location": self.location if exact else complex(self.location),
                 "multiplicity": self.multiplicity,
-                "exactness": self.exactness,
-                "cluster_radius": 0.0}
+                "exactness": self.exactness}
 
 
 def _snap_gaussian(z: complex, max_den: int = 10 ** 6):
