@@ -3,8 +3,8 @@
 Subcommands: exponent, lct, polygon, sweep, bound, counterexample, probe.
 Exit codes: 0 when verdicts match the theorem expectations, 2 when a
 holomorphic input produces a violated (or failed-stability) verdict, 1 on
-a rejected input (one "error:" line on stderr).  The environment variable CSE_LAB_PRECISION (double or
-extended) selects the quadrature arithmetic.
+a rejected input (one "error:" line on stderr).  The environment variable
+CSE_LAB_PRECISION (double or extended) selects the quadrature arithmetic.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ class CounterexampleRecord:
     central_exponent: Exponent
     fiber_exponent_at_diagonal: Exponent
     note: str = NORMALIZATION_NOTE
-    verification: ViolationReport | None = None  # attached by the CLI
+    verification: ViolationReport | None = None  # written with the record when set
 
     def to_json_obj(self):
         out = {

@@ -20,7 +20,6 @@ from .quadrature import ProbeResult, SweepReport
 from .rationals import GaussianRational, param_float
 
 SWEEP_CSV_HEADER = "t,K_t,err,I_t,J_t,ratio"
-_SCALARS = (type(None), bool, str, int, float, complex, Fraction, GaussianRational)
 
 
 def fmt_float(x) -> float:
@@ -59,7 +58,9 @@ def to_jsonable(obj):
     serialized as the value of its to_json_obj() method, which names its
     fields with raw values.
     """
-    if isinstance(obj, _SCALARS):
+    if obj is None or isinstance(obj, (int, str)):    # bool is an int
+        return obj
+    if isinstance(obj, (float, complex, Fraction, GaussianRational)):
         return scalar_jsonable(obj)
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
