@@ -35,10 +35,6 @@ def scalar_jsonable(v):
         if v.is_rational_int():
             return int(v.re)
         return str(v)
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return v
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)
@@ -53,10 +49,10 @@ def scalar_jsonable(v):
 def to_jsonable(obj):
     """The JSON value of obj.
 
-    Scalars go through scalar_jsonable and polynomials through
-    format_function; lists, tuples and dicts recurse.  Any other object is
-    serialized as the value of its to_json_obj() method, which names its
-    fields with raw values.
+    Ints, strings and None are JSON already; other scalars go through
+    scalar_jsonable and polynomials through format_function; lists, tuples
+    and dicts recurse.  Any other object is serialized as the value of its
+    to_json_obj() method, which names its fields with raw values.
     """
     if obj is None or isinstance(obj, (int, str)):    # bool is an int
         return obj
