@@ -512,6 +512,9 @@ def fiber_integral_K(f, t, c: float, radius: float,
         disc = Annulus(0.0, radius)
         i_rep = annulus_integral(f.holo.restrict_x_axis(), c, disc, config=cfg)
         j_rep = annulus_integral(f.holo.restrict_y_axis(), c, disc, config=cfg)
+        # the y axis is integrated in its own coordinate, so label it as the
+        # y chart (chart="y" would evaluate at x = t/y with t = 0)
+        j_rep.chart = "y"
         # sum the counts per kind; the kinds sort alphabetically in the
         # order _adaptive_polar emits them, after a bare 'divergent'
         counts = {}

@@ -143,6 +143,10 @@ class TestFiberIntegralK:
         assert kr.k_report.meta["multiplicity"] == 4
         assert kr.k_report.meta["local_exponent"] == pytest.approx(2.4)
 
+    def test_central_components_name_their_axes(self):
+        kr = fiber_integral_K(X + Y, 0, 0.5, 1.0, CFG)
+        assert (kr.i_report.chart, kr.j_report.chart) == ("x", "y")
+
     def test_central_flags_sum_the_axis_counts(self):
         # both axes force the same number of cells; K_0 reports their sum
         cfg = QuadratureConfig(max_refinement_depth=4, target_rel_tolerance=1e-6)
