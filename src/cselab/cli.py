@@ -85,14 +85,15 @@ def _parse_fn(text: str):
 
 
 def _add_quad_opts(p):
-    p.add_argument("--radial-cells", type=int, default=8,
-                   help="radial cells per decade (default 8)")
-    p.add_argument("--angular-cells", type=int, default=32,
-                   help="angular cells (default 32)")
-    p.add_argument("--max-depth", type=int, default=14,
-                   help="max dyadic refinement depth (default 14)")
-    p.add_argument("--tolerance", type=float, default=1e-3,
-                   help="per-cell relative tolerance (default 1e-3)")
+    d = QuadratureConfig()
+    p.add_argument("--radial-cells", type=int, default=d.radial_cells_per_decade,
+                   help="radial cells per decade (default %(default)s)")
+    p.add_argument("--angular-cells", type=int, default=d.angular_cells,
+                   help="angular cells (default %(default)s)")
+    p.add_argument("--max-depth", type=int, default=d.max_refinement_depth,
+                   help="max dyadic refinement depth (default %(default)s)")
+    p.add_argument("--tolerance", type=float, default=d.target_rel_tolerance,
+                   help="per-cell relative tolerance (default %(default)s)")
 
 
 def _add_out_opts(p, formats=("json",)):

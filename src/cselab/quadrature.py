@@ -1,10 +1,11 @@
 """Adaptive log-polar quadrature of |f|^(-2c) on fibers of xy = t.
 
 The integrals of interest live on annuli A(a, b) = {a < |z| < b}.  Cells
-are tensor products of log-radius and angle intervals, integrated by the
-midpoint rule and refined dyadically wherever the two-level estimates
-disagree beyond tolerance; cells containing a detected zero of the fiber
-function are split ahead of time.  Integrable singularities r^(-2cm) with
+are tensor products of log-radius and angle intervals, each integrated by
+an embedded pair of tensor Gauss-Legendre rules (2x2 and 3x3) and split
+dyadically wherever the pair disagrees beyond tolerance; the 3x3 sum is
+the cell's value and the disagreement its error.  Cells containing a
+detected zero of the fiber function are split ahead of time.  Integrable singularities r^(-2cm) with
 2cm < 2 are resolved by refinement depth; configurations with 2cm >= 2 at
 an interior zero are reported divergent rather than returning a number.
 
@@ -54,12 +55,12 @@ class QuadratureConfig:
 
     radial_cells_per_decade and angular_cells size the initial grid;
     max_refinement_depth caps dyadic splitting; target_rel_tolerance is the
-    per-cell two-level disagreement threshold; precision 'extended' runs
-    the cell arithmetic in long double.
+    per-cell threshold on the disagreement of the 2x2 and 3x3 Gauss rules;
+    precision 'extended' runs the cell arithmetic in long double.
     """
 
-    radial_cells_per_decade: int = 8
-    angular_cells: int = 32
+    radial_cells_per_decade: int = 4
+    angular_cells: int = 8
     max_refinement_depth: int = 14
     target_rel_tolerance: float = 1e-3
     precision: str = "double"
@@ -261,9 +262,14 @@ def _detect_zeros(fiber):
 # the adaptive engine
 # ---------------------------------------------------------------------------
 
-# the four fine-rule points of a cell, as fractions of its u and theta sides
-_CHILD_U = (0.25, 0.75, 0.25, 0.75)
-_CHILD_T = (0.25, 0.25, 0.75, 0.75)
+# the embedded rule pair of a cell: tensor Gauss-Legendre 2x2 (coarse, exact
+# to degree 3 per variable) then 3x3 (fine, degree 5), as (u, theta) fractions
+# of the cell's sides with weights that sum to 1 per rule; 13 nodes in all
+_G2 = ((0.5 - 0.5 / math.sqrt(3.0), 0.5), (0.5 + 0.5 / math.sqrt(3.0), 0.5))
+_G3 = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
+       (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0))
+_GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
+                    for (gu, wu) in g for (gt, wt) in g)
 
 
 def _unit_weight(x):
@@ -321,28 +327,23 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     tol = cfg.target_rel_tolerance
     cplx = cfg.complex_dtype
     ctr = cplx(complex(center))
-    child_u, child_t = np.array(_CHILD_U), np.array(_CHILD_T)
+    node_u, node_t, node_w = (np.array(col) for col in zip(*_GAUSS_PAIR))
 
     while u0.size:
         du = u1 - u0
         dt = t1 - t0
         area = du * dt
-        um = 0.5 * (u0 + u1)
-        tm = 0.5 * (t0 + t1)
-        xm = ctr + np.exp(um.astype(cplx) + 1j * tm.astype(cplx))
-        bm = base_fn(xm) * np.exp(2.0 * um)
-        uu = u0[:, None] + du[:, None] * child_u
-        tt = t0[:, None] + dt[:, None] * child_t
-        xf = ctr + np.exp(uu.astype(cplx) + 1j * tt.astype(cplx))
-        bf = base_fn(xf) * np.exp(2.0 * uu)
+        uu = u0[:, None] + du[:, None] * node_u
+        tt = t0[:, None] + dt[:, None] * node_t
+        xn = ctr + np.exp(uu.astype(cplx) + 1j * tt.astype(cplx))
+        bn = base_fn(xn) * np.exp(2.0 * uu) * node_w
 
         coarse = np.empty((n_w, u0.size), dtype=rdt)
         fine = np.empty((n_w, u0.size), dtype=rdt)
         for k, w in enumerate(weight_fns):
-            wm = w(xm)
-            wf = w(xf)
-            coarse[k] = bm * wm * area
-            fine[k] = (bf * wf).sum(axis=1) * (area / 4.0)
+            vals = bn * w(xn)
+            coarse[k] = vals[:, :4].sum(axis=1) * area
+            fine[k] = vals[:, 4:].sum(axis=1) * area
 
         if abs_floor is None:
             finite0 = np.isfinite(coarse[-1])

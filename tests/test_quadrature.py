@@ -21,6 +21,7 @@ from cselab import (
     uniform_bound_check,
     young_combine,
 )
+from cselab.quadrature import _GAUSS_PAIR
 
 X = BivariatePoly.variable("x")
 Y = BivariatePoly.variable("y")
@@ -29,6 +30,36 @@ CFG = QuadratureConfig()
 
 def z_poly(*coeffs):
     return UnivariatePoly(list(coeffs))
+
+
+def power_mass(a, c, r0, radius):
+    """Integral of |x^a|^(-2c) over A(r0, R): 2 pi (R^e - r0^e)/e, e = 2 - 2ca."""
+    e = 2.0 - 2.0 * c * a
+    return 2.0 * math.pi * (radius ** e - r0 ** e) / e
+
+
+class TestCellRule:
+    # the 2x2 (coarse) and 3x3 (fine) Gauss-Legendre rules of a cell, mapped
+    # to the rectangle [u0, u1] x [th0, th1]
+    U0, U1, TH0, TH1 = -2.0, -0.5, 1.0, 2.5
+
+    @pytest.mark.parametrize("nodes, degree", [(_GAUSS_PAIR[:4], 3),
+                                               (_GAUSS_PAIR[4:], 5)])
+    def test_exact_on_monomials_up_to_degree(self, nodes, degree):
+        du, dth = self.U1 - self.U0, self.TH1 - self.TH0
+
+        def rule(a, b):
+            return du * dth * sum(w * (self.U0 + du * fu) ** a * (self.TH0 + dth * ft) ** b
+                                  for fu, ft, w in nodes)
+
+        def exact(a, b):
+            return ((self.U1 ** (a + 1) - self.U0 ** (a + 1)) / (a + 1)
+                    * (self.TH1 ** (b + 1) - self.TH0 ** (b + 1)) / (b + 1))
+
+        for a in range(degree + 1):
+            for b in range(degree + 1):
+                assert rule(a, b) == pytest.approx(exact(a, b), rel=1e-13)
+        assert rule(degree + 1, 0) != pytest.approx(exact(degree + 1, 0), rel=1e-6)
 
 
 class TestConfig:
@@ -59,6 +90,16 @@ class TestAnnulusIntegral:
         c = 0.3
         rep = annulus_integral(z_poly(0, 0, 1), c, Annulus(0.0, 1.0), config=CFG)
         assert rep.value == pytest.approx(2 * math.pi / (2 - 4 * c), rel=1e-3)
+
+    @pytest.mark.parametrize("a, c, r0, radius", [
+        (2, 0.3, 1e-3, 1.0), (1, 0.7, 1e-6, 0.5), (3, 0.2, 0.01, 2.0),
+        (1, 0.5, 0.0, 1.0)])
+    def test_power_closed_form_at_default_config(self, a, c, r0, radius):
+        rep = annulus_integral(z_poly(*[0] * a, 1), c, Annulus(r0, radius), config=CFG)
+        exact = power_mass(a, c, rep.meta.get("inner_cut", r0), radius)
+        assert rep.converged
+        assert rep.value == pytest.approx(exact, rel=1e-6)
+        assert rep.error_estimate >= abs(rep.value - exact)
 
     def test_x_y_symmetry_of_line_fiber(self):
         t = Fraction(1, 10 ** 4)
@@ -102,6 +143,16 @@ class TestFiberIntegralK:
     def test_line_central_value(self):
         kr = fiber_integral_K(X + Y, 0, 0.5, 1.0, CFG)
         assert kr.k_report.value == pytest.approx(4 * math.pi, rel=1e-3)
+
+    @pytest.mark.parametrize("f, c, radius, orders", [
+        (Y * Y - X ** 3, 0.3, 0.5, (3, 2)), (X + Y, 0.5, 1.0, (1, 1))])
+    def test_central_closed_form_at_default_config(self, f, c, radius, orders):
+        # K_0 sums the axis masses of x^k and y^l over the cut disc
+        kr = fiber_integral_K(f, 0, c, radius, CFG)
+        cut = kr.i_report.meta["inner_cut"]
+        exact = sum(power_mass(a, c, cut, radius) for a in orders)
+        assert kr.k_report.value == pytest.approx(exact, rel=1e-6)
+        assert kr.k_report.error_estimate >= abs(kr.k_report.value - exact)
 
     def test_line_near_limit(self):
         kr = fiber_integral_K(X + Y, Fraction(1, 10 ** 4), 0.5, 1.0, CFG)
@@ -149,7 +200,8 @@ class TestFiberIntegralK:
 
     def test_central_flags_sum_the_axis_counts(self):
         # both axes force the same number of cells; K_0 reports their sum
-        cfg = QuadratureConfig(max_refinement_depth=4, target_rel_tolerance=1e-6)
+        # (at 1e-9 and depth 4 the cell rule forces 484 cells per axis)
+        cfg = QuadratureConfig(max_refinement_depth=4, target_rel_tolerance=1e-9)
         kr = fiber_integral_K(X ** 2 + X ** 3 + Y ** 2 + Y ** 3, 0, 0.2, 0.5, cfg)
         (flag,) = kr.i_report.refinement_flags
         assert flag.startswith("max-depth-reached:")
