@@ -5,9 +5,10 @@ are tensor products of log-radius and angle intervals, each integrated by
 an embedded pair of tensor Gauss-Legendre rules (2x2 and 3x3) and split
 dyadically wherever the pair disagrees beyond tolerance; the 3x3 sum is
 the cell's value and the disagreement its error.  Cells containing a
-detected zero of the fiber function are split ahead of time.  Integrable singularities r^(-2cm) with
-2cm < 2 are resolved by refinement depth; configurations with 2cm >= 2 at
-an interior zero are reported divergent rather than returning a number.
+detected zero of the fiber function are split ahead of time.  Integrable
+singularities r^(-2cm) with 2cm < 2 are resolved by refinement depth;
+configurations with 2cm >= 2 at an interior zero are reported divergent
+rather than returning a number.
 
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.

@@ -143,6 +143,7 @@ class TestFiberIntegralK:
     def test_line_central_value(self):
         kr = fiber_integral_K(X + Y, 0, 0.5, 1.0, CFG)
         assert kr.k_report.value == pytest.approx(4 * math.pi, rel=1e-3)
+        assert (kr.i_report.chart, kr.j_report.chart) == ("x", "y")
 
     @pytest.mark.parametrize("f, c, radius, orders", [
         (Y * Y - X ** 3, 0.3, 0.5, (3, 2)), (X + Y, 0.5, 1.0, (1, 1))])
@@ -193,10 +194,6 @@ class TestFiberIntegralK:
         # the zero at x = s = 1/10 has order 2n+2 = 4: local exponent 2*0.3*4
         assert kr.k_report.meta["multiplicity"] == 4
         assert kr.k_report.meta["local_exponent"] == pytest.approx(2.4)
-
-    def test_central_components_name_their_axes(self):
-        kr = fiber_integral_K(X + Y, 0, 0.5, 1.0, CFG)
-        assert (kr.i_report.chart, kr.j_report.chart) == ("x", "y")
 
     def test_central_flags_sum_the_axis_counts(self):
         # both axes force the same number of cells; K_0 reports their sum
