@@ -356,6 +356,19 @@ def fiber_exponent(f, t, p) -> Exponent:
     return Exponent.infinite() if order == 0 else Exponent.reciprocal_order(order)
 
 
+def _axis_exponents(f):
+    """(x-axis, y-axis) exponents of F at the origin, one restriction each."""
+    f = as_mixed(f)  # the radial term vanishes on the axes
+
+    def one_axis(r: UnivariatePoly) -> Exponent:
+        if r.is_zero():
+            return Exponent.zero()
+        v = r.valuation()
+        return Exponent.infinite() if v == 0 else Exponent.reciprocal_order(v)
+
+    return one_axis(f.holo.restrict_x_axis()), one_axis(f.holo.restrict_y_axis())
+
+
 def central_exponent(f, component: str = "min") -> Exponent:
     """Exponent of the restriction of F to the central fiber at the origin.
 
@@ -365,16 +378,7 @@ def central_exponent(f, component: str = "min") -> Exponent:
     components through the origin); 'max' is the strongest per-component
     claim and is what the semicontinuity check compares against.
     """
-    f = as_mixed(f)  # the radial term vanishes on the axes
-
-    def one_axis(r: UnivariatePoly) -> Exponent:
-        if r.is_zero():
-            return Exponent.zero()
-        v = r.valuation()
-        return Exponent.infinite() if v == 0 else Exponent.reciprocal_order(v)
-
-    ex = one_axis(f.holo.restrict_x_axis())
-    ey = one_axis(f.holo.restrict_y_axis())
+    ex, ey = _axis_exponents(f)
     if component == "x-axis":
         return ex
     if component == "y-axis":
@@ -561,7 +565,8 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> Semicont
         raise ValueError("need at least one t sample")
     if any(exact_param(t).is_zero() for t in samples):
         raise ValueError("t samples must be nonzero")
-    cmax = central_exponent(f, "max")
+    cx, cy = _axis_exponents(f)
+    cmax = max(cx, cy)
 
     rows = []
     witness = None
@@ -590,8 +595,8 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> Semicont
     return SemicontinuityReport(
         function=format_function(f),
         holomorphic=f.is_holomorphic(),
-        central_x=central_exponent(f, "x-axis"),
-        central_y=central_exponent(f, "y-axis"),
+        central_x=cx,
+        central_y=cy,
         central_max=cmax,
         delta=delta,
         rows=tuple(rows),

@@ -188,8 +188,10 @@ class UnivariatePoly:
 # a Gaussian integer stored as an (re, im) pair of ints, with a nonzero last
 # entry ([] is zero).  Z[i] is a Euclidean domain, so Gauss's lemma holds:
 # a primitive polynomial that divides an integral one over Q(i) divides it
-# over Z[i], and the primitive parts of a pseudo-remainder sequence end in a
-# primitive gcd (Collins 1967; Brown & Traub 1971).
+# over Z[i].  Every gcd goes through _gcd_cofactors: the heuristic gcd
+# GCDHEU (Char, Geddes & Gonnet 1989) when all imaginary parts are zero, and
+# the primitive pseudo-remainder sequence (Collins 1967; Brown & Traub 1971)
+# when some coefficient is non-real or every heuristic try fails.
 
 def _common_denominator(coeffs) -> int:
     """The lcm of the denominators of the Gaussian rationals coeffs."""
@@ -327,16 +329,85 @@ def _quotient(a, b):
     return q
 
 
+_HEURISTIC_TRIES = 6
+
+
+def _xi_adic_digits(h: int, xi: int):
+    """The digits of h in base xi, ascending, each in the symmetric range
+    -xi/2 < d <= xi/2."""
+    digits = []
+    while h:
+        d = h % xi
+        if 2 * d > xi:
+            d -= xi
+        digits.append(d)
+        h = (h - d) // xi
+    return digits
+
+
+def _heuristic_gcd(a, b):
+    """(g, a/g, b/g) for nonzero int polynomials with zero imaginary parts,
+    g primitive with a positive leading coefficient; None if every try fails.
+
+    GCDHEU (Char, Geddes & Gonnet 1989): gamma = gcd(a(xi), b(xi)) over Z,
+    with the common integer content of a and b divided out, is lifted back
+    to the polynomial whose xi-adic digits in the symmetric range are those
+    of gamma.  For xi >= 2*min(|a|_inf, |b|_inf) + 2 their theorem makes the
+    primitive part of that polynomial the gcd whenever it divides both a and
+    b, so a result is returned only after both exact divisions, whose
+    quotients are the cofactors.  A failed try grows xi by 73794/27011.
+    gamma is never 0: the roots of the input of smaller norm N have modulus
+    below N + 1 < xi.
+    """
+    ra = [c for c, _ in a]
+    rb = [c for c, _ in b]
+    content = gcd(*ra, *rb)
+    xi = 2 * min(max(map(abs, ra)), max(map(abs, rb))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        va = vb = 0
+        for c in reversed(ra):
+            va = va * xi + c
+        for c in reversed(rb):
+            vb = vb * xi + c
+        digits = _xi_adic_digits(gcd(va, vb) // content, xi)
+        g = gcd(*digits)
+        if digits[-1] < 0:
+            g = -g
+        g = [(d // g, 0) for d in digits]
+        try:
+            return g, _quotient(a, g), _quotient(b, g)
+        except ValueError:
+            xi = xi * 73794 // 27011
+    return None
+
+
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) for int polynomials a, b, not both zero, with g a
+    primitive gcd: the primitive part of the other when one is zero, GCDHEU
+    when every imaginary part is zero, otherwise or after the heuristic
+    fails the primitive pseudo-remainder sequence."""
+    if a and b and not any(ci for p in (a, b) for _, ci in p):
+        found = _heuristic_gcd(a, b)
+        if found:
+            return found
+    g = _prs_gcd(a, b) if a and b else _primitive(a or b)
+    return g, _quotient(a, g), _quotient(b, g)
+
+
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     """Monic gcd; the zero polynomial when a and b are both zero.
 
-    Each argument is scaled once to integer numerators over Z[i]; the gcd is
-    the last nonzero term of the primitive pseudo-remainder sequence, each
-    remainder divided by its Gaussian content, made monic at the end.
+    Each argument is scaled once to integer numerators over Z[i].  With
+    every imaginary part zero the gcd is GCDHEU's, checked by exact
+    division; with a non-real coefficient, or when the heuristic fails, it
+    is the last nonzero term of the primitive pseudo-remainder sequence,
+    each remainder divided by its Gaussian content.  It is made monic at
+    the end.
     """
     if a.is_zero() and b.is_zero():
         return a
-    return _monic_poly(_prs_gcd(_numerators(a.coeffs), _numerators(b.coeffs)))
+    g, _, _ = _gcd_cofactors(_numerators(a.coeffs), _numerators(b.coeffs))
+    return _monic_poly(g)
 
 
 def exact_divide(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
@@ -360,9 +431,11 @@ def squarefree_decomposition(p: UnivariatePoly):
     The product of factor^multiplicity equals p up to a constant; each
     factor is monic and the multiplicities increase.  p is scaled once to
     a primitive polynomial P with Gaussian-integer coefficients, and Yun's
-    loop runs on P over Z[i]: the gcds are primitive pseudo-remainder gcds,
-    so every exact division by them stays in Z[i].  Yun's d_i are not made
-    primitive: c_i and d_i are always divided by the same gcd, so that
+    loop runs on P over Z[i].  Each step takes one gcd and its two exact
+    cofactors from _gcd_cofactors: GCDHEU on a real P, the primitive
+    pseudo-remainder gcd on a non-real P or after the heuristic fails.  The
+    gcds are primitive, so the cofactors stay in Z[i].  Yun's d_i are not
+    made primitive: c_i and d_i are always divided by the same gcd, so that
     d_i - c_i' keeps the derivative relation at c_i's own scale.  Each
     factor is made monic at the end.  Characteristic zero only.
     """
@@ -371,18 +444,15 @@ def squarefree_decomposition(p: UnivariatePoly):
     if p.degree == 0:
         return []
     f = _primitive(_numerators(p.coeffs))
-    df = _derivative(f)
-    g = _prs_gcd(f, df)
-    c = _quotient(f, g)
-    d = _subtract(_quotient(df, g), _derivative(c))
+    _, c, d = _gcd_cofactors(f, _derivative(f))
+    d = _subtract(d, _derivative(c))
     out = []
     m = 1
     while len(c) > 1:
-        a = _prs_gcd(c, d)
+        a, c, d = _gcd_cofactors(c, d)
         if len(a) > 1:
             out.append((_monic_poly(a), m))
-        c = _quotient(c, a)
-        d = _subtract(_quotient(d, a), _derivative(c))
+        d = _subtract(d, _derivative(c))
         m += 1
     return out
 

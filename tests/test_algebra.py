@@ -23,7 +23,8 @@ from cselab import (
     substitute_fiber,
     vanishing_order,
 )
-from cselab.polynomials import exact_divide
+from cselab import polynomials
+from cselab.polynomials import _heuristic_gcd, _prs_gcd, exact_divide
 
 # the kernel witness for n = 1 (cross-derived in test_counterexamples)
 P1 = UnivariatePoly([1, 0, -9, 16, -9, 0, 1])
@@ -427,6 +428,74 @@ class TestGcdAndSquarefree:
         for factor, mult in squarefree_decomposition(p):
             parts[mult] = factor.monic()
         assert parts == {1: g.monic(), 3: f.monic()}
+
+
+def int_product(a, b):
+    """The product of two int polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def pairs(p):
+    return [(c, 0) for c in p]
+
+
+def real_parts(p):
+    return [c for c, _ in p]
+
+
+# coefficients of magnitude 2^256 to 2^264, either sign
+big_coeff = st.builds(lambda m, s: s * m,
+                      st.integers(2 ** 256, 2 ** 264), st.sampled_from((1, -1)))
+
+
+class TestHeuristicGcd:
+    @given(g=st.lists(big_coeff, min_size=1, max_size=5),
+           p=st.lists(big_coeff, min_size=1, max_size=5),
+           q=st.lists(big_coeff, min_size=1, max_size=5))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_matches_the_pseudo_remainder_gcd(self, g, p, q):
+        a, b = pairs(int_product(g, p)), pairs(int_product(g, q))
+        h, ca, cb = _heuristic_gcd(a, b)
+        prs = _prs_gcd(a, b)
+        assert h in (prs, [(-cr, -ci) for cr, ci in prs])
+        assert h[-1][0] > 0
+        assert pairs(int_product(real_parts(h), real_parts(ca))) == a
+        assert pairs(int_product(real_parts(h), real_parts(cb))) == b
+
+    def test_second_evaluation_point(self, monkeypatch):
+        # gcd((z-1)^2, (z-1)^2 (z+1)): at xi = 2*1 + 2 = 4 the values are 9
+        # and 45, whose gcd 9 = 2*4 + 1 lifts to 2z + 1, which divides
+        # neither; at xi = 4 * 73794 // 27011 = 10 it is 81 = 100 - 2*10 + 1
+        a, b = pairs([1, -2, 1]), pairs([1, -1, -1, 1])
+        points = []
+        lift = polynomials._xi_adic_digits
+        monkeypatch.setattr(polynomials, "_xi_adic_digits",
+                            lambda h, xi: points.append(xi) or lift(h, xi))
+        assert _heuristic_gcd(a, b) == (a, pairs([1]), pairs([1, 1]))
+        assert points == [4, 10]
+
+    def test_squarefree_falls_back_to_prs(self, monkeypatch):
+        prs_calls = []
+        monkeypatch.setattr(polynomials, "_prs_gcd",
+                            lambda a, b: prs_calls.append(1) or _prs_gcd(a, b))
+
+        @given(factors=known_factors(False))
+        @settings(max_examples=25, derandomize=True, deadline=None)
+        def check(factors):
+            p = product(f ** m for f, m, _ in factors)
+            prs_calls.clear()
+            heuristic = squarefree_decomposition(p)
+            assert not prs_calls
+            with monkeypatch.context() as m:
+                m.setattr(polynomials, "_heuristic_gcd", lambda a, b: None)
+                assert squarefree_decomposition(p) == heuristic
+            assert prs_calls
+
+        check()
 
 
 class TestLaurentForm:

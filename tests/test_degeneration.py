@@ -28,7 +28,7 @@ from cselab import (
     semicontinuity_check,
     volume_density,
 )
-from cselab import degeneration
+from cselab import degeneration, polynomials
 from cselab.degeneration import _roots_of_unipoly
 from cselab.polynomials import UnivariatePoly, squarefree_decomposition
 from cselab.reports import render_json
@@ -137,6 +137,44 @@ class TestFiberZeros:
         assert all(abs(x.imag) <= 1e-12 for x in near)
         for z in zs:
             assert fiber_exponent(f, Fraction(1, 100), z.location) == Exponent(1)
+
+    def test_gaussian_fiber_of_a_scan_germ(self, monkeypatch):
+        # the degree-17 germ L^4 X^3 C^2 D U of the scan benchmark's first
+        # slot at a non-real t: every gcd of its fiber numerator has Gaussian
+        # coefficients, so Yun's loop runs on the pseudo-remainder gcd alone
+        t = GaussianRational(Fraction(1, 400), Fraction(1, 400))
+        one = BivariatePoly.monomial(0, 0)
+        factors = [  # (factor, multiplicity, (k, w): its fiber zeros are x^k = w)
+            (Y - X * Fraction(9, 4), 4, (2, t / Fraction(9, 4))),
+            (X + Y * Fraction(2, 5), 3, (2, -Fraction(2, 5) * t)),
+            (Y ** 2 - X ** 3 * Fraction(5, 4), 2, (5, t ** 2 / Fraction(5, 4))),
+            (X ** 2 + Y ** 3 * Fraction(5, 2), 1, (5, -Fraction(5, 2) * t ** 3)),
+            (one + X + Y, 1, None),  # a unit: its fiber zeros leave the polydisc
+        ]
+        f = one
+        expected = []
+        for g, m, kw in factors:
+            f = f * g ** m
+            if kw:
+                k, w = kw[0], kw[1].to_complex()
+                r, phi = abs(w) ** (1 / k), cmath.phase(w)
+                expected += [(cmath.rect(r, (phi + 2 * math.pi * j) / k), m) for j in range(k)]
+        calls = []
+        heuristic, prs = polynomials._heuristic_gcd, polynomials._prs_gcd
+        monkeypatch.setattr(polynomials, "_heuristic_gcd",
+                            lambda a, b: calls.append("heuristic") or heuristic(a, b))
+        monkeypatch.setattr(polynomials, "_prs_gcd",
+                            lambda a, b: calls.append("prs") or prs(a, b))
+        zs = fiber_zeros(f, t, delta=0.5)
+        assert calls and set(calls) == {"prs"}
+        assert len(zs) == len(expected) == 14
+        for z in zs:
+            loc = z.location_complex()
+            root, m = min(expected, key=lambda e: abs(e[0] - loc))
+            assert abs(root - loc) <= 1e-10 * abs(root)
+            assert z.multiplicity == m
+            expected.remove((root, m))
+        assert [str(z.location) for z in zs if z.exact_location] == ["1/10*i"]
 
 
 # k/d with d <= 6 and |k/d| <= 3
