@@ -19,6 +19,7 @@ from cselab import (
     convergence_sweep,
     decompose_I,
     fiber_integral_K,
+    format_function,
     substitute_fiber,
 )
 
@@ -42,7 +43,7 @@ ts = [Fraction(1, 100) * Fraction(1, 4) ** j for j in range(7)]
 for f, c, radius in [(x + y, 0.5, 1.0), (y ** 2 - x ** 3, 0.15, 0.5),
                      (y ** 2 - x ** 3, 0.3, 0.5)]:
     rep = convergence_sweep(f, c, radius, ts, cfg)
-    print(f"F = {rep.function}, c = {c}, R = {radius}: K_0 = {rep.k0:.5f}, "
+    print(f"F = {format_function(rep.function)}, c = {c}, R = {radius}: K_0 = {rep.k0:.5f}, "
           f"verdict {rep.verdict}")
     for r in rep.rows:
         print(f"  t = {float(r.t):9.3e}   K_t = {r.k_t:10.5f}   "

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact_linalg import divided_difference_weights
 from .exponents import Exponent
@@ -68,11 +69,14 @@ def vn_basis(n: int):
 
 
 def wn_generator(n: int) -> UnivariatePoly:
-    """The generator of W_n (module docstring), with z^(4n+2) coefficient 1."""
+    """The generator of W_n (module docstring), with z^(4n+2) coefficient 1, on
+    integers: w_e / w_{4n+2} = prod_{f != 4n+2} (4n+2 - f) / prod_{f != e} (e - f)."""
     exps = vn_basis(n)
-    weights = dict(zip(exps, divided_difference_weights(exps)))
-    lead = weights[4 * n + 2]
-    return UnivariatePoly([weights.get(e, 0) / lead for e in range(4 * n + 3)])
+    prods = {e: int(1 / w) for e, w in zip(exps, divided_difference_weights(exps))}
+    lead, den = prods[4 * n + 2], lcm(*prods.values())
+    return UnivariatePoly._from_ints(
+        [(lead * (den // prods[e]), 0) if e in prods else (0, 0) for e in range(4 * n + 3)],
+        den)
 
 
 @dataclass(frozen=True)
@@ -116,21 +120,20 @@ def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
     """
     if p_n.degree > 4 * n + 2:
         raise ValueError("P_n must have degree <= 4n+2")
-    q_coeffs = [p_n.coefficient(2 * j) for j in range(2 * n + 2)]
-    c_n = p_n.coefficient(2 * n + 1)
-    q_n = UnivariatePoly(q_coeffs)
-    rebuilt = UnivariatePoly(
-        _interleave_even(q_coeffs, 4 * n + 3)) + UnivariatePoly.monomial(2 * n + 1, c_n)
-    if rebuilt != p_n:
+    nums = p_n.nums + ((0, 0),) * (4 * n + 3 - len(p_n.nums))
+    if any(nums[k] != (0, 0) for k in range(1, 4 * n + 2, 2) if k != 2 * n + 1):
         raise ValueError("P_n is not of the shape q(z^2) + c*z^(2n+1)")
-    if p_n.coefficient(0).is_zero() or p_n.coefficient(4 * n + 2).is_zero():
+    if nums[0] == (0, 0) or nums[4 * n + 2] == (0, 0):
         raise ValueError("P_n needs nonzero constant and z^(4n+2) coefficients")
     ord_at_1 = vanishing_order(p_n, 1)
     if ord_at_1 != 2 * n + 2:
         raise ValueError(f"ord_(z=1) P_n is {ord_at_1}, not 2n+2 = {2 * n + 2}")
 
-    big_q = BivariatePoly(
-        {(j, 2 * n + 1 - j): c for j, c in enumerate(q_coeffs) if not c.is_zero()})
+    q_nums = nums[::2]
+    q_n = UnivariatePoly._from_ints(q_nums, p_n.den)
+    c_n = p_n.coefficient(2 * n + 1)
+    big_q = BivariatePoly._from_ints(
+        {(j, 2 * n + 1 - j): c for j, c in enumerate(q_nums)}, p_n.den)
     family = MixedFunction(big_q, c_n, 2 * n + 1)
     return CounterexampleRecord(
         n=n,
@@ -143,13 +146,6 @@ def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
         central_exponent=Exponent.reciprocal_order(2 * n + 1),
         fiber_exponent_at_diagonal=Exponent.reciprocal_order(ord_at_1),
     )
-
-
-def _interleave_even(even_coeffs, length):
-    out = [GaussianRational(0)] * length
-    for j, c in enumerate(even_coeffs):
-        out[2 * j] = c
-    return out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exponents import Exponent
-from .expressions import format_function
 from .polynomials import (
     IdenticallyZeroError,
     LaurentForm,
@@ -133,10 +132,10 @@ def _roots_of_unipoly(p: UnivariatePoly) -> list:
     ABERTH_MAX_PASSES passes.
     """
     low = 0
-    while low < p.degree and p.coeffs[low].is_zero():
+    while low < p.degree and p.nums[low] == (0, 0):
         low += 1
-    a = [c.to_complex() for c in p.coeffs[low:]]
-    real = all(c.is_real() for c in p.coeffs)
+    a = [complex(cr / p.den, ci / p.den) for cr, ci in p.nums[low:]]
+    real = not any(ci for _, ci in p.nums)
     n = len(a) - 1
     if n < 1:
         roots = []
@@ -514,7 +513,7 @@ class FiberRow:
 
 @dataclass(frozen=True)
 class SemicontinuityReport:
-    function: str
+    function: MixedFunction
     holomorphic: bool
     central_x: Exponent
     central_y: Exponent
@@ -593,7 +592,7 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> Semicont
         raise IdenticallyZeroError("F vanishes on the family")
     verdict = "holds" if witness is None else "violated"
     return SemicontinuityReport(
-        function=format_function(f),
+        function=f,
         holomorphic=f.is_holomorphic(),
         central_x=cx,
         central_y=cy,

@@ -160,7 +160,7 @@ class _Parser:
             if not a.has_radial:
                 a = _Val(a.poly * b.poly, names=names)
                 continue
-            if set(b.poly.support) - {(0, 0)}:
+            if set(b.poly.terms) - {(0, 0)}:
                 raise ExpressionError(
                     "a radial term may only be scaled by a constant", star.pos)
             s = b.poly.support.get((0, 0), GaussianRational(0))

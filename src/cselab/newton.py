@@ -53,7 +53,7 @@ def compute_polygon(f: BivariatePoly) -> NewtonPolygon:
     """Lower-left convex hull of the support of a nonzero polynomial."""
     if f.is_zero():
         raise IdenticallyZeroError("zero polynomial has no polygon")
-    pts = _pareto_minimal(list(f.support))
+    pts = _pareto_minimal(list(f.terms))
     # monotone chain over the staircase: keep only strictly convex turns
     hull = []
     for p in pts:
@@ -97,8 +97,8 @@ def principal_part(f: BivariatePoly, kl=None) -> PrincipalPart:
     if kl is None:
         kl = endpoints(compute_polygon(f))
     k, l = kl
-    kept = {(m, n): c for (m, n), c in f.support.items() if l * m + k * n == k * l}
-    return PrincipalPart(BivariatePoly(kept), (k, l))
+    kept = {(m, n): c for (m, n), c in f.terms.items() if l * m + k * n == k * l}
+    return PrincipalPart(BivariatePoly._from_ints(kept, f.den), (k, l))
 
 
 def _segment_normals(polygon: NewtonPolygon):
@@ -122,12 +122,12 @@ def lct_polygon_estimate(f: BivariatePoly) -> Exponent:
     """
     if f.is_zero():
         raise IdenticallyZeroError("zero polynomial")
-    if (0, 0) in f.support:
+    if (0, 0) in f.terms:
         return Exponent.infinite()  # nonvanishing at the origin
     polygon = compute_polygon(f)
     best = Fraction(1)
     for a, b in _segment_normals(polygon) + [(1, 0), (0, 1)]:
-        n_ab = min(a * m + b * n for (m, n) in f.support)
+        n_ab = min(a * m + b * n for (m, n) in f.terms)
         if n_ab == 0:
             continue
         best = min(best, Fraction(a + b, n_ab))

@@ -1,25 +1,46 @@
 """Exact polynomial and Laurent algebra over Gaussian rationals.
 
-Univariate polynomials are coefficient lists by ascending degree; bivariate
-polynomials are support maps (m, n) -> coefficient with no zero entries, so
-equality of support maps is equality of polynomials.  Fiber restriction along
-the family xy = t produces Laurent normal forms N(x)/x^d + const.
+A polynomial stores one int denominator den > 0 and Gaussian-integer
+numerators, (re, im) pairs of ints, with gcd(den, all numerator parts) = 1
+and no zero stored at the top, so equal polynomials store equal ints and
+all arithmetic runs on them.  Fiber restriction along the family xy = t
+produces Laurent normal forms N(x)/x^d + const.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import gcd, lcm
 
-from .rationals import GaussianRational, ZERO, ONE, exact_param
+from .rationals import GaussianRational, ZERO, exact_param, _power
 
 
 class IdenticallyZeroError(ValueError):
     """Raised where an operation needs a function that is not identically zero."""
 
 
-def _coeff(v) -> GaussianRational:
-    return GaussianRational.coerce(v)
+_coeff = GaussianRational.coerce
+
+
+def _split(v):
+    """(P, R, D) with v = (P + R*i)/D and D > 0 the lcm of the denominators
+    of the parts of the scalar v."""
+    g = _coeff(v)
+    re, im = g.re, g.im
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _scalar(c, den) -> GaussianRational:
+    """The Gaussian rational c/den for a numerator pair c."""
+    return GaussianRational(Fraction(c[0], den), Fraction(c[1], den) if c[1] else 0)
+
+
+def _times(nums, u):
+    """Each numerator pair of nums times the Gaussian integer u = (re, im)."""
+    ur, ui = u
+    return [(cr * ur - ci * ui, cr * ui + ci * ur) for cr, ci in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -27,15 +48,32 @@ def _coeff(v) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 class UnivariatePoly:
-    """Polynomial in one variable, coefficients ascending, no trailing zeros."""
+    """Polynomial in one variable: coefficient k is nums[k]/den.
 
-    __slots__ = ("coeffs",)
+    Built from Gaussian-rational coefficients, ascending; coeffs and
+    coefficient(k) give them back.
+    """
 
-    def __init__(self, coeffs=()):
-        cs = [_coeff(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("den", "nums")
+
+    def __new__(cls, coeffs=()):
+        parts = [_split(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        return cls._from_ints([(p * (den // d), r * (den // d)) for p, r, d in parts], den)
+
+    @classmethod
+    def _from_ints(cls, nums, den=1):
+        """The polynomial with coefficients nums[k]/den, den > 0, in canonical
+        form: trailing zeros stripped and the common gcd divided out."""
+        n = len(nums)
+        while n and nums[n - 1] == (0, 0):
+            n -= 1
+        g = gcd(den, *chain.from_iterable(nums[:n])) if den != 1 else 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", tuple(
+            nums[:n] if g == 1 else [(cr // g, ci // g) for cr, ci in nums[:n]]))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("UnivariatePoly is immutable")
@@ -46,133 +84,121 @@ class UnivariatePoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1):
-        c = _coeff(coeff)
-        if c.is_zero():
-            return cls()
-        return cls([ZERO] * exponent + [c])
+        p, r, d = _split(coeff)
+        return cls._from_ints([(0, 0)] * exponent + [(p, r)], d)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Gaussian-rational coefficients, ascending."""
+        return tuple(_scalar(c, self.den) for c in self.nums)
 
     def valuation(self) -> int:
         """Lowest exponent with a nonzero coefficient (order of vanishing at 0)."""
-        if not self.coeffs:
-            raise IdenticallyZeroError("valuation of the zero polynomial")
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for k, c in enumerate(self.nums):
+            if c != (0, 0):
                 return k
-        raise AssertionError("unreachable: canonical form has a nonzero coeff")
+        raise IdenticallyZeroError("valuation of the zero polynomial")
 
     def coefficient(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return _scalar(self.nums[k], self.den)
         return ZERO
 
     def __eq__(self, other):
-        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UnivariatePoly) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
+
+    def _combine(self, other, sign: int):
+        """self + sign * other."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = _times(self.nums, (fa, 0))
+        out += [(0, 0)] * (len(other.nums) - len(out))
+        for k, (br, bi) in enumerate(other.nums):
+            ar, ai = out[k]
+            out[k] = (ar + br * fb, ai + bi * fb)
+        return UnivariatePoly._from_ints(out, den)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UnivariatePoly(
-            [(a[k] if k < len(a) else ZERO) + (b[k] if k < len(b) else ZERO)
-             for k in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return UnivariatePoly([-c for c in self.coeffs])
+        return self.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if not self.coeffs or not other.coeffs:
-                return UnivariatePoly()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UnivariatePoly(out)
-        return self.scale(other)
+        if not isinstance(other, UnivariatePoly):
+            return self.scale(other)
+        re = [0] * (len(self.nums) + len(other.nums) - 1)
+        im = [0] * len(re)
+        for i, (ar, ai) in enumerate(self.nums):
+            for j, (br, bi) in enumerate(other.nums, i):
+                re[j] += ar * br - ai * bi
+                im[j] += ar * bi + ai * br
+        return UnivariatePoly._from_ints(list(zip(re, im)), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        s = _coeff(scalar)
-        return UnivariatePoly([c * s for c in self.coeffs])
+        p, r, d = _split(scalar)
+        return UnivariatePoly._from_ints(_times(self.nums, (p, r)), self.den * d)
 
     def __pow__(self, k: int):
-        out = UnivariatePoly([ONE])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, UnivariatePoly.monomial(0))
 
     def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly(
-            [self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+        return UnivariatePoly._from_ints(
+            [(k * cr, k * ci) for k, (cr, ci) in enumerate(self.nums[1:], 1)], self.den)
 
     def dilate(self, a) -> "UnivariatePoly":
-        """P(a*z): coefficient k picks up a^k."""
-        s = _coeff(a)
-        out, p = [], GaussianRational(1)
-        for c in self.coeffs:
-            out.append(c * p)
-            p = p * s
-        return UnivariatePoly(out)
+        """P(a*z): coefficient k picks up a^k.  With a = u/d and degree N the
+        numerator k is c_k u^k d^(N-k) over den d^N."""
+        ur, ui, d = _split(a)
+        top, out, pr, pi = max(self.degree, 0), [], 1, 0
+        for k, (cr, ci) in enumerate(self.nums):
+            w = d ** (top - k)
+            out.append(((cr * pr - ci * pi) * w, (cr * pi + ci * pr) * w))
+            pr, pi = pr * ur - pi * ui, pr * ui + pi * ur
+        return UnivariatePoly._from_ints(out, self.den * d ** top)
 
     def times_power(self, k: int) -> "UnivariatePoly":
         """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return UnivariatePoly([ZERO] * k + list(self.coeffs))
+        return UnivariatePoly._from_ints([(0, 0)] * k + list(self.nums), self.den)
 
     def reversed_within(self, length: int) -> "UnivariatePoly":
         """z^(length) * P(1/z) as a polynomial; requires deg P <= length."""
         if self.degree > length:
             raise ValueError("degree exceeds reversal length")
-        out = [ZERO] * (length + 1)
-        for k, c in enumerate(self.coeffs):
-            out[length - k] = c
-        return UnivariatePoly(out)
+        return UnivariatePoly._from_ints(
+            [(0, 0)] * (length - self.degree) + list(reversed(self.nums)), self.den)
 
     def evaluate(self, z) -> GaussianRational:
         """Exact Horner evaluation at a Gaussian-rational point."""
-        zz = _coeff(z)
-        acc = GaussianRational(0)
+        zz, acc = _coeff(z), ZERO
         for c in reversed(self.coeffs):
             acc = acc * zz + c
         return acc
 
     def monic(self) -> "UnivariatePoly":
-        if self.is_zero():
-            return self
-        return self.scale(self.coeffs[-1].inverse())
+        return _monic_poly(self.nums) if self.nums else self
 
     def to_str(self, var: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            mono = "1" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            parts.append(f"({c})*{mono}" if k else f"({c})")
-        return " + ".join(parts)
+        parts = [f"({c})" + ("" if k == 0 else f"*{var}" if k == 1 else f"*{var}^{k}")
+                 for k, c in reversed(list(enumerate(self.coeffs))) if not c.is_zero()]
+        return " + ".join(parts) or "0"
 
     def __str__(self):
         return self.to_str("z")
@@ -184,35 +210,20 @@ class UnivariatePoly:
 # ---------------------------------------------------------------------------
 # gcd and squarefree decomposition on Gaussian-integer numerators
 # ---------------------------------------------------------------------------
-# Inside this section a polynomial is a list of ascending coefficients, each
-# a Gaussian integer stored as an (re, im) pair of ints, with a nonzero last
-# entry ([] is zero).  Z[i] is a Euclidean domain, so Gauss's lemma holds:
-# a primitive polynomial that divides an integral one over Q(i) divides it
-# over Z[i].  Every gcd goes through _gcd_cofactors: the heuristic gcd
+# Inside this section a polynomial is a sequence of ascending coefficients,
+# each a Gaussian integer stored as an (re, im) pair of ints, with a nonzero
+# last entry (empty is zero): the nums of a UnivariatePoly, or a list.
+# Z[i] is a Euclidean domain, so Gauss's lemma holds: a primitive
+# polynomial that divides an integral one over Q(i) divides it over Z[i].
+# Every gcd goes through _gcd_cofactors: the heuristic gcd
 # GCDHEU (Char, Geddes & Gonnet 1989) when all imaginary parts are zero, and
 # the primitive pseudo-remainder sequence (Collins 1967; Brown & Traub 1971)
 # when some coefficient is non-real or every heuristic try fails.
 
-def _common_denominator(coeffs) -> int:
-    """The lcm of the denominators of the Gaussian rationals coeffs."""
-    return lcm(*(d for c in coeffs for d in (c.re.denominator, c.im.denominator)))
-
-
-def _numerators(coeffs):
-    """L * c for each c in coeffs as (re, im) int pairs, L their common denominator."""
-    big_l = _common_denominator(coeffs)
-    return [(c.re.numerator * (big_l // c.re.denominator),
-             c.im.numerator * (big_l // c.im.denominator)) for c in coeffs]
-
-
 def _monic_poly(p) -> UnivariatePoly:
-    """The monic UnivariatePoly proportional to the nonzero int polynomial p."""
+    """The monic UnivariatePoly p * conj(lc) / |lc|^2 for a nonzero int polynomial p."""
     lr, li = p[-1]
-    n = lr * lr + li * li
-    # c / lc = c * conj(lc) / |lc|^2
-    return UnivariatePoly([GaussianRational(Fraction(cr * lr + ci * li, n),
-                                            Fraction(ci * lr - cr * li, n))
-                           for cr, ci in p])
+    return UnivariatePoly._from_ints(_times(p, (lr, -li)), lr * lr + li * li)
 
 
 def _gaussian_gcd(a, b):
@@ -397,40 +408,41 @@ def _gcd_cofactors(a, b):
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     """Monic gcd; the zero polynomial when a and b are both zero.
 
-    Each argument is scaled once to integer numerators over Z[i].  With
-    every imaginary part zero the gcd is GCDHEU's, checked by exact
-    division; with a non-real coefficient, or when the heuristic fails, it
-    is the last nonzero term of the primitive pseudo-remainder sequence,
-    each remainder divided by its Gaussian content.  It is made monic at
-    the end.
+    It runs on the integer numerators over Z[i].  With every imaginary
+    part zero the gcd is GCDHEU's, checked by exact division; with a
+    non-real coefficient, or when the heuristic fails, it is the last
+    nonzero term of the primitive pseudo-remainder sequence, each remainder
+    divided by its Gaussian content.  It is made monic at the end.
     """
     if a.is_zero() and b.is_zero():
         return a
-    g, _, _ = _gcd_cofactors(_numerators(a.coeffs), _numerators(b.coeffs))
+    g, _, _ = _gcd_cofactors(a.nums, b.nums)
     return _monic_poly(g)
 
 
 def exact_divide(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     """a / b when b divides a exactly; ValueError on a nonzero remainder.
 
-    Runs on integer numerators: A = L*a divided by the primitive part B of
-    b is integral by Gauss's lemma, and A/B scaled to the leading
-    coefficient lc(a)/lc(b) is a/b.
+    Runs on the integer numerators A and B of a and b: A divided by the
+    primitive part of B is integral by Gauss's lemma, and scaled by the
+    leading coefficients and denominators it is a/b.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return a
-    q = _quotient(_numerators(a.coeffs), _primitive(_numerators(b.coeffs)))
-    return _monic_poly(q).scale(a.coeffs[-1] / b.coeffs[-1])
+    pb = _primitive(b.nums)
+    q = _quotient(a.nums, pb)
+    # B = (lc(B)/lc(pb)) * pb, so a/b = (A/da) / (B/db) = q * lc(pb) * db / (lc(B) * da)
+    (pr, pi), (br, bi) = pb[-1], b.nums[-1]
+    s = ((pr * br + pi * bi) * b.den, (pi * br - pr * bi) * b.den)
+    return UnivariatePoly._from_ints(_times(q, s), (br * br + bi * bi) * a.den)
 
 
 def squarefree_decomposition(p: UnivariatePoly):
     """Yun's algorithm: returns [(factor, multiplicity)] with factors squarefree.
 
     The product of factor^multiplicity equals p up to a constant; each
-    factor is monic and the multiplicities increase.  p is scaled once to
-    a primitive polynomial P with Gaussian-integer coefficients, and Yun's
+    factor is monic and the multiplicities increase.  The primitive part P
+    of p's Gaussian-integer numerators is taken once, and Yun's
     loop runs on P over Z[i].  Each step takes one gcd and its two exact
     cofactors from _gcd_cofactors: GCDHEU on a real P, the primitive
     pseudo-remainder gcd on a non-real P or after the heuristic fails.  The
@@ -443,7 +455,7 @@ def squarefree_decomposition(p: UnivariatePoly):
         raise IdenticallyZeroError("squarefree decomposition of zero")
     if p.degree == 0:
         return []
-    f = _primitive(_numerators(p.coeffs))
+    f = _primitive(p.nums)
     _, c, d = _gcd_cofactors(f, _derivative(f))
     d = _subtract(d, _derivative(c))
     out = []
@@ -462,24 +474,38 @@ def squarefree_decomposition(p: UnivariatePoly):
 # ---------------------------------------------------------------------------
 
 class BivariatePoly:
-    """Polynomial in x, y as a support map {(m, n): coefficient}.
+    """Polynomial in x, y: the coefficient of x^m y^n is terms[(m, n)]/den.
 
-    Canonical: no zero coefficients stored, exponents nonnegative.  The
-    support iteration order is lexicographic in (m, n) so printing and
-    hashing are deterministic.
+    Built from a support map {(m, n): coefficient} with nonnegative
+    exponents; support and sorted_items() give the Gaussian-rational
+    coefficients back, sorted_items() in lexicographic (m, n) order so that
+    printing is deterministic.
     """
 
-    __slots__ = ("support",)
+    __slots__ = ("den", "terms")
 
-    def __init__(self, support=None):
-        cleaned = {}
+    def __new__(cls, support=None):
+        parts = {}
         for (m, n), c in (support or {}).items():
             if m < 0 or n < 0:
                 raise ValueError("negative exponent in bivariate support")
-            cc = _coeff(c)
-            if not cc.is_zero():
-                cleaned[(int(m), int(n))] = cc
-        object.__setattr__(self, "support", cleaned)
+            parts[(int(m), int(n))] = _split(c)
+        den = lcm(*(d for _, _, d in parts.values()))
+        return cls._from_ints(
+            {k: (p * (den // d), r * (den // d)) for k, (p, r, d) in parts.items()}, den)
+
+    @classmethod
+    def _from_ints(cls, terms, den=1):
+        """The polynomial with coefficients terms[(m, n)]/den, den > 0, in
+        canonical form: zero terms dropped and the common gcd divided out."""
+        terms = {k: c for k, c in terms.items() if c != (0, 0)}
+        g = gcd(den, *chain.from_iterable(terms.values())) if den != 1 else 1
+        if g != 1:
+            terms = {k: (cr // g, ci // g) for k, (cr, ci) in terms.items()}
+        self = object.__new__(cls)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
@@ -501,63 +527,72 @@ class BivariatePoly:
         raise ValueError("variable must be 'x' or 'y'")
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.terms
+
+    @property
+    def support(self) -> dict:
+        """The map {(m, n): Gaussian-rational coefficient}."""
+        return {k: _scalar(c, self.den) for k, c in self.terms.items()}
 
     def sorted_items(self):
-        return sorted(self.support.items(), key=lambda kv: kv[0])
+        return [(k, _scalar(self.terms[k], self.den)) for k in sorted(self.terms)]
 
     def __eq__(self, other):
-        return isinstance(other, BivariatePoly) and self.support == other.support
+        return (isinstance(other, BivariatePoly) and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(tuple(self.sorted_items()))
+        return hash((self.den, frozenset(self.terms.items())))
+
+    def _combine(self, other, sign: int):
+        """self + sign * other."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {k: (cr * fa, ci * fa) for k, (cr, ci) in self.terms.items()}
+        for k, (br, bi) in other.terms.items():
+            ar, ai = out.get(k, (0, 0))
+            out[k] = (ar + br * fb, ai + bi * fb)
+        return BivariatePoly._from_ints(out, den)
 
     def __add__(self, other):
-        out = dict(self.support)
-        for k, c in other.support.items():
-            out[k] = out.get(k, ZERO) + c
-        return BivariatePoly(out)
-
-    def __neg__(self):
-        return BivariatePoly({k: -c for k, c in self.support.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, BivariatePoly):
-            out = {}
-            for (m1, n1), a in self.support.items():
-                for (m2, n2), b in other.support.items():
-                    k = (m1 + m2, n1 + n2)
-                    out[k] = out.get(k, ZERO) + a * b
-            return BivariatePoly(out)
-        return self.scale(other)
+        if not isinstance(other, BivariatePoly):
+            return self.scale(other)
+        a, b = self.terms.items(), other.terms.items()
+        out = {}
+        for (m1, n1), (ar, ai) in a:
+            for (m2, n2), (br, bi) in b:
+                k = (m1 + m2, n1 + n2)
+                cr, ci = out.get(k, (0, 0))
+                out[k] = (cr + ar * br - ai * bi, ci + ar * bi + ai * br)
+        return BivariatePoly._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        s = _coeff(scalar)
-        return BivariatePoly({k: c * s for k, c in self.support.items()})
+        p, r, d = _split(scalar)
+        return BivariatePoly._from_ints(
+            dict(zip(self.terms, _times(self.terms.values(), (p, r)))), self.den * d)
 
     def __pow__(self, k: int):
-        out = BivariatePoly({(0, 0): 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, BivariatePoly.monomial(0, 0))
 
     def derivative(self, var: str) -> "BivariatePoly":
         out = {}
-        for (m, n), c in self.support.items():
+        for (m, n), (cr, ci) in self.terms.items():
             if var == "x" and m > 0:
-                out[(m - 1, n)] = out.get((m - 1, n), ZERO) + c * m
+                out[(m - 1, n)] = (cr * m, ci * m)
             elif var == "y" and n > 0:
-                out[(m, n - 1)] = out.get((m, n - 1), ZERO) + c * n
-        return BivariatePoly(out)
+                out[(m, n - 1)] = (cr * n, ci * n)
+        return BivariatePoly._from_ints(out, self.den)
 
     def evaluate(self, x, y) -> GaussianRational:
         xx, yy = _coeff(x), _coeff(y)
@@ -566,44 +601,31 @@ class BivariatePoly:
             acc = acc + c * (xx ** m) * (yy ** n)
         return acc
 
+    def _on_axis(self, i: int) -> UnivariatePoly:
+        """The terms whose other exponent is 0, in the exponent at index i."""
+        on = {k[i]: c for k, c in self.terms.items() if not k[1 - i]}
+        out = [(0, 0)] * (1 + max(on, default=-1))
+        for e, c in on.items():
+            out[e] = c
+        return UnivariatePoly._from_ints(out, self.den)
+
     def restrict_x_axis(self) -> UnivariatePoly:
         """F(x, 0) as a univariate polynomial in x."""
-        if not self.support:
-            return UnivariatePoly()
-        out = [ZERO] * (1 + max(m for (m, n) in self.support))
-        for (m, n), c in self.support.items():
-            if n == 0:
-                out[m] = c
-        return UnivariatePoly(out)
+        return self._on_axis(0)
 
     def restrict_y_axis(self) -> UnivariatePoly:
         """F(0, y) as a univariate polynomial in y."""
-        if not self.support:
-            return UnivariatePoly()
-        out = [ZERO] * (1 + max(n for (m, n) in self.support))
-        for (m, n), c in self.support.items():
-            if m == 0:
-                out[n] = c
-        return UnivariatePoly(out)
+        return self._on_axis(1)
 
     def total_degree(self) -> int:
-        if not self.support:
-            return -1
-        return max(m + n for (m, n) in self.support)
+        return max((m + n for (m, n) in self.terms), default=-1)
 
     def __str__(self):
-        if not self.support:
-            return "0"
         parts = []
         for (m, n), c in self.sorted_items():
-            mono = []
-            if m:
-                mono.append("x" if m == 1 else f"x^{m}")
-            if n:
-                mono.append("y" if n == 1 else f"y^{n}")
-            mtxt = "*".join(mono) if mono else "1"
-            parts.append(f"({c})*{mtxt}")
-        return " + ".join(parts)
+            mono = [v if e == 1 else f"{v}^{e}" for v, e in (("x", m), ("y", n)) if e]
+            parts.append(f"({c})*{'*'.join(mono) or '1'}")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"BivariatePoly({{{', '.join(f'{k}: {c}' for k, c in self.sorted_items())}}})"
@@ -646,6 +668,8 @@ class MixedFunction:
                 and self.radial_half_exp == other.radial_half_exp)
 
     def __hash__(self):
+        if self.radial_coeff.is_zero():   # as in __eq__, the exponent is moot
+            return hash(self.holo)
         return hash((self.holo, self.radial_coeff, self.radial_half_exp))
 
     def evaluate(self, x, y) -> GaussianRational:
@@ -698,7 +722,7 @@ class LaurentForm:
             v = numerator.valuation()
             shift = min(v, pole_order)
             if shift:
-                numerator = UnivariatePoly(numerator.coeffs[shift:])
+                numerator = UnivariatePoly._from_ints(numerator.nums[shift:], numerator.den)
                 pole_order -= shift
         if numerator.is_zero():
             pole_order = 0
@@ -775,12 +799,12 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
         constant = f.radial_coeff * ss ** f.radial_half_exp
 
     # group x^m y^n -> t^n x^(m-n) by the exponent m-n, on Gaussian-integer
-    # numerators: with F = G/L and t = u/d, the coefficient of x^e is
-    # sum over m - n = e of G_mn u^n d^(top-n), over the one denominator L d^top
-    support = f.holo.support
-    values = list(support.values())
-    top = max((n for _, n in support), default=0)
-    d = _common_denominator([tt])
+    # numerators: with F = G/L and t = u/d, the coefficient of x^e is sum over
+    # m - n = e of G_mn u^n d^(top-n), over the one denominator L d^top; where
+    # terms cancel, LaurentForm strips the power of x they leave in common
+    terms = f.holo.terms
+    top = max((n for _, n in terms), default=0)
+    d = lcm(tt.re.denominator, tt.im.denominator)
     u = tt * d
     u_re, u_im = int(u.re), int(u.im)
     u_pows, d_pows = [(1, 0)], [1]
@@ -789,21 +813,18 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
         u_pows.append((a * u_re - b * u_im, a * u_im + b * u_re))
         d_pows.append(d_pows[-1] * d)
     by_exp = {}
-    for (m, n), (g_re, g_im) in zip(support, _numerators(values)):
+    for (m, n), (g_re, g_im) in terms.items():
         a, b = u_pows[n]
         w = d_pows[top - n]
         acc_re, acc_im = by_exp.get(m - n, (0, 0))
         by_exp[m - n] = (acc_re + (g_re * a - g_im * b) * w,
                          acc_im + (g_re * b + g_im * a) * w)
-    by_exp = {e: c for e, c in by_exp.items() if c != (0, 0)}
-    if not by_exp:
-        return LaurentForm(UnivariatePoly(), 0, constant, t=tt)
-    den = _common_denominator(values) * d_pows[top]
-    shift = max(0, -min(by_exp))
-    coeffs = [ZERO] * (max(by_exp) + shift + 1)
-    for e, (c_re, c_im) in by_exp.items():
-        coeffs[e + shift] = GaussianRational(Fraction(c_re, den), Fraction(c_im, den))
-    return LaurentForm(UnivariatePoly(coeffs), shift, constant, t=tt)
+    shift = max(0, -min(by_exp, default=0))
+    nums = [(0, 0)] * (max(by_exp, default=-1) + shift + 1)
+    for e, c in by_exp.items():
+        nums[e + shift] = c
+    return LaurentForm(UnivariatePoly._from_ints(nums, f.holo.den * d_pows[top]),
+                       shift, constant, t=tt)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +838,7 @@ def vanishing_order(f, point) -> int:
     Denominators are cleared once: for point = u/d with u a Gaussian integer
     and P of degree N, R(w) = L * d^N * P(w/d) has integer coefficients and
     its order at w = u is the order of P at the point; that order is found by
-    repeated synthetic division by (w - u) on plain ints.  Raises
+    repeated synthetic division by (w - u) on ints.  Raises
     IdenticallyZeroError for the zero function.
     """
     p = GaussianRational.coerce(point)
@@ -832,49 +853,26 @@ def vanishing_order(f, point) -> int:
     if poly.is_zero():
         raise IdenticallyZeroError("order of vanishing of the zero function")
 
-    d = lcm(p.re.denominator, p.im.denominator)
+    u_re, u_im, d = _split(p)
     # descending coefficients of R: L * c_k * d^(N - k) for k = N..0
-    re_desc, im_desc = [], []
-    dpow = 1
-    for c_re, c_im in reversed(_numerators(poly.coeffs)):
-        re_desc.append(c_re * dpow)
-        im_desc.append(c_im * dpow)
+    desc, dpow = [], 1
+    for c_re, c_im in reversed(poly.nums):
+        desc.append((c_re * dpow, c_im * dpow))
         dpow *= d
-    u_re, u_im = int(p.re * d), int(p.im * d)
-    if not u_im and not any(im_desc):
-        return _int_order(re_desc, u_re)
-    return _gaussian_int_order(re_desc, im_desc, u_re, u_im)
-
-
-def _int_order(desc, u: int) -> int:
-    """Order at w = u of the nonzero int polynomial with descending coefficients desc."""
+    # each synthetic division by (w - u) is a running Horner sum: on plain
+    # ints when everything is real, and then a plain running sum at u = 1
+    if not u_im and not any(c_im for _, c_im in desc):
+        desc = [c_re for c_re, _ in desc]
+        step = None if u_re == 1 else (lambda a, c: a * u_re + c)
+    else:
+        def step(a, c):
+            return (a[0] * u_re - a[1] * u_im + c[0], a[0] * u_im + a[1] * u_re + c[1])
     order = 0
     while True:
-        acc, quotient = 0, []
-        for c in desc:
-            acc = acc * u + c
-            quotient.append(acc)
-        if quotient.pop():
+        quotient = list(accumulate(desc, step))
+        if quotient.pop() not in (0, (0, 0)):
             return order
-        desc = quotient
-        order += 1
-
-
-def _gaussian_int_order(re_desc, im_desc, u_re: int, u_im: int) -> int:
-    """_int_order over Z[i], coefficients split into real and imaginary lists."""
-    order = 0
-    while True:
-        a_re = a_im = 0
-        q_re, q_im = [], []
-        for c_re, c_im in zip(re_desc, im_desc):
-            a_re, a_im = (a_re * u_re - a_im * u_im + c_re,
-                          a_re * u_im + a_im * u_re + c_im)
-            q_re.append(a_re)
-            q_im.append(a_im)
-        if q_re.pop() or q_im.pop():
-            return order
-        re_desc, im_desc = q_re, q_im
-        order += 1
+        desc, order = quotient, order + 1
 
 
 def divides_power(p: UnivariatePoly, root, m: int) -> bool:

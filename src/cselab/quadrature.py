@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import newton
 from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
                            fiber_zeros)
-from .expressions import format_function
 from .polynomials import (
     IdenticallyZeroError,
     LaurentForm,
@@ -172,7 +171,7 @@ class SweepReport:
     k0_err: float
     verdict: str           # "converged" | "inconclusive"
     hypothesis_note: str
-    function: str = ""
+    function: object       # the swept BivariatePoly or MixedFunction
 
     def csv_rows(self):
         return [(param_float(r.t), r.k_t, r.err, r.i_t, r.j_t, r.ratio)
@@ -232,7 +231,8 @@ def _base_fn(fiber, c: float, cfg: QuadratureConfig, chart: str = "x", t=None):
     evaluates the fiber function at x = t/y for the given t."""
     import numpy as np
     num, d = _fiber_parts(fiber)
-    coeffs = np.array([ck.to_complex() for ck in num.coeffs], dtype=cfg.complex_dtype)
+    coeffs = np.array([complex(cr / num.den, ci / num.den) for cr, ci in num.nums],
+                      dtype=cfg.complex_dtype)
     tc = cfg.complex_dtype(exact_param(t).to_complex()) if chart == "y" else None
 
     def evaluate(z):
@@ -685,7 +685,7 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
             verdict = "converged"
     return SweepReport(rows=tuple(rows), k0=k0.k_report.value,
                        k0_err=k0.k_report.error_estimate, verdict=verdict,
-                       hypothesis_note=note, function=format_function(f))
+                       hypothesis_note=note, function=f)
 
 
 def uniform_bound_check(f, c: float, radius: float, t_samples,

@@ -102,16 +102,11 @@ class GaussianRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
+        if not self.im:
+            return GaussianRational(self.re ** k)
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GaussianRational(1))
 
     # -- comparison / hashing ------------------------------------------
 
@@ -158,6 +153,17 @@ class GaussianRational:
         mag = abs(self.im)
         itxt = "i" if mag == 1 else f"{mag}*i"
         return f"{self.re}{sign}{itxt}"
+
+
+def _power(base, k: int, one):
+    """base^k for an int k >= 0 by repeated squaring, with one the identity."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 def _isqrt_exact(n: int):

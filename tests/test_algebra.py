@@ -515,3 +515,195 @@ class TestLaurentForm:
         x = Fraction(3, 2)
         expected = (gr(1) + gr(2) * gr(x) + gr(3) * gr(x) ** 2) / gr(x) ** 2 + gr(5)
         assert form.evaluate(x) == expected
+
+
+class TestMixedFunctionHash:
+    def test_zero_radial_term_ignores_its_exponent(self):
+        # __eq__ ignores radial_half_exp when radial_coeff is zero; so must __hash__
+        p = BivariatePoly.variable("x") + BivariatePoly.variable("y")
+        a, b = MixedFunction(p, 0, 1), MixedFunction(p, 0, 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert len({MixedFunction(p, 1, 1), MixedFunction(p, 1, 3)}) == 2
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator storage against Fraction-pair coefficient lists
+# ---------------------------------------------------------------------------
+# The oracle keeps each coefficient as a pair (re, im) of Fractions, a
+# univariate polynomial as a list of pairs by ascending degree and a
+# bivariate one as a dict (m, n) -> pair, and does every operation on them
+# directly, with no common denominator and no reduction.
+
+pair = st.tuples(small_fraction, small_fraction)
+pair_lists = st.lists(pair, max_size=5)
+pair_maps = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), pair,
+                            max_size=5)
+nonzero_pair = pair.filter(lambda c: c != (0, 0))
+PAIR_ZERO = (Fraction(0), Fraction(0))
+
+
+def cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def cadd(a, b, sign=1):
+    return (a[0] + sign * b[0], a[1] + sign * b[1])
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == PAIR_ZERO:
+        cs.pop()
+    return cs
+
+
+def uni(cs):
+    return UnivariatePoly([gr(*c) for c in cs])
+
+
+def bi(cs):
+    return BivariatePoly({k: gr(*c) for k, c in cs.items()})
+
+
+def uni_pairs(p):
+    return [(c.re, c.im) for c in p.coeffs]
+
+
+def bi_pairs(f):
+    return {k: (c.re, c.im) for k, c in f.support.items()}
+
+
+def nonzero(cs):
+    return {k: c for k, c in cs.items() if c != PAIR_ZERO}
+
+
+def o_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [PAIR_ZERO] * (n - len(a)), b + [PAIR_ZERO] * (n - len(b))
+    return trimmed(cadd(x, y, sign) for x, y in zip(a, b))
+
+
+def o_mul(a, b):
+    out = [PAIR_ZERO] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = cadd(out[i + j], cmul(x, y))
+    return trimmed(out)
+
+
+def o_bi_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = cadd(out.get(k, PAIR_ZERO), c, sign)
+    return nonzero(out)
+
+
+def o_bi_mul(a, b):
+    out = {}
+    for (m1, n1), x in a.items():
+        for (m2, n2), y in b.items():
+            k = (m1 + m2, n1 + n2)
+            out[k] = cadd(out.get(k, PAIR_ZERO), cmul(x, y))
+    return nonzero(out)
+
+
+def assert_canonical(p):
+    """den > 0, gcd(den, every numerator part) = 1, no trailing (univariate)
+    or stored (bivariate) zero."""
+    if isinstance(p, UnivariatePoly):
+        stored = list(p.nums)
+        assert not stored or stored[-1] != (0, 0)
+    else:
+        stored = list(p.terms.values())
+        assert (0, 0) not in stored
+    assert p.den > 0
+    assert math.gcd(p.den, *(v for c in stored for v in c)) == 1
+
+
+class TestIntegerStorage:
+    @given(a=pair_lists, b=pair_lists, c=nonzero_pair, k=st.integers(0, 3))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_univariate_against_fraction_pairs(self, a, b, c, k):
+        p, q = uni(a), uni(b)
+        a, b = trimmed(a), trimmed(b)
+        s = gr(*c)
+        powers = [(Fraction(1), Fraction(0))]
+        for _ in a:
+            powers.append(cmul(powers[-1], c))
+        expected_pow = [(Fraction(1), Fraction(0))]
+        for _ in range(k):
+            expected_pow = o_mul(expected_pow, a)
+        cases = [
+            (p + q, o_add(a, b)),
+            (p - q, o_add(a, b, -1)),
+            (-p, o_add([], a, -1)),
+            (p * q, o_mul(a, b)),
+            (p.scale(s), trimmed(cmul(x, c) for x in a)),
+            (p.dilate(s), trimmed(cmul(x, w) for x, w in zip(a, powers))),
+            (p.derivative(), trimmed((e * x[0], e * x[1]) for e, x in enumerate(a) if e)),
+            (p ** k, expected_pow),
+            (p.times_power(k), trimmed([PAIR_ZERO] * k + a) if a else []),
+        ]
+        for got, expected in cases:
+            assert_canonical(got)
+            assert uni_pairs(got) == expected
+            assert [got.coefficient(e) for e in range(-1, len(expected) + 1)] == (
+                [gr(0)] + [gr(*x) for x in expected] + [gr(0)])
+
+    @given(a=pair_maps, b=pair_maps, c=nonzero_pair, var=st.sampled_from("xy"))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_bivariate_against_fraction_pairs(self, a, b, c, var):
+        f, g = bi(a), bi(b)
+        a, b = nonzero(a), nonzero(b)
+        i = "xy".index(var)
+        shifted = {(m - (i == 0), n - (i == 1)): ((m, n)[i] * x[0], (m, n)[i] * x[1])
+                   for (m, n), x in a.items() if (m, n)[i]}
+        cases = [
+            (f + g, o_bi_add(a, b)),
+            (f - g, o_bi_add(a, b, -1)),
+            (f * g, o_bi_mul(a, b)),
+            (f.scale(gr(*c)), nonzero({k: cmul(x, c) for k, x in a.items()})),
+            (f.derivative(var), nonzero(shifted)),
+            (f ** 2, o_bi_mul(a, a)),
+        ]
+        for got, expected in cases:
+            assert_canonical(got)
+            assert bi_pairs(got) == expected
+            assert got.sorted_items() == [(k, gr(*expected[k])) for k in sorted(expected)]
+        for axis, restrict in ((0, f.restrict_x_axis), (1, f.restrict_y_axis)):
+            on = {k[axis]: x for k, x in a.items() if not k[1 - axis]}
+            got = restrict()
+            assert_canonical(got)
+            assert uni_pairs(got) == trimmed(on.get(e, PAIR_ZERO)
+                                             for e in range(1 + max(on, default=-1)))
+
+    @given(a=pair_lists, b=pair_lists, c=nonzero_pair, f=pair_maps, g=pair_maps)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_equal_values_by_different_routes(self, a, b, c, f, g):
+        p, q, s = uni(a), uni(b), gr(*c)
+        f, g = bi(f), bi(g)
+        routes = [
+            ((p * q).scale(s.inverse()), p * q.scale(s.inverse())),
+            (p + q - q, p),
+            (p.dilate(s).dilate(s.inverse()), p),
+            ((p * q).derivative(), p.derivative() * q + p * q.derivative()),
+            ((f * g).scale(s), f.scale(s) * g),
+            (f + g - g, f),
+            (f + g, g + f),   # the same terms inserted in another order
+        ]
+        for x, y in routes:
+            assert x == y and hash(x) == hash(y)
+            assert (x.den, x.nums if isinstance(x, UnivariatePoly) else x.terms) == (
+                y.den, y.nums if isinstance(y, UnivariatePoly) else y.terms)
+
+    @given(a=pair_lists, f=pair_maps)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_scalars_round_trip_through_the_constructor(self, a, f):
+        p, q = uni(a), bi(f)
+        assert UnivariatePoly(p.coeffs) == p and hash(UnivariatePoly(p.coeffs)) == hash(p)
+        assert BivariatePoly(q.support) == q and hash(BivariatePoly(q.support)) == hash(q)
+        assert uni_pairs(p) == trimmed(a)
+        assert bi_pairs(q) == nonzero(f)
+        assert_canonical(p)
+        assert_canonical(q)
