@@ -38,9 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
+from operator import mul
 
-from .exact_linalg import divided_difference_weights
+from .exact_linalg import node_products
 from .exponents import Exponent
 from .polynomials import (
     BivariatePoly,
@@ -49,7 +51,7 @@ from .polynomials import (
     substitute_fiber,
     vanishing_order,
 )
-from .rationals import GaussianRational
+from .rationals import ExactPairs, GaussianRational
 
 NORMALIZATION_NOTE = (
     "kernel witness normalized: z^(4n+2) coefficient scaled to 1 when nonzero, "
@@ -72,7 +74,7 @@ def wn_generator(n: int) -> UnivariatePoly:
     """The generator of W_n (module docstring), with z^(4n+2) coefficient 1, on
     integers: w_e / w_{4n+2} = prod_{f != 4n+2} (4n+2 - f) / prod_{f != e} (e - f)."""
     exps = vn_basis(n)
-    prods = {e: int(1 / w) for e, w in zip(exps, divided_difference_weights(exps))}
+    prods = dict(zip(exps, node_products(exps)))
     lead, den = prods[4 * n + 2], lcm(*prods.values())
     return UnivariatePoly._from_ints(
         [(lead * (den // prods[e]), 0) if e in prods else (0, 0) for e in range(4 * n + 3)],
@@ -96,10 +98,11 @@ class CounterexampleRecord:
     def to_json_obj(self):
         out = {
             "n": self.n,
-            "p_coefficients": self.p_n.coeffs,
-            "q_coefficients": self.q_n.coeffs,
+            "p_coefficients": ExactPairs(self.p_n.nums, self.p_n.den),
+            "q_coefficients": ExactPairs(self.q_n.nums, self.q_n.den),
             "c_n": self.c_n,
-            "Q_support": {f"{i},{j}": c for (i, j), c in self.big_q.sorted_items()},
+            "Q_support": ExactPairs(self.big_q.terms.values(), self.big_q.den,
+                                    [f"{i},{j}" for i, j in self.big_q.terms]),
             "family": self.family,
             "in_N": self.in_n,
             "central_exponent": self.central_exponent,
@@ -191,10 +194,17 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
         d = fib.pole_order
         if d > 2 * n + 1:
             raise ViolationCheckError("fiber pole order exceeds 2n+1")
-        lhs = fib.combined_numerator().times_power(2 * n + 1 - d)
-        srat = GaussianRational(s)
-        rhs = record.p_n.dilate(srat.inverse()).scale(srat ** (4 * n + 2))
-        if lhs != rhs:
+        # x^k: lhs_k / num.den = c_k p^(N-k) q^(k-N) / p_n.den (s = p/q, N = 4n+2); times
+        # num.den p_n.den p^(T-N) q^(T-k), T = top: lhs_k b q^(T-k) = c_k a p^(T-k)
+        num, rhs = fib.combined_numerator(), record.p_n.nums
+        top = max(4 * n + 2, len(rhs) - 1)
+        pk = list(accumulate(repeat(s.numerator, top), mul, initial=1))[::-1]
+        qk = list(accumulate(repeat(s.denominator, top), mul, initial=1))[::-1]
+        lhs = ((0, 0),) * (2 * n + 1 - d) + num.nums
+        a, b = num.den * qk[4 * n + 2], record.p_n.den * pk[4 * n + 2]
+        if len(lhs) != len(rhs) or any(
+                (lr * b * y, li * b * y) != (cr * a * x, ci * a * x)
+                for (lr, li), (cr, ci), x, y in zip(lhs, rhs, pk, qk)):
             raise ViolationCheckError(
                 f"fiber identity failed at n={n}, s={s}: construction bug")
         # the fiber exponent at (s, s) is 1/order of this same form at x = s

@@ -12,17 +12,16 @@ the weights.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+
+
+def node_products(nodes):
+    """The products prod_{f != e} (e - f), ints for int nodes, in node order."""
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("divided-difference nodes must be distinct")
+    return [prod(e - f for f in nodes if f != e) for e in nodes]
 
 
 def divided_difference_weights(nodes):
     """The weights 1/prod_{f != e} (e - f) of the divided difference, in node order."""
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("divided-difference nodes must be distinct")
-    weights = []
-    for e in nodes:
-        den = 1
-        for f in nodes:
-            if f != e:
-                den *= e - f
-        weights.append(Fraction(1, den))
-    return weights
+    return [Fraction(1, w) for w in node_products(nodes)]

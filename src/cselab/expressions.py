@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import BivariatePoly, MixedFunction, UnivariatePoly
-from .rationals import GaussianRational
+from .rationals import GaussianRational, pair_signed, _int_pair
 
 
 class ExpressionError(ValueError):
@@ -260,40 +260,16 @@ def parse_expression(text: str):
 
 # -- canonical printing ------------------------------------------------------
 
-def _format_scalar(c: GaussianRational, lead_context: bool):
-    """(sign, body) where body never starts with a minus sign.
-
-    lead_context=True means the scalar multiplies a monomial, so 1 may be
-    dropped; mixed complex scalars are parenthesized so they re-parse.
-    """
-    if c.im == 0:
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
-        if mag == 1 and lead_context:
-            return sign, ""
-        return sign, str(mag)
-    if c.re == 0:
-        sign = "-" if c.im < 0 else "+"
-        mag = abs(c.im)
-        return sign, "i" if mag == 1 else f"{mag}*i"
-    re_txt = str(c.re)
-    sign = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
-    itxt = "i" if mag == 1 else f"{mag}*i"
-    return "+", f"({re_txt}{sign}{itxt})"
-
-
 def _terms(poly):
     """(sign, body) per nonzero term of a BivariatePoly or UnivariatePoly."""
     if isinstance(poly, BivariatePoly):
-        items = [((("x", m), ("y", n)), c) for (m, n), c in poly.sorted_items()]
+        items = [((("x", m), ("y", n)), poly.terms[m, n]) for m, n in sorted(poly.terms)]
     else:
-        items = [((("z", e),), c) for e, c in enumerate(poly.coeffs)
-                 if not c.is_zero()]
+        items = [((("z", e),), c) for e, c in enumerate(poly.nums) if c != (0, 0)]
     terms = []
-    for powers, c in items:
+    for powers, (cr, ci) in items:
         mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
-        sign, coeff = _format_scalar(c, lead_context=bool(mono))
+        sign, coeff = pair_signed(cr, ci, poly.den, unit=bool(mono))
         terms.append((sign, "*".join(filter(None, (coeff, mono)))))
     return terms
 
@@ -313,7 +289,7 @@ def format_function(obj) -> str:
     if isinstance(obj, MixedFunction):
         if obj.is_holomorphic():
             return format_function(obj.holo)
-        sign, coeff = _format_scalar(obj.radial_coeff, lead_context=True)
+        sign, coeff = pair_signed(*_int_pair(obj.radial_coeff), unit=True)
         radial = f"abs(x*y)^({obj.radial_half_exp}/2)"
         return _join_terms(
             _terms(obj.holo) + [(sign, "*".join(filter(None, (coeff, radial))))])
@@ -321,6 +297,6 @@ def format_function(obj) -> str:
         raise TypeError("expected BivariatePoly, UnivariatePoly or MixedFunction")
     if isinstance(obj, UnivariatePoly) and obj.degree < 1:
         # a constant names z, so that it reads back as a UnivariatePoly
-        sign, coeff = _format_scalar(obj.coefficient(0), lead_context=True)
+        sign, coeff = pair_signed(*(obj.nums or ((0, 0),))[0], obj.den, unit=True)
         return _join_terms([(sign, "*".join(filter(None, (coeff, "z^0"))))])
     return _join_terms(_terms(obj)) or "0"

@@ -10,10 +10,10 @@ produces Laurent normal forms N(x)/x^d + const.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from math import gcd, lcm
 
-from .rationals import GaussianRational, ZERO, exact_param, _power
+from .rationals import GaussianRational, ZERO, exact_param, pair_text, _int_pair, _power
 
 
 class IdenticallyZeroError(ValueError):
@@ -21,15 +21,6 @@ class IdenticallyZeroError(ValueError):
 
 
 _coeff = GaussianRational.coerce
-
-
-def _split(v):
-    """(P, R, D) with v = (P + R*i)/D and D > 0 the lcm of the denominators
-    of the parts of the scalar v."""
-    g = _coeff(v)
-    re, im = g.re, g.im
-    d = lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
 def _scalar(c, den) -> GaussianRational:
@@ -57,7 +48,7 @@ class UnivariatePoly:
     __slots__ = ("den", "nums")
 
     def __new__(cls, coeffs=()):
-        parts = [_split(c) for c in coeffs]
+        parts = [_int_pair(c) for c in coeffs]
         den = lcm(*(d for _, _, d in parts))
         return cls._from_ints([(p * (den // d), r * (den // d)) for p, r, d in parts], den)
 
@@ -84,7 +75,7 @@ class UnivariatePoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1):
-        p, r, d = _split(coeff)
+        p, r, d = _int_pair(coeff)
         return cls._from_ints([(0, 0)] * exponent + [(p, r)], d)
 
     def is_zero(self) -> bool:
@@ -153,7 +144,7 @@ class UnivariatePoly:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        p, r, d = _split(scalar)
+        p, r, d = _int_pair(scalar)
         return UnivariatePoly._from_ints(_times(self.nums, (p, r)), self.den * d)
 
     def __pow__(self, k: int):
@@ -166,7 +157,7 @@ class UnivariatePoly:
     def dilate(self, a) -> "UnivariatePoly":
         """P(a*z): coefficient k picks up a^k.  With a = u/d and degree N the
         numerator k is c_k u^k d^(N-k) over den d^N."""
-        ur, ui, d = _split(a)
+        ur, ui, d = _int_pair(a)
         top, out, pr, pi = max(self.degree, 0), [], 1, 0
         for k, (cr, ci) in enumerate(self.nums):
             w = d ** (top - k)
@@ -196,8 +187,8 @@ class UnivariatePoly:
         return _monic_poly(self.nums) if self.nums else self
 
     def to_str(self, var: str = "z") -> str:
-        parts = [f"({c})" + ("" if k == 0 else f"*{var}" if k == 1 else f"*{var}^{k}")
-                 for k, c in reversed(list(enumerate(self.coeffs))) if not c.is_zero()]
+        parts = [f"({pair_text(*c, self.den)})" + (f"*{var}^{k}" if k > 1 else f"*{var}" * k)
+                 for k, c in reversed(list(enumerate(self.nums))) if c != (0, 0)]
         return " + ".join(parts) or "0"
 
     def __str__(self):
@@ -489,7 +480,7 @@ class BivariatePoly:
         for (m, n), c in (support or {}).items():
             if m < 0 or n < 0:
                 raise ValueError("negative exponent in bivariate support")
-            parts[(int(m), int(n))] = _split(c)
+            parts[(int(m), int(n))] = _int_pair(c)
         den = lcm(*(d for _, _, d in parts.values()))
         return cls._from_ints(
             {k: (p * (den // d), r * (den // d)) for k, (p, r, d) in parts.items()}, den)
@@ -578,7 +569,7 @@ class BivariatePoly:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        p, r, d = _split(scalar)
+        p, r, d = _int_pair(scalar)
         return BivariatePoly._from_ints(
             dict(zip(self.terms, _times(self.terms.values(), (p, r)))), self.den * d)
 
@@ -622,9 +613,9 @@ class BivariatePoly:
 
     def __str__(self):
         parts = []
-        for (m, n), c in self.sorted_items():
+        for m, n in sorted(self.terms):
             mono = [v if e == 1 else f"{v}^{e}" for v, e in (("x", m), ("y", n)) if e]
-            parts.append(f"({c})*{'*'.join(mono) or '1'}")
+            parts.append(f"({pair_text(*self.terms[m, n], self.den)})*{'*'.join(mono) or '1'}")
         return " + ".join(parts) or "0"
 
     def __repr__(self):
@@ -835,11 +826,11 @@ def vanishing_order(f, point) -> int:
     """Exact order of vanishing at an exact point; 0 if f(point) != 0.
 
     Accepts a UnivariatePoly or a LaurentForm (point nonzero in that case).
-    Denominators are cleared once: for point = u/d with u a Gaussian integer
-    and P of degree N, R(w) = L * d^N * P(w/d) has integer coefficients and
-    its order at w = u is the order of P at the point; that order is found by
-    repeated synthetic division by (w - u) on ints.  Raises
-    IdenticallyZeroError for the zero function.
+    At u/d, u a nonzero Gaussian integer, it is the order at 1 of a dilation
+    to integer coefficients: the number of zero remainders of repeated
+    synthetic division by (w - 1), which takes additions only (the Taylor
+    shift by 1 of von zur Gathen & Gerhard 1997); at 0 it is the valuation.
+    Raises IdenticallyZeroError for the zero function.
     """
     p = GaussianRational.coerce(point)
     if isinstance(f, LaurentForm):
@@ -853,26 +844,36 @@ def vanishing_order(f, point) -> int:
     if poly.is_zero():
         raise IdenticallyZeroError("order of vanishing of the zero function")
 
-    u_re, u_im, d = _split(p)
-    # descending coefficients of R: L * c_k * d^(N - k) for k = N..0
-    desc, dpow = [], 1
-    for c_re, c_im in reversed(poly.nums):
-        desc.append((c_re * dpow, c_im * dpow))
-        dpow *= d
-    # each synthetic division by (w - u) is a running Horner sum: on plain
-    # ints when everything is real, and then a plain running sum at u = 1
-    if not u_im and not any(c_im for _, c_im in desc):
-        desc = [c_re for c_re, _ in desc]
-        step = None if u_re == 1 else (lambda a, c: a * u_re + c)
-    else:
-        def step(a, c):
-            return (a[0] * u_re - a[1] * u_im + c[0], a[0] * u_im + a[1] * u_re + c[1])
-    order = 0
-    while True:
-        quotient = list(accumulate(desc, step))
-        if quotient.pop() not in (0, (0, 0)):
+    ur, ui, d = _int_pair(p)
+    if not (ur or ui):
+        return poly.valuation()
+    # R(w) = L d^N P(u w / d), int coefficients c_k u^k d^(N-k), has at w = 1 the order
+    # of P at u/d; Horner tests R(1) first, as most calls (divides_power's) end at 0
+    re, im = zip(*poly.nums)
+    if (ur, ui, d) != (1, 0, 1):
+        hr, hi, dk = 0, 0, 1
+        for cr, ci in reversed(poly.nums):
+            hr, hi, dk = hr * ur - hi * ui + cr * dk, hr * ui + hi * ur + ci * dk, dk * d
+        if hr or hi:
+            return 0
+        re, im, pr, pi = [], [], 1, 0
+        for cr, ci in poly.nums:
+            dk //= d
+            re.append((cr * pr - ci * pi) * dk)
+            im.append((cr * pi + ci * pr) * dk)
+            pr, pi = pr * ur - pi * ui, pr * ui + pi * ur
+    # R = A + iB with A and B real, so its order at 1 is the least of theirs;
+    # the content (most bits, on a fiber) comes off first
+    g = gcd(*re, *im)
+    return min(_order_at_one([c // g for c in q]) for q in (re, im) if any(q))
+
+
+def _order_at_one(q):
+    """The order at 1 of the polynomial with int coefficients q, not all zero."""
+    for order in count():
+        q = list(accumulate(q))
+        if q.pop():
             return order
-        desc, order = quotient, order + 1
 
 
 def divides_power(p: UnivariatePoly, root, m: int) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def _as_fraction(v) -> Fraction:
@@ -49,9 +50,6 @@ class GaussianRational:
 
     def is_real(self) -> bool:
         return not self.im
-
-    def is_rational_int(self) -> bool:
-        return not self.im and self.re.denominator == 1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -141,18 +139,52 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        itxt = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{itxt}"
+        return pair_text(*_int_pair(self))
+
+
+def _int_pair(v):
+    """(re, im, den) with v = (re + im*i)/den, den the lcm of the parts' denominators."""
+    g = GaussianRational.coerce(v)
+    re, im = g.re, g.im
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _ratio(n: int, den: int) -> str:
+    """n/den in lowest terms, as str(Fraction(n, den)) prints it."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def pair_text(re: int, im: int, den: int = 1) -> str:
+    """The exact text of (re + im*i)/den, den > 0, such as "-3/2", "i" or
+    "1/2-3*i": the one writer of exact scalars, which builds no Fraction."""
+    if not im:
+        return _ratio(re, den)
+    itxt = "i" if abs(im) == den else f"{_ratio(abs(im), den)}*i"
+    sign = "-" if im < 0 else "+" if re else ""
+    return f"{_ratio(re, den) if re else ''}{sign}{itxt}"
+
+
+def pair_json(re: int, im: int, den: int = 1):
+    """The JSON value of (re + im*i)/den: an int when it is one, else its text."""
+    return re // den if not im and not re % den else pair_text(re, im, den)
+
+
+def pair_signed(re: int, im: int, den: int = 1, unit: bool = False):
+    """(sign, body) of (re + im*i)/den as an expression term: body has no minus sign,
+    is parenthesized if both parts are nonzero, and is empty for 1 with unit=True."""
+    if re and im:
+        return "+", f"({pair_text(re, im, den)})"
+    body = pair_text(abs(re), abs(im), den)
+    return "-" if re < 0 or im < 0 else "+", "" if unit and body == "1" else body
+
+
+class ExactPairs(NamedTuple):
+    """The scalars c/den for the (re, im) int pairs c in pairs; a dict by keys if given."""
+    pairs: object
+    den: int
+    keys: object = None
 
 
 def _power(base, k: int, one):

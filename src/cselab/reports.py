@@ -17,7 +17,7 @@ from fractions import Fraction
 from .expressions import format_function
 from .polynomials import BivariatePoly, MixedFunction, UnivariatePoly
 from .quadrature import ProbeResult, SweepReport
-from .rationals import GaussianRational, param_float
+from .rationals import ExactPairs, GaussianRational, pair_json, param_float, _int_pair
 
 SWEEP_CSV_HEADER = "t,K_t,err,I_t,J_t,ratio"
 
@@ -29,35 +29,26 @@ def fmt_float(x) -> float:
     return float(f"{x:.12g}")
 
 
-def scalar_jsonable(v):
-    """Exact scalars become ints or exact strings; floats are normalized."""
-    if isinstance(v, GaussianRational):
-        if v.is_rational_int():
-            return int(v.re)
-        return str(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return str(v)
-    if isinstance(v, float):
-        return fmt_float(v)
-    if isinstance(v, complex):
-        return {"re": fmt_float(v.real), "im": fmt_float(v.imag)}
-    return v
-
-
 def to_jsonable(obj):
     """The JSON value of obj.
 
-    Ints, strings and None are JSON already; other scalars go through
-    scalar_jsonable and polynomials through format_function; lists, tuples
-    and dicts recurse.  Any other object is serialized as the value of its
-    to_json_obj() method, which names its fields with raw values.
+    Ints, strings and None are JSON already; exact scalars, and ExactPairs
+    from their ints, are written by rationals.pair_json, floats are
+    normalized by fmt_float and polynomials printed by format_function;
+    lists, tuples and dicts recurse.  Any other object is serialized as the
+    value of its to_json_obj() method, which names its fields with raw values.
     """
     if obj is None or isinstance(obj, (int, str)):    # bool is an int
         return obj
-    if isinstance(obj, (float, complex, Fraction, GaussianRational)):
-        return scalar_jsonable(obj)
+    if isinstance(obj, (GaussianRational, Fraction)):
+        return pair_json(*_int_pair(obj))
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, complex):
+        return {"re": fmt_float(obj.real), "im": fmt_float(obj.imag)}
+    if isinstance(obj, ExactPairs):
+        values = [pair_json(*c, obj.den) for c in obj.pairs]
+        return values if obj.keys is None else dict(zip(obj.keys, values))
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):

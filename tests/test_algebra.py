@@ -707,3 +707,99 @@ class TestIntegerStorage:
         assert bi_pairs(q) == nonzero(f)
         assert_canonical(p)
         assert_canonical(q)
+
+
+# ---------------------------------------------------------------------------
+# the int-pair scalar writer against a Fraction-pair reference
+# ---------------------------------------------------------------------------
+# The reference prints a + b*i from the Fractions a and b directly, with
+# str(Fraction) for each part; the writer gets (re, im, den) with den a
+# multiple of the common denominator, so its input is not in lowest terms.
+
+special_part = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                         small_fraction)
+
+
+def ref_text(a, b):
+    if b == 0:
+        return str(a)
+    itxt = "i" if abs(b) == 1 else f"{abs(b)}*i"
+    if a == 0:
+        return ("-" if b < 0 else "") + itxt
+    return f"{a}{'-' if b < 0 else '+'}{itxt}"
+
+
+def ref_signed(a, b, unit):
+    if b == 0:
+        return ("-" if a < 0 else "+"), ("" if unit and abs(a) == 1 else str(abs(a)))
+    if a == 0:
+        return ("-" if b < 0 else "+"), ("i" if abs(b) == 1 else f"{abs(b)}*i")
+    return "+", f"({ref_text(a, b)})"
+
+
+class TestScalarWriter:
+    @given(a=special_part, b=special_part, k=st.integers(1, 12), unit=st.booleans())
+    @settings(max_examples=300, derandomize=True)
+    def test_against_fraction_pairs(self, a, b, k, unit):
+        from cselab.expressions import parse_expression
+        from cselab.rationals import pair_json, pair_signed, pair_text
+        from cselab.reports import to_jsonable
+
+        den = math.lcm(a.denominator, b.denominator) * k
+        re, im = int(a * den), int(b * den)
+        text = ref_text(a, b)
+        assert pair_text(re, im, den) == text == str(gr(a, b))
+        want_json = int(a) if b == 0 and a.denominator == 1 else text
+        assert pair_json(re, im, den) == want_json == to_jsonable(gr(a, b))
+        assert type(pair_json(re, im, den)) is type(want_json)
+        sign, body = pair_signed(re, im, den, unit=unit)
+        assert (sign, body) == ref_signed(a, b, unit)
+        if body:
+            # a signed term reads back as the scalar it was written from
+            value = parse_expression(("-" if sign == "-" else "") + body)
+            assert value == BivariatePoly.monomial(0, 0, gr(a, b))
+
+    def test_named_cases(self):
+        from cselab.rationals import pair_json, pair_signed, pair_text
+
+        cases = [((0, 0, 1), "0", 0, ("+", "0")), ((6, 0, 3), "2", 2, ("+", "2")),
+                 ((0, 2, 2), "i", "i", ("+", "i")), ((0, -3, 3), "-i", "-i", ("-", "i")),
+                 ((-3, 0, 3), "-1", -1, ("-", "")), ((0, -3, 2), "-3/2*i", "-3/2*i",
+                                                     ("-", "3/2*i")),
+                 ((1, -2, 2), "1/2-i", "1/2-i", ("+", "(1/2-i)")),
+                 ((-4, 6, 4), "-1+3/2*i", "-1+3/2*i", ("+", "(-1+3/2*i)"))]
+        for pair, text, as_json, signed in cases:
+            assert pair_text(*pair) == text
+            assert pair_json(*pair) == as_json
+            assert pair_signed(*pair, unit=True) == signed
+
+
+# ---------------------------------------------------------------------------
+# orders of vanishing at real and Gaussian points, Fraction-pair oracle
+# ---------------------------------------------------------------------------
+
+def fraction_pair_value(coeffs, a):
+    """Horner on Fraction pairs: the value of sum coeffs[k] z^k at a."""
+    acc = PAIR_ZERO
+    for c in reversed(coeffs):
+        acc = cadd(cmul(acc, a), c)
+    return acc
+
+
+real_point = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                       st.fractions(-5, 5, max_denominator=40))
+gaussian_pair = st.tuples(small_fraction, small_fraction.filter(bool))
+
+
+class TestVanishingOrderAgainstFractionPairs:
+    @given(base=pair_lists.filter(lambda cs: trimmed(cs)),
+           a=st.one_of(real_point.map(lambda r: (r, Fraction(0))), gaussian_pair),
+           m=st.integers(0, 6))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_order_of_base_times_a_power(self, base, a, m):
+        assume(fraction_pair_value(base, a) != PAIR_ZERO)
+        point = a[0] if a[1] == 0 else gr(*a)
+        p = uni(base) * UnivariatePoly([-gr(*a), 1]) ** m
+        assert vanishing_order(p, point) == m
+        if a != PAIR_ZERO:
+            assert vanishing_order(LaurentForm(p, 3), point) == m

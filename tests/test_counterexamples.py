@@ -295,12 +295,80 @@ class TestVerifyViolation:
         with pytest.raises(ViolationCheckError):
             verify_violation(bad, [Fraction(1, 10)])
 
+    @given(n=st.integers(0, 3), s=st.fractions(Fraction(1, 40), 4, max_denominator=40),
+           k=st.integers(0, 14), delta=st.sampled_from([0, 1, -1, Fraction(1, 7)]))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_identity_check_agrees_with_the_rational_identity(self, n, s, k, delta):
+        # verify_violation compares cross-multiplied integer numerators; the
+        # oracle is the identity on Gaussian-rational polynomials
+        from dataclasses import replace
+
+        rec = counterexample_record(n)
+        p_n = rec.p_n + UnivariatePoly.monomial(k % (4 * n + 3), delta)
+        fib = substitute_fiber(rec.family, s * s, s=s)
+        srat = GaussianRational(s)
+        holds = (fib.combined_numerator().times_power(2 * n + 1 - fib.pole_order)
+                 == p_n.dilate(srat.inverse()).scale(srat ** (4 * n + 2)))
+        assert holds == (delta == 0)
+        if holds:
+            assert verify_violation(replace(rec, p_n=p_n), [s]).violated
+        else:
+            with pytest.raises(ViolationCheckError, match="fiber identity"):
+                verify_violation(replace(rec, p_n=p_n), [s])
+
+    def test_identity_above_degree_4n_plus_2(self):
+        # P + c (z^7 - z^6) (n = 1, so 4n+2 = 6) matches the family only after
+        # it gains (c/s) x^4 - c x^3: times x^(2n+1-d) = x^3 on the fiber these
+        # give c x^7 / s - c x^6 = s^6 c ((x/s)^7 - (x/s)^6)
+        from dataclasses import replace
+
+        rec, s, c = counterexample_record(1), Fraction(2, 3), Fraction(-5, 4)
+        p_n = rec.p_n + UnivariatePoly.monomial(7, c) - UnivariatePoly.monomial(6, c)
+        for extra in (UnivariatePoly.monomial(7), UnivariatePoly.monomial(9, -1)):
+            with pytest.raises(ViolationCheckError, match="fiber identity"):
+                verify_violation(replace(rec, p_n=rec.p_n + extra), [s])
+        with pytest.raises(ViolationCheckError, match="fiber identity"):
+            verify_violation(replace(rec, p_n=p_n), [s])
+        def family(top):
+            return MixedFunction(rec.big_q + BivariatePoly.monomial(4, 0, top)
+                                 - BivariatePoly.monomial(3, 0, c), rec.c_n, 3)
+
+        with pytest.raises(ViolationCheckError, match="fiber identity"):
+            verify_violation(replace(rec, p_n=p_n, family=family(2 * c / s)), [s])
+        rep = verify_violation(replace(rec, p_n=p_n, family=family(c / s)), [s])
+        assert rep.identity_ok and rep.fiber_order == vanishing_order(p_n, 1) == 1
+
     def test_nonpositive_s_rejected(self):
         rec = counterexample_record(0)
         with pytest.raises(ValueError):
             verify_violation(rec, [Fraction(-1, 10)])
         with pytest.raises(ValueError):
             verify_violation(rec, [])
+
+
+class TestRecordWriter:
+    def test_rendering_builds_no_scalar_per_coefficient(self, monkeypatch):
+        # the record's coefficients are written from their integer numerators,
+        # so the number of GaussianRationals built does not grow with n
+        from cselab.reports import render_json
+
+        built = []
+        init = GaussianRational.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        counts = {}
+        for n in (10, 20):
+            rec = counterexample_record(n)
+            rep = verify_violation(rec, [Fraction(7, 13)])
+            monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+            render_json({"record": rec, "verification": rep})
+            monkeypatch.undo()
+            counts[n] = len(built)
+            built.clear()
+        assert counts[10] == counts[20] <= 2
 
 
 class TestHolderProbe:
