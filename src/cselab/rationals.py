@@ -156,7 +156,7 @@ def _ratio(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def pair_text(re: int, im: int, den: int = 1) -> str:
+def pair_text(re: int, im: int, den: int) -> str:
     """The exact text of (re + im*i)/den, den > 0, such as "-3/2", "i" or
     "1/2-3*i": the one writer of exact scalars, which builds no Fraction."""
     if not im:
@@ -166,12 +166,12 @@ def pair_text(re: int, im: int, den: int = 1) -> str:
     return f"{_ratio(re, den) if re else ''}{sign}{itxt}"
 
 
-def pair_json(re: int, im: int, den: int = 1):
+def pair_json(re: int, im: int, den: int):
     """The JSON value of (re + im*i)/den: an int when it is one, else its text."""
     return re // den if not im and not re % den else pair_text(re, im, den)
 
 
-def pair_signed(re: int, im: int, den: int = 1, unit: bool = False):
+def pair_signed(re: int, im: int, den: int, unit: bool):
     """(sign, body) of (re + im*i)/den as an expression term: body has no minus sign,
     is parenthesized if both parts are nonzero, and is empty for 1 with unit=True."""
     if re and im:
