@@ -74,9 +74,13 @@ class FiberZero:
     location is a GaussianRational when the zero was verified exactly,
     otherwise a complex float root of a squarefree factor, found by the
     Aberth-Ehrlich iteration of _roots_of_unipoly and stopped once its
-    residual is at the rounding level of the evaluation.  Multiplicities
-    come from squarefree decomposition and are exact even when the location
-    is not.
+    residual is at the rounding level of the evaluation.  A float root is
+    snapped on ints to the nearest parts with denominators up to 10^6, and
+    the snap is kept only if both denominators divide the monic factor's
+    common denominator (Gauss's lemma: every Gaussian-rational root passes),
+    it lies within 1e-8 of the float, and it is an exact root of the factor.
+    Multiplicities come from squarefree decomposition and are exact even
+    when the location is not.
     """
 
     location: object
@@ -99,14 +103,56 @@ class FiberZero:
                 "exactness": self.exactness}
 
 
-def _snap_gaussian(z: complex, max_den: int = 10 ** 6):
-    scale = max(1.0, abs(z))
-    re = Fraction(z.real).limit_denominator(max_den)
-    im = Fraction(z.imag).limit_denominator(max_den)
-    cand = GaussianRational(re, im)
-    if abs(cand.to_complex() - z) <= 1e-8 * scale:
-        return cand
-    return None
+SNAP_MAX_DEN = 10 ** 6
+
+
+def _limit_denominator(x: float, max_den: int = SNAP_MAX_DEN):
+    """(p, q), q > 0 and p/q in lowest terms, equal to
+    Fraction(x).limit_denominator(max_den), on ints alone.
+
+    The continued fraction of x's exact binary value runs until the next
+    convergent's denominator would pass max_den.  Of the last convergent
+    p1/q1 and the semiconvergent with the largest allowed denominator, the
+    one nearer x wins, p1/q1 on a tie: x lies between them, they are
+    1/(q1 (q0 + k q1)) apart, and x is d/(q1 den) from p1/q1.
+    """
+    n, den = x.as_integer_ratio()
+    if den <= max_den:
+        return n, den
+    d = den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _snap_gaussian(z: complex, den: int):
+    """The Gaussian rational with parts _limit_denominator(z.real) and
+    _limit_denominator(z.imag) if both reduced denominators divide den and it
+    lies within 1e-8 max(1, |z|) of z; otherwise None.
+
+    den is the common denominator of a monic factor, so den * factor has
+    Gaussian-integer coefficients and leading coefficient den.  Z[i] is a
+    UFD, so by Gauss's lemma a root a/b of the factor, a and b coprime in
+    Z[i], has b | den: den times the root is in Z[i], and the denominators
+    of its real and imaginary parts divide den.  A candidate that fails the
+    filter is no root, so dropping it changes no result.
+    """
+    pr, qr = _limit_denominator(z.real)
+    pi, qi = _limit_denominator(z.imag)
+    if den % qr or den % qi:
+        return None
+    if abs(complex(pr / qr, pi / qi) - z) > 1e-8 * max(1.0, abs(z)):
+        return None
+    return GaussianRational(Fraction(pr, qr), Fraction(pi, qi))
 
 
 ABERTH_MAX_PASSES = 500
@@ -245,16 +291,22 @@ def _exact_fiber_zero_list(num: UnivariatePoly):
     """Zeros of num with exact multiplicities.
 
     Each root of a squarefree factor is simple, so it carries the factor's
-    multiplicity.  A root that snaps to a Gaussian rational verified to be
-    a root of the factor is exact, and each such candidate is used once:
-    when a second root snaps to a used one, the numeric roots are taken
-    from the factor with the exact roots divided out.
+    multiplicity.  Each float root is snapped on ints by _snap_gaussian,
+    which drops, before any Fraction or exact test is made, every candidate
+    whose part denominators do not divide the factor's denominator den.
+    That filter is exact: the factor is monic, so den * factor lies in
+    Z[i][z] with leading coefficient den, and Gauss's lemma puts den * r in
+    Z[i] for every Gaussian-rational root r; a dropped candidate would have
+    failed divides_power.  A candidate that passes and divides the factor
+    is exact, and each such candidate is used once: when a second root snaps
+    to a used one, the numeric roots are taken from the factor with the
+    exact roots divided out.
     """
     zeros = []
     for factor, mult in squarefree_decomposition(num):
         claimed, found, collided = set(), [], False
         for root in _roots_of_unipoly(factor):
-            cand = _snap_gaussian(root)
+            cand = _snap_gaussian(root, factor.den)
             if (cand is not None and cand not in claimed
                     and divides_power(factor, cand, 1)):
                 claimed.add(cand)

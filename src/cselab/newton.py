@@ -116,9 +116,10 @@ def lct_polygon_estimate(f: BivariatePoly) -> Exponent:
 
     N(a, b) = min over supp(F) of a*m + b*n; the axis directions (1, 0) and
     (0, 1) are included (they matter when the polygon misses an axis) and
-    the result is clamped above by 1.  This is an ESTIMATE: it is the exact
-    threshold for Newton-nondegenerate germs, which this library does not
-    test for.
+    the result is clamped above by 1.  For a, b >= 0 the minimum is taken at
+    a vertex of the lower-left hull, so only the vertices are scanned.  This
+    is an ESTIMATE: it is the exact threshold for Newton-nondegenerate germs,
+    which this library does not test for.
     """
     if f.is_zero():
         raise IdenticallyZeroError("zero polynomial")
@@ -127,7 +128,7 @@ def lct_polygon_estimate(f: BivariatePoly) -> Exponent:
     polygon = compute_polygon(f)
     best = Fraction(1)
     for a, b in _segment_normals(polygon) + [(1, 0), (0, 1)]:
-        n_ab = min(a * m + b * n for (m, n) in f.terms)
+        n_ab = min(a * m + b * n for (m, n) in polygon.vertices)
         if n_ab == 0:
             continue
         best = min(best, Fraction(a + b, n_ab))

@@ -29,7 +29,7 @@ from cselab import (
     volume_density,
 )
 from cselab import degeneration, polynomials
-from cselab.degeneration import _roots_of_unipoly
+from cselab.degeneration import _limit_denominator, _roots_of_unipoly
 from cselab.polynomials import UnivariatePoly, squarefree_decomposition
 from cselab.reports import render_json
 
@@ -276,6 +276,103 @@ class TestAberthRoots:
         monkeypatch.setattr(degeneration, "ABERTH_MAX_PASSES", 1)
         with pytest.raises(ArithmeticError, match="unresolved"):
             _roots_of_unipoly(from_roots([1, 2, 3, 4, 5]))
+
+
+SNAP_MAX_DEN = 10 ** 6
+
+
+@st.composite
+def near_small_fraction(draw):
+    """A float within 1e-12 of p/q with q <= 10^6."""
+    q = draw(st.integers(1, SNAP_MAX_DEN))
+    p = draw(st.integers(-10 ** 7, 10 ** 7))
+    return p / q + draw(st.floats(-1e-12, 1e-12))
+
+
+snap_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.floats(min_value=1e6, max_value=1e30).flatmap(lambda x: st.sampled_from((x, -x))),
+    st.integers(-10 ** 9, 10 ** 9).map(float),
+    st.integers(-10 ** 6, 10 ** 6).map(lambda k: k + 0.5),
+    near_small_fraction(),
+)
+
+
+class TestRootSnap:
+    @given(x=snap_floats)
+    @settings(max_examples=2000, derandomize=True)
+    def test_int_snap_is_limit_denominator(self, x):
+        want = Fraction(x).limit_denominator(SNAP_MAX_DEN)
+        assert _limit_denominator(x) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1074 * 3,
+                                   0.5, -2.5, 1e6 + 0.5, 1e300, -1e300,
+                                   1 / 999983, 2 ** 53 + 2.0])
+    def test_int_snap_edge_cases(self, x):
+        want = Fraction(x).limit_denominator(SNAP_MAX_DEN)
+        assert _limit_denominator(x) == (want.numerator, want.denominator)
+
+    @given(k=st.integers(-50, 50), max_den=st.integers(1, 12))
+    @settings(max_examples=300, derandomize=True)
+    def test_int_snap_breaks_ties_as_fraction(self, k, max_den):
+        # halfway points between fractions with denominators up to max_den,
+        # where the two final candidates can be equally near x
+        for x in (k / 2, k / (2 * max_den), (k + 0.5) / max_den):
+            want = Fraction(x).limit_denominator(max_den)
+            assert _limit_denominator(x, max_den) == (want.numerator, want.denominator)
+
+    @given(roots=separated_roots(False), mults=st.lists(st.integers(1, 3), min_size=8),
+           lead=st.sampled_from([1, -3, Fraction(2, 7), GaussianRational(1, 2)]))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_every_gaussian_rational_root_stays_exact(self, roots, mults, lead):
+        p = UnivariatePoly([lead])
+        for r, m in zip(roots, mults):
+            p = p * UnivariatePoly([-r, 1]) ** m
+        zs = degeneration._exact_fiber_zero_list(p)
+        assert all(z.exact_location for z in zs)
+        assert sorted((str(z.location), z.multiplicity) for z in zs) == \
+            sorted((str(r), m) for r, m in zip(roots, mults))
+
+    def test_non_real_roots_of_a_real_t(self):
+        # y + 9/4 x on xy = 1/100: x^2 = -t/a = -1/225
+        zs = fiber_zeros(Y + Fraction(9, 4) * X, Fraction(1, 100), delta=1)
+        assert sorted(str(z.location) for z in zs if z.exact_location) == \
+            ["-1/15*i", "1/15*i"]
+        assert len(zs) == 2
+
+    def test_roots_of_a_non_real_t(self):
+        # y - x on xy = i/50: x^2 = i/50, x = +-(1 + i)/10
+        zs = fiber_zeros(Y - X, GaussianRational(0, Fraction(1, 50)), delta=1)
+        assert sorted(str(z.location) for z in zs if z.exact_location) == \
+            ["-1/10-1/10*i", "1/10+1/10*i"]
+        assert len(zs) == 2
+
+    def test_root_with_a_denominator_just_below_the_cap(self):
+        # x - 9y on xy = 1/q^2, q = 999983 prime: x = +-3/q, and q divides
+        # the factor's denominator q^2
+        q = 999983
+        zs = fiber_zeros(X - 9 * Y, Fraction(1, q * q), delta=0.1)
+        assert sorted(str(z.location) for z in zs if z.exact_location) == \
+            [f"-3/{q}", f"3/{q}"]
+        assert len(zs) == 2
+
+    def test_one_exact_test_per_exact_root(self, monkeypatch):
+        # the scan germ L^4 X^3 C^2 D U at t = 1/43^2: of its 16 fiber roots
+        # only the two of y - 9/4 x (x = +-2/129) are Gaussian rationals
+        one = BivariatePoly.monomial(0, 0)
+        f = ((Y - Fraction(9, 4) * X) ** 4 * (X + Fraction(2, 5) * Y) ** 3
+             * (Y ** 2 - Fraction(5, 4) * X ** 3) ** 2
+             * (X ** 2 + Fraction(5, 2) * Y ** 3) * (one + X + Y))
+        calls = []
+        divides_power = degeneration.divides_power
+        monkeypatch.setattr(degeneration, "divides_power",
+                            lambda *a: calls.append(a) or divides_power(*a))
+        zs = fiber_zeros(f, Fraction(1, 43 ** 2), delta=math.inf)
+        exact = [z for z in zs if z.exact_location]
+        assert sorted(str(z.location) for z in exact) == ["-2/129", "2/129"]
+        assert len(zs) == 16
+        assert len(calls) == len(exact)
 
 
 class TestFiberExponent:

@@ -216,3 +216,19 @@ class TestPolygonEstimate:
             return
         value = lct_polygon_estimate(f)
         assert Exponent(0) < value <= Exponent(1)
+
+    @given(pts=supports)
+    @settings(max_examples=200, derandomize=True)
+    def test_estimate_matches_brute_force_over_support(self, pts):
+        # N(a, b) as the minimum over every support point, with the normals of
+        # the oracle hull; (a+b)/N(a,b) does not change when (a, b) is scaled
+        if (0, 0) in pts:
+            return
+        verts = oracle_hull_vertices(pts)
+        normals = [(n1 - n2, m2 - m1) for (m1, n1), (m2, n2) in zip(verts, verts[1:])]
+        best = Fraction(1)
+        for a, b in normals + [(1, 0), (0, 1)]:
+            n_ab = min(a * m + b * n for m, n in pts)
+            if n_ab:
+                best = min(best, Fraction(a + b, n_ab))
+        assert lct_polygon_estimate(poly_from_points(pts)) == Exponent(best)
