@@ -135,17 +135,10 @@ def _limit_denominator(x: float, max_den: int = SNAP_MAX_DEN):
 
 
 def _snap_gaussian(z: complex, den: int):
-    """The Gaussian rational with parts _limit_denominator(z.real) and
-    _limit_denominator(z.imag) if both reduced denominators divide den and it
-    lies within 1e-8 max(1, |z|) of z; otherwise None.
-
-    den is the common denominator of a monic factor, so den * factor has
-    Gaussian-integer coefficients and leading coefficient den.  Z[i] is a
-    UFD, so by Gauss's lemma a root a/b of the factor, a and b coprime in
-    Z[i], has b | den: den times the root is in Z[i], and the denominators
-    of its real and imaginary parts divide den.  A candidate that fails the
-    filter is no root, so dropping it changes no result.
-    """
+    """The Gaussian rational whose parts are _limit_denominator of z's, or
+    None unless both reduced denominators divide den, the denominator of a
+    monic factor (this drops no root; see _exact_fiber_zero_list), and it
+    lies within 1e-8 max(1, |z|) of z."""
     pr, qr = _limit_denominator(z.real)
     pi, qi = _limit_denominator(z.imag)
     if den % qr or den % qi:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cselab import (
@@ -301,15 +301,16 @@ snap_floats = st.one_of(
 
 class TestRootSnap:
     @given(x=snap_floats)
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-1.5e-323)
+    @example(x=-2.5)
+    @example(x=1e6 + 0.5)
+    @example(x=-1e300)
+    @example(x=1 / 999983)
     @settings(max_examples=2000, derandomize=True)
     def test_int_snap_is_limit_denominator(self, x):
-        want = Fraction(x).limit_denominator(SNAP_MAX_DEN)
-        assert _limit_denominator(x) == (want.numerator, want.denominator)
-
-    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1074 * 3,
-                                   0.5, -2.5, 1e6 + 0.5, 1e300, -1e300,
-                                   1 / 999983, 2 ** 53 + 2.0])
-    def test_int_snap_edge_cases(self, x):
         want = Fraction(x).limit_denominator(SNAP_MAX_DEN)
         assert _limit_denominator(x) == (want.numerator, want.denominator)
 
