@@ -106,9 +106,9 @@ class FiberZero:
 SNAP_MAX_DEN = 10 ** 6
 
 
-def _limit_denominator(x: float, max_den: int = SNAP_MAX_DEN):
-    """(p, q), q > 0 and p/q in lowest terms, equal to
-    Fraction(x).limit_denominator(max_den), on ints alone.
+def _nearest_fraction(x: float, max_den: int = SNAP_MAX_DEN):
+    """(p, q), q > 0 and p/q in lowest terms: the fraction nearest x with
+    q <= max_den, on ints alone, as the Fraction method for it picks it.
 
     The continued fraction of x's exact binary value runs until the next
     convergent's denominator would pass max_den.  Of the last convergent
@@ -135,12 +135,12 @@ def _limit_denominator(x: float, max_den: int = SNAP_MAX_DEN):
 
 
 def _snap_gaussian(z: complex, den: int):
-    """The Gaussian rational whose parts are _limit_denominator of z's, or
+    """The Gaussian rational whose parts are _nearest_fraction of z's, or
     None unless both reduced denominators divide den, the denominator of a
     monic factor (this drops no root; see _exact_fiber_zero_list), and it
     lies within 1e-8 max(1, |z|) of z."""
-    pr, qr = _limit_denominator(z.real)
-    pi, qi = _limit_denominator(z.imag)
+    pr, qr = _nearest_fraction(z.real)
+    pi, qi = _nearest_fraction(z.imag)
     if den % qr or den % qi:
         return None
     if abs(complex(pr / qr, pi / qi) - z) > 1e-8 * max(1.0, abs(z)):

@@ -29,7 +29,7 @@ from cselab import (
     volume_density,
 )
 from cselab import degeneration, polynomials
-from cselab.degeneration import _limit_denominator, _roots_of_unipoly
+from cselab.degeneration import _nearest_fraction, _roots_of_unipoly
 from cselab.polynomials import UnivariatePoly, squarefree_decomposition
 from cselab.reports import render_json
 
@@ -310,9 +310,9 @@ class TestRootSnap:
     @example(x=-1e300)
     @example(x=1 / 999983)
     @settings(max_examples=2000, derandomize=True)
-    def test_int_snap_is_limit_denominator(self, x):
+    def test_int_snap_matches_fraction_limit_denominator(self, x):
         want = Fraction(x).limit_denominator(SNAP_MAX_DEN)
-        assert _limit_denominator(x) == (want.numerator, want.denominator)
+        assert _nearest_fraction(x) == (want.numerator, want.denominator)
 
     @given(k=st.integers(-50, 50), max_den=st.integers(1, 12))
     @settings(max_examples=300, derandomize=True)
@@ -321,7 +321,7 @@ class TestRootSnap:
         # where the two final candidates can be equally near x
         for x in (k / 2, k / (2 * max_den), (k + 0.5) / max_den):
             want = Fraction(x).limit_denominator(max_den)
-            assert _limit_denominator(x, max_den) == (want.numerator, want.denominator)
+            assert _nearest_fraction(x, max_den) == (want.numerator, want.denominator)
 
     @given(roots=separated_roots(False), mults=st.lists(st.integers(1, 3), min_size=8),
            lead=st.sampled_from([1, -3, Fraction(2, 7), GaussianRational(1, 2)]))
