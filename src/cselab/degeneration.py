@@ -108,7 +108,7 @@ SNAP_MAX_DEN = 10 ** 6
 
 def _nearest_fraction(x: float, max_den: int = SNAP_MAX_DEN):
     """(p, q), q > 0 and p/q in lowest terms: the fraction nearest x with
-    q <= max_den, on ints alone, as the Fraction method for it picks it.
+    q <= max_den, found on ints alone by Fraction's algorithm and tie-break.
 
     The continued fraction of x's exact binary value runs until the next
     convergent's denominator would pass max_den.  Of the last convergent
