@@ -5,6 +5,8 @@ Exit codes: 0 when verdicts match the theorem expectations, 2 when a
 holomorphic input produces a violated (or failed-stability) verdict, 1 on
 a rejected input (one "error:" line on stderr).  The environment variable
 CSE_LAB_PRECISION (double or extended) selects the quadrature arithmetic.
+Each subcommand imports only the modules it runs: exponent, lct, polygon
+and counterexample load neither numpy nor the quadrature.
 """
 
 from __future__ import annotations
@@ -16,31 +18,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import newton
-from .counterexamples import counterexample_record, holder_probe, verify_violation
-from .degeneration import (
-    builtin_catalog,
-    central_exponent,
-    fiber_zeros,
-    lct_from_resolution,
-    load_catalog,
-    semicontinuity_check,
-)
 from .expressions import ExpressionError, format_function, parse_expression
-from .polynomials import (
-    IdenticallyZeroError,
-    UnivariatePoly,
-    as_mixed,
-    substitute_fiber,
-)
-from .quadrature import (
-    QuadratureConfig,
-    convergence_sweep,
-    default_t_sequence,
-    exponent_probe_1d,
-    uniform_bound_check,
-    young_combine,
-)
+from .polynomials import IdenticallyZeroError, UnivariatePoly, as_mixed, substitute_fiber
 from .reports import emit_report
 
 
@@ -53,17 +32,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _quad_config(ns) -> QuadratureConfig:
+_QUAD_OPTS = (   # option, type, help, QuadratureConfig field
+    ("--radial-cells", int, "radial cells per decade", "radial_cells_per_decade"),
+    ("--angular-cells", int, "angular cells", "angular_cells"),
+    ("--max-depth", int, "max dyadic refinement depth", "max_refinement_depth"),
+    ("--tolerance", float, "per-cell relative tolerance", "target_rel_tolerance"),
+)
+
+
+def _quad_config(ns):
+    """The QuadratureConfig of the options; an option left unset keeps the
+    config's own default."""
+    from .quadrature import QuadratureConfig
+
     precision = os.environ.get("CSE_LAB_PRECISION", "double")
     if precision not in ("double", "extended"):
         raise UsageError("CSE_LAB_PRECISION must be 'double' or 'extended'")
-    return QuadratureConfig(
-        radial_cells_per_decade=ns.radial_cells,
-        angular_cells=ns.angular_cells,
-        max_refinement_depth=ns.max_depth,
-        target_rel_tolerance=ns.tolerance,
-        precision=precision,
-    )
+    given = {field: getattr(ns, opt[2:].replace("-", "_")) for opt, *_, field in _QUAD_OPTS}
+    return QuadratureConfig(precision=precision,
+                            **{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_exact(text: str) -> Fraction:
@@ -85,15 +72,10 @@ def _parse_fn(text: str):
 
 
 def _add_quad_opts(p):
-    d = QuadratureConfig()
-    p.add_argument("--radial-cells", type=int, default=d.radial_cells_per_decade,
-                   help="radial cells per decade (default %(default)s)")
-    p.add_argument("--angular-cells", type=int, default=d.angular_cells,
-                   help="angular cells (default %(default)s)")
-    p.add_argument("--max-depth", type=int, default=d.max_refinement_depth,
-                   help="max dyadic refinement depth (default %(default)s)")
-    p.add_argument("--tolerance", type=float, default=d.target_rel_tolerance,
-                   help="per-cell relative tolerance (default %(default)s)")
+    # no defaults here: _quad_config leaves unset options to QuadratureConfig,
+    # so building the parser does not import the quadrature
+    for opt, kind, what, field in _QUAD_OPTS:
+        p.add_argument(opt, type=kind, help=f"{what} (default: QuadratureConfig.{field})")
 
 
 def _add_out_opts(p, formats=("json",)):
@@ -184,6 +166,8 @@ def build_parser() -> _Parser:
 # -- subcommand bodies -------------------------------------------------------
 
 def _cmd_exponent(ns) -> int:
+    from .degeneration import semicontinuity_check
+
     f = _parse_fn(ns.f)
     ts = ([_parse_exact(t) for t in ns.t] if ns.t
           else [Fraction(1, 10 ** k) ** 2 for k in range(1, 5)])
@@ -195,6 +179,9 @@ def _cmd_exponent(ns) -> int:
 
 
 def _cmd_lct(ns) -> int:
+    from .degeneration import builtin_catalog, lct_from_resolution, load_catalog
+    from .newton import lct_polygon_estimate
+
     entries = load_catalog(ns.catalog) if ns.catalog else builtin_catalog()
     names = [ns.name] if ns.name else sorted(entries)
     rows = []
@@ -206,7 +193,7 @@ def _cmd_lct(ns) -> int:
         res = lct_from_resolution(e.divisors, e.is_log_resolution)
         row = {"name": name, "resolution_value": res.value, "label": res.label}
         if e.curve:
-            est = newton.lct_polygon_estimate(_parse_fn(e.curve))
+            est = lct_polygon_estimate(_parse_fn(e.curve))
             row["curve"] = e.curve
             row["polygon_estimate"] = est
             row["agree"] = est == res.value
@@ -216,6 +203,8 @@ def _cmd_lct(ns) -> int:
 
 
 def _cmd_polygon(ns) -> int:
+    from . import newton
+
     f = as_mixed(_parse_fn(ns.f)).holo
     polygon = newton.compute_polygon(f)
     out = {
@@ -242,6 +231,8 @@ def _cmd_polygon(ns) -> int:
 
 
 def _sweep_sequence(ns):
+    from .quadrature import default_t_sequence
+
     if ns.t:
         return [_parse_exact(t) for t in ns.t]
     if ns.t_count < 1:
@@ -251,6 +242,8 @@ def _sweep_sequence(ns):
 
 
 def _cmd_sweep(ns) -> int:
+    from .quadrature import convergence_sweep
+
     f = _parse_fn(ns.f)
     cfg = _quad_config(ns)
     report = convergence_sweep(f, ns.c, ns.R, _sweep_sequence(ns), cfg)
@@ -259,6 +252,9 @@ def _cmd_sweep(ns) -> int:
 
 
 def _cmd_bound(ns) -> int:
+    from .degeneration import central_exponent
+    from .quadrature import default_t_sequence, uniform_bound_check, young_combine
+
     f = _parse_fn(ns.f)
     cfg = _quad_config(ns)
     ts = [_parse_exact(t) for t in ns.t] if ns.t else default_t_sequence()
@@ -290,6 +286,8 @@ def _cmd_bound(ns) -> int:
 
 
 def _cmd_counterexample(ns) -> int:
+    from .counterexamples import counterexample_record, verify_violation
+
     if ns.n is not None:
         indices = [ns.n]
     else:
@@ -308,11 +306,16 @@ def _cmd_counterexample(ns) -> int:
 
 
 def _cmd_probe(ns) -> int:
-    cfg = _quad_config(ns)
     if ns.kind == "holder":
+        from .counterexamples import holder_probe
+
         result = holder_probe(ns.n, ns.scale)
         _emit(result, ns)
         return 0
+    from .degeneration import fiber_zeros
+    from .quadrature import exponent_probe_1d
+
+    cfg = _quad_config(ns)
     if not ns.f or ns.t is None:
         raise UsageError("multiplicity probes need --f and --t")
     f = _parse_fn(ns.f)

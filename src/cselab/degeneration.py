@@ -330,8 +330,11 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     may pass that LaurentForm as f, so the fiber is substituted once.
 
     Raises IdenticallyZeroError when the fiber function vanishes
-    identically (its exponent is 0 by convention).
+    identically (its exponent is 0 by convention), and ValueError unless
+    delta > 0 (math.inf takes every zero).
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, not {delta!r}")
     tt = exact_param(t)
     if tt.is_zero():
         raise ValueError("t = 0 is the central fiber; use the axis restrictions")

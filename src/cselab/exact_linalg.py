@@ -6,12 +6,12 @@ It is the leading coefficient of the interpolant of degree m, so it annuls
 every polynomial of degree below m.  The rows (p(e_0), ..., p(e_m)) for p
 running over a basis of those polynomials have rank m (a Vandermonde
 matrix on distinct nodes), so their kernel is exactly the line spanned by
-the weights.
+the weights.  node_products gives the reciprocals 1/w_i, which stay ints on
+int nodes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 
@@ -20,8 +20,3 @@ def node_products(nodes):
     if len(set(nodes)) != len(nodes):
         raise ValueError("divided-difference nodes must be distinct")
     return [prod(e - f for f in nodes if f != e) for e in nodes]
-
-
-def divided_difference_weights(nodes):
-    """The weights 1/prod_{f != e} (e - f) of the divided difference, in node order."""
-    return [Fraction(1, w) for w in node_products(nodes)]

@@ -154,28 +154,6 @@ class UnivariatePoly:
         return UnivariatePoly._from_ints(
             [(k * cr, k * ci) for k, (cr, ci) in enumerate(self.nums[1:], 1)], self.den)
 
-    def dilate(self, a) -> "UnivariatePoly":
-        """P(a*z): coefficient k picks up a^k.  With a = u/d and degree N the
-        numerator k is c_k u^k d^(N-k) over den d^N."""
-        ur, ui, d = _int_pair(a)
-        top, out, pr, pi = max(self.degree, 0), [], 1, 0
-        for k, (cr, ci) in enumerate(self.nums):
-            w = d ** (top - k)
-            out.append(((cr * pr - ci * pi) * w, (cr * pi + ci * pr) * w))
-            pr, pi = pr * ur - pi * ui, pr * ui + pi * ur
-        return UnivariatePoly._from_ints(out, self.den * d ** top)
-
-    def times_power(self, k: int) -> "UnivariatePoly":
-        """Multiply by z^k."""
-        return UnivariatePoly._from_ints([(0, 0)] * k + list(self.nums), self.den)
-
-    def reversed_within(self, length: int) -> "UnivariatePoly":
-        """z^(length) * P(1/z) as a polynomial; requires deg P <= length."""
-        if self.degree > length:
-            raise ValueError("degree exceeds reversal length")
-        return UnivariatePoly._from_ints(
-            [(0, 0)] * (length - self.degree) + list(reversed(self.nums)), self.den)
-
     def evaluate(self, z) -> GaussianRational:
         """Exact Horner evaluation at a Gaussian-rational point."""
         zz, acc = _coeff(z), ZERO

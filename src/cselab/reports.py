@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .expressions import format_function
 from .polynomials import BivariatePoly, MixedFunction, UnivariatePoly
-from .quadrature import ProbeResult, SweepReport
 from .rationals import ExactPairs, GaussianRational, pair_json, param_float, _int_pair
 
 SWEEP_CSV_HEADER = "t,K_t,err,I_t,J_t,ratio"
@@ -67,6 +66,8 @@ def render_json(obj) -> str:
 
 
 def render_csv(report) -> str:
+    from .quadrature import SweepReport
+
     if isinstance(report, SweepReport):
         lines = [SWEEP_CSV_HEADER]
         for (t, k, err, i, j, ratio) in report.csv_rows():
@@ -78,6 +79,8 @@ def render_csv(report) -> str:
 
 def render_plot_data(report) -> str:
     """Two whitespace-separated columns for external plotting."""
+    from .quadrature import ProbeResult, SweepReport
+
     if isinstance(report, SweepReport):
         pairs = [(param_float(r.t), r.ratio) for r in report.rows]
     elif isinstance(report, ProbeResult):

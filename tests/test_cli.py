@@ -182,6 +182,11 @@ class TestUsageErrors:
         "bound-factor-z": ["bound", "--f", "x+y", "--c", "0.3", "--R", "1",
                            "--t", "1/100", "--factor", "z"],
         "exponent-z": ["exponent", "--f", "z^2"],
+        "exponent-negative-delta": ["exponent", "--f", "y^2-x^3", "--t", "1/400",
+                                    "--delta", "-1"],
+        "exponent-nan-delta": ["exponent", "--f", "y^2-x^3", "--delta", "nan"],
+        "probe-zero-delta": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
+                             "--t", "1/1000", "--delta", "0"],
         "polygon-z": ["polygon", "--f", "z^2"],
         "polygon-zero": ["polygon", "--f", "0"],
         "probe-holder-negative-n": ["probe", "--kind", "holder", "--n", "-1"],
@@ -246,8 +251,28 @@ class TestDeterminism:
         assert p1.read_bytes()  # nonempty
 
 
+def assert_unloaded(code, absent):
+    """Run code in a fresh interpreter, then check no module in absent was imported."""
+    code += (f"loaded = sorted({sorted(absent)!r} & sys.modules.keys())\n"
+             "assert not loaded, f'imported: {loaded}'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def main_code(argv):
+    return ("import contextlib, io, sys\n"
+            "from cselab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+
+
 class TestNoNumpyOnTheExactPath:
-    """Subcommands that integrate nothing run without importing numpy."""
+    """Each subcommand imports only the modules it runs: those that integrate
+    nothing load neither numpy nor the quadrature, and only counterexample
+    and the Hoelder probe load the counterexample families."""
 
     @pytest.mark.parametrize("argv", [
         ["lct", "--name", "cusp"],
@@ -256,13 +281,28 @@ class TestNoNumpyOnTheExactPath:
         ["exponent", "--f", "y^2-x^3", "--t", "1e-4"],   # numeric zero locations
     ], ids=lambda argv: argv[0])
     def test_subcommand_leaves_numpy_unloaded(self, argv):
-        code = ("import contextlib, io, sys\n"
-                "from cselab.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert main({argv!r}) == 0\n"
-                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        absent = {"numpy", "cselab.quadrature"}
+        if argv[0] != "counterexample":
+            absent.add("cselab.counterexamples")
+        assert_unloaded(main_code(argv), absent)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--f", "x+y", "--c", "0.5", "--R", "1", "--t-count", "2",
+         "--angular-cells", "16", "--radial-cells", "6"],
+        ["bound", "--f", "x^2-y^2", "--c", "0.2", "--R", "0.5", "--t", "1/100",
+         "--angular-cells", "16", "--radial-cells", "6"],
+        ["probe", "--kind", "multiplicity", "--f", "(x+y)^2", "--t", "1/1000",
+         "--c", "0.15"],
+    ], ids=lambda argv: argv[0])
+    def test_integrating_subcommand_leaves_counterexamples_unloaded(self, argv):
+        assert_unloaded(main_code(argv), {"cselab.counterexamples"})
+
+    def test_holder_probe_leaves_quadrature_unloaded(self):
+        # the Hoelder probe integrates nothing, so it builds no QuadratureConfig
+        assert_unloaded(main_code(["probe", "--kind", "holder", "--n", "0"]),
+                        {"cselab.quadrature"})
+
+    def test_bare_import_loads_no_submodule(self):
+        package = Path(__file__).resolve().parent.parent / "src" / "cselab"
+        submodules = {f"cselab.{f.stem}" for f in package.glob("*.py")} - {"cselab.__init__"}
+        assert_unloaded("import sys\nimport cselab\n", submodules)

@@ -521,6 +521,14 @@ class TestSemicontinuity:
         with pytest.raises(ValueError):
             semicontinuity_check(X + Y, [0])
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_nonpositive_delta_rejected(self, delta):
+        # no polydisc: every row would hold vacuously, with no zeros
+        with pytest.raises(ValueError, match="delta must be positive"):
+            semicontinuity_check(Y * Y - X ** 3, self.T_SAMPLES, delta=delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            fiber_zeros(Y * Y - X ** 3, Fraction(1, 400), delta=delta)
+
     def test_vanishing_family_rejected(self):
         with pytest.raises(IdenticallyZeroError):
             semicontinuity_check(BivariatePoly.zero(), [Fraction(1, 10)])
