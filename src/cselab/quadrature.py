@@ -4,11 +4,17 @@ The integrals of interest live on annuli A(a, b) = {a < |z| < b}.  Cells
 are tensor products of log-radius and angle intervals, each integrated by
 an embedded pair of tensor Gauss-Legendre rules (2x2 and 3x3) and split
 dyadically wherever the pair disagrees beyond tolerance; the 3x3 sum is
-the cell's value and the disagreement its error.  Cells containing a
-detected zero of the fiber function are split ahead of time.  Integrable
-singularities r^(-2cm) with 2cm < 2 are resolved by refinement depth;
-configurations with 2cm >= 2 at an interior zero are reported divergent
-rather than returning a number.
+the cell's value and the disagreement its error.  A round of the engine
+evaluates all its cells on their tensor axes: exp(u), cos(theta) and
+sin(theta) once at each of the 5 abscissae per side, the fiber function at
+the 13 nodes built from them, each rule's sum over angle, and then the
+weights, which are radial functions of |x - center|^2, on those sums.
+Cells containing a detected zero of the fiber function are split ahead of
+time.  Integrable singularities r^(-2cm) with 2cm < 2 are resolved by
+refinement depth; configurations with 2cm >= 2 at an interior zero are
+reported divergent rather than returning a number.  A cell whose 13 nodes
+all have a non-finite integrand (where r^2 overflows, say) is dropped at
+once and flagged unresolved, since no split can resolve it.
 
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import newton
 from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
@@ -237,16 +244,17 @@ def _base_fn(fiber, c: float, cfg: QuadratureConfig, chart: str = "x", t=None):
 
     def evaluate(z):
         x = tc / z if chart == "y" else z
-        acc = np.zeros_like(x)
-        for ck in coeffs[::-1]:
-            acc = acc * x + ck
+        acc = np.full_like(x, coeffs[-1])
+        for ck in coeffs[-2::-1]:
+            acc *= x
+            if ck:
+                acc += ck
         av = np.abs(acc)
         if d:
-            av = av / np.abs(x) ** d
+            av /= np.abs(x) ** d
         if c == 0:
             return np.ones_like(av)
-        with np.errstate(divide="ignore", over="ignore"):
-            return av ** (-2.0 * c)
+        return av ** (-2.0 * c)
 
     return evaluate
 
@@ -271,21 +279,60 @@ _G3 = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
        (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0))
 _GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
                     for (gu, wu) in g for (gt, wt) in g)
+# the same pair on its tensor axes: the 5 distinct (abscissa, weight) pairs of
+# a side, the 2-point rule's then the 3-point rule's, and for each node of
+# _GAUSS_PAIR the index of its u pair and of its theta pair
+_AXIS = _G2 + _G3
+_NODE_U = tuple(i for b in ((0, 1), (2, 3, 4)) for i in b for _ in b)
+_NODE_T = tuple(j for b in ((0, 1), (2, 3, 4)) for _ in b for j in b)
 
 
-def _unit_weight(x):
+@lru_cache(maxsize=None)
+def _axis_arrays(rdt):
     import numpy as np
-    return np.ones(x.shape)
+    ab, w = (np.array(col, dtype=rdt) for col in zip(*_AXIS))
+    return ab, w[:2], w[2:], np.array(_NODE_U), np.array(_NODE_T)
+
+
+def _cell_rule(cells, base_fn, radial=None, center=0j):
+    """(coarse and fine sums of each weight, base at the 13 nodes, radial
+    factors at the 5 u abscissae) of each row (u0, u1, theta0, theta1).
+
+    Each rule sums over angle before the radial factors apply, so an
+    infinite node of one rule leaves the other's sum finite."""
+    import numpy as np
+    ab, w2, w3, node_u, node_t = _axis_arrays(cells.dtype.type)
+    lo = cells[:, 0::2].T
+    side = cells[:, 1::2].T - lo
+    ut = lo[:, None] + side[:, None] * ab[:, None]
+    # libm's exp, through a complex exp: numpy's own float64 exp is an ulp
+    # off on some arguments, which the fiber's zeros amplify
+    er = np.exp(ut[0] + 0j).real
+    phase = np.empty(er.shape, dtype=np.result_type(er, np.complex64))
+    np.cos(ut[1], out=phase.real)
+    np.sin(ut[1], out=phase.imag)
+    x = phase.take(node_t, axis=0)
+    x *= er.take(node_u, axis=0)
+    if center:
+        x += center
+    vals = base_fn(x)
+    ang = np.concatenate((w2 @ vals[:4].reshape(2, 2, -1),
+                          w3 @ vals[4:].reshape(3, 3, -1)))
+    ang *= side[0] * side[1]
+    factors = (er * er)[None] if radial is None else radial(er * er)
+    rs = factors * ang
+    return np.array((w2 @ rs[:, :2], w3 @ rs[:, 2:])), vals, factors
 
 
 def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
-                    weight_fns=(_unit_weight,), zero_points=(), center=0j):
+                    radial=None, zero_points=(), center=0j):
     """Masses of base*w_k over the annulus for every weight w_k.
 
-    Returns (masses, errors, cells_used, flags, converged).  The refinement
-    decision is driven by the last weight; all weights share the grid, so
-    linear identities between them hold to rounding.  The default is the
-    single unit weight.
+    The weights are radial: radial maps r^2 = |x - center|^2 to the stack
+    of w_k r^2, each weight times the log-polar Jacobian; the default is the
+    unit weight alone.  Returns (masses, errors, cells_used, flags,
+    converged).  The last weight drives refinement; all weights share the
+    grid, so linear identities between them hold to rounding.
     """
     import numpy as np
     rdt = cfg.real_dtype
@@ -295,83 +342,59 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
     n_th = max(4, cfg.angular_cells)
 
+    # cells are rows (u0, u1, theta0, theta1), with their depths beside them
     ue = np.linspace(u_lo, u_hi, n_u + 1, dtype=rdt)
     te = np.linspace(0.0, 2.0 * math.pi, n_th + 1, dtype=rdt)
-    u0 = np.repeat(ue[:-1], n_th)
-    u1 = np.repeat(ue[1:], n_th)
-    t0 = np.tile(te[:-1], n_u)
-    t1 = np.tile(te[1:], n_u)
-    depth = np.zeros(u0.size, dtype=np.int32)
+    edges = np.broadcast_arrays(ue[:-1, None], ue[1:, None], te[:-1], te[1:])
+    cells = np.stack(edges, axis=-1).reshape(-1, 4)
+    depth = np.zeros(len(cells), dtype=np.int32)
 
     # pre-split cells containing a detected zero, so singular regions are
     # refined around the zero before the tolerance loop sees them
     zs = [complex(z) - complex(center) for z in zero_points]
-    zs = [(math.log(abs(z)), math.atan2(z.imag, z.real) % (2.0 * math.pi))
-          for z in zs if abs(z) > 0]
+    zs = np.array([(math.log(abs(z)), math.atan2(z.imag, z.real) % (2.0 * math.pi))
+                   for z in zs if abs(z) > 0], dtype=rdt).reshape(-1, 1, 2)
     for _ in range(2):
-        if not zs:
-            break
-        hit = np.zeros(u0.size, dtype=bool)
-        for (uz, tz) in zs:
-            hit |= (u0 <= uz) & (uz <= u1) & (t0 <= tz) & (tz <= t1)
+        hit = ((cells[:, 0::2] <= zs) & (zs <= cells[:, 1::2])).all(axis=2).any(axis=0)
         if not hit.any():
             break
-        u0, u1, t0, t1, depth = _split_cells(u0, u1, t0, t1, depth, hit)
+        kids, kid_depth = _split_cells(cells[hit], depth[hit])
+        cells = np.concatenate([cells[~hit], kids])
+        depth = np.concatenate([depth[~hit], kid_depth])
 
-    n_w = len(weight_fns)
-    totals = [rdt(0.0) for _ in range(n_w)]
-    errors = [rdt(0.0) for _ in range(n_w)]
-    cells_used = 0
-    forced = 0
-    dropped = 0
+    sums = rdt(0.0)   # becomes (errors, masses) of every weight
+    cells_used = forced = dropped = 0
     abs_floor = None
     tol = cfg.target_rel_tolerance
-    cplx = cfg.complex_dtype
-    ctr = cplx(complex(center))
-    node_u, node_t, node_w = (np.array(col) for col in zip(*_GAUSS_PAIR))
-
-    while u0.size:
-        du = u1 - u0
-        dt = t1 - t0
-        area = du * dt
-        uu = u0[:, None] + du[:, None] * node_u
-        tt = t0[:, None] + dt[:, None] * node_t
-        xn = ctr + np.exp(uu.astype(cplx) + 1j * tt.astype(cplx))
-        bn = base_fn(xn) * np.exp(2.0 * uu) * node_w
-
-        coarse = np.empty((n_w, u0.size), dtype=rdt)
-        fine = np.empty((n_w, u0.size), dtype=rdt)
-        for k, w in enumerate(weight_fns):
-            vals = bn * w(xn)
-            coarse[k] = vals[:, :4].sum(axis=1) * area
-            fine[k] = vals[:, 4:].sum(axis=1) * area
-
-        if abs_floor is None:
-            finite0 = np.isfinite(coarse[-1])
-            scale0 = float(np.abs(coarse[-1][finite0]).sum())
-            abs_floor = tol * max(scale0, 1e-300) / (4.0 * max(u0.size, 1))
-
-        dis = np.abs(fine[-1] - coarse[-1])
-        all_finite = np.isfinite(fine).all(axis=0) & np.isfinite(coarse).all(axis=0)
-        within = all_finite & (dis <= tol * np.abs(fine[-1]) + abs_floor)
-        at_cap = depth >= cfg.max_refinement_depth
-        accept = within | at_cap
-
-        acc_idx = np.nonzero(accept)[0]
-        if acc_idx.size:
-            acc_finite = all_finite[acc_idx]
-            good = acc_idx[acc_finite]
-            bad = acc_idx[~acc_finite]
-            for k in range(n_w):
-                totals[k] = totals[k] + fine[k][good].sum()
-                errors[k] = errors[k] + np.abs(fine[k][good] - coarse[k][good]).sum()
-            cells_used += good.size
-            forced += int((at_cap & ~within)[acc_idx].sum())
-            dropped += bad.size
-
-        split = ~accept
-        u0, u1, t0, t1, depth = _split_cells(u0, u1, t0, t1, depth, split,
-                                             keep_only_split=True)
+    node_u = _axis_arrays(rdt)[3]
+    with np.errstate(all="ignore"):
+        while len(cells):
+            rule, vals, factors = _cell_rule(cells, base_fn, radial, center)
+            if abs_floor is None:
+                first = rule[0, -1]
+                scale0 = float(first[np.isfinite(first)].sum())
+                abs_floor = tol * max(scale0, 1e-300) / (4.0 * len(cells))
+            rule[0] = np.abs(rule[1] - rule[0])    # now (|fine - coarse|, fine)
+            finite = np.isfinite(rule[0]).all(axis=0)
+            accept = finite & (rule[0, -1] <= tol * rule[1, -1] + abs_floor)
+            if not finite.all():
+                # a cell non-finite at all 13 nodes is dropped: no split helps
+                bad = np.flatnonzero(~finite)
+                node_factors = factors.take(node_u, axis=1)[:, :, bad]
+                hopeless = ~np.isfinite(vals[:, bad] * node_factors).all(axis=0).any(axis=0)
+                accept[bad[hopeless]] = True
+                dropped += int(np.count_nonzero(hopeless))
+                rule[:, :, bad] = 0.0      # so the sums below see no NaN * 0
+            at_cap = depth >= cfg.max_refinement_depth
+            if at_cap.any():
+                forced_now = at_cap & ~accept
+                forced += int(np.count_nonzero(forced_now))
+                dropped += int(np.count_nonzero(forced_now & ~finite))
+                accept |= at_cap
+            good = accept & finite
+            sums = sums + rule @ good
+            cells_used += int(np.count_nonzero(good))
+            cells, depth = _split_cells(cells[~accept], depth[~accept])
 
     flags = []
     if forced:
@@ -379,28 +402,26 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     if dropped:
         flags.append(f"unresolved-singular-cell:{dropped}")
     converged = forced == 0 and dropped == 0
-    return ([float(v) for v in totals], [float(e) for e in errors],
+    return ([float(v) for v in sums[1]], [float(e) for e in sums[0]],
             cells_used, tuple(flags), converged)
 
 
-def _split_cells(u0, u1, t0, t1, depth, mask, keep_only_split=False):
+def _split_cells(cells, depth):
+    """The four children of each cell, quadrant by quadrant after it."""
     import numpy as np
-    su0, su1 = u0[mask], u1[mask]
-    st0, st1 = t0[mask], t1[mask]
-    sd = depth[mask] + 1
-    um = 0.5 * (su0 + su1)
-    tm = 0.5 * (st0 + st1)
-    cu0 = np.concatenate([su0, um, su0, um])
-    cu1 = np.concatenate([um, su1, um, su1])
-    ct0 = np.concatenate([st0, st0, tm, tm])
-    ct1 = np.concatenate([tm, tm, st1, st1])
-    cd = np.concatenate([sd, sd, sd, sd])
-    if keep_only_split:
-        return cu0, cu1, ct0, ct1, cd
-    keep = ~mask
-    return (np.concatenate([u0[keep], cu0]), np.concatenate([u1[keep], cu1]),
-            np.concatenate([t0[keep], ct0]), np.concatenate([t1[keep], ct1]),
-            np.concatenate([depth[keep], cd]))
+    mid = 0.5 * (cells[:, 0::2] + cells[:, 1::2])
+    kids = np.repeat(cells, 4, axis=0)
+    quad = kids.reshape(-1, 2, 2, 4)     # (cell, theta half, u half, side)
+    quad[:, :, 0, 1] = mid[:, 0:1]
+    quad[:, :, 1, 0] = mid[:, 0:1]
+    quad[:, 0, :, 3] = mid[:, 1:2]
+    quad[:, 1, :, 2] = mid[:, 1:2]
+    return kids, np.repeat(depth + 1, 4)
+
+
+def _check_radius(radius):
+    if not 0 < radius < math.inf:
+        raise ValueError(f"the radius R must be finite and > 0; got R={radius}")
 
 
 def _interior_zeros(zeros, domain: Annulus):
@@ -503,6 +524,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
     and the request is rejected.
     """
     cfg = config or QuadratureConfig()
+    _check_radius(radius)
     f = as_mixed(f)
     c0 = central_exponent(f, "min")
     if not (0 < c < float(c0)):
@@ -547,17 +569,14 @@ def fiber_integral_K(f, t, c: float, radius: float,
     base = _base_fn(fib, c, cfg)
     t2 = t_abs * t_abs
 
-    def w_j(x):
-        ax2 = np.abs(x) ** 2
-        return (t2 / ax2) / ax2
-
-    def w_k(x):
-        # intrinsic density (|x|^2 + |y|^2)/|x|^2 with y = t/x
-        ax2 = np.abs(x) ** 2
-        return (ax2 + t2 / ax2) / ax2
+    def radial(r2):
+        # r^2 times the weights 1, |y|^2/|x|^2 = t^2/r^4 and the intrinsic
+        # density (|x|^2 + |y|^2)/|x|^2 = 1 + t^2/r^4, with y = t/x
+        q = t2 / r2
+        return np.array((r2, q, r2 + q))
 
     masses, errs, cells, flags, converged = _adaptive_polar(
-        base, domain, cfg, weight_fns=(_unit_weight, w_j, w_k),
+        base, domain, cfg, radial=radial,
         zero_points=[z.location_complex() for z in zeros])
 
     mk = dict(cells_used=cells, refinement_flags=flags, domain=domain,
@@ -583,6 +602,7 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
     split at |s|^l/R1 and |s|^l*R1, so they sum to I_t.
     """
     cfg = config or QuadratureConfig()
+    _check_radius(radius)
     if r1 <= 1:
         raise ValueError("R1 must exceed 1")
     tt = exact_param(t)
@@ -642,6 +662,7 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
     quadrature error.
     """
     cfg = config or QuadratureConfig()
+    _check_radius(radius)
     f = as_mixed(f)
     if not f.is_holomorphic():
         raise ValueError("the stability statement concerns holomorphic F")
@@ -697,6 +718,7 @@ def uniform_bound_check(f, c: float, radius: float, t_samples,
     contradict the uniform-bound theorem and signals a failure.
     """
     cfg = config or QuadratureConfig()
+    _check_radius(radius)
     samples = sorted(t_samples, key=param_modulus, reverse=True)
     if not samples:
         raise ValueError("empty t sample list")

@@ -182,6 +182,12 @@ class TestUsageErrors:
         "bound-factor-z": ["bound", "--f", "x+y", "--c", "0.3", "--R", "1",
                            "--t", "1/100", "--factor", "z"],
         "exponent-z": ["exponent", "--f", "z^2"],
+        "bound-zero-radius": ["bound", "--f", "x+y", "--c", "0.5", "--R", "0",
+                              "--t", "1/100"],
+        "bound-infinite-radius": ["bound", "--f", "x+y", "--c", "0.5", "--R", "inf",
+                                  "--t", "1/100"],
+        "sweep-negative-radius": ["sweep", "--f", "x+y", "--c", "0.5", "--R", "-1"],
+        "sweep-nan-radius": ["sweep", "--f", "x+y", "--c", "0.5", "--R", "nan"],
         "exponent-negative-delta": ["exponent", "--f", "y^2-x^3", "--t", "1/400",
                                     "--delta", "-1"],
         "exponent-nan-delta": ["exponent", "--f", "y^2-x^3", "--delta", "nan"],
@@ -206,6 +212,11 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-radius")])
+    def test_bad_radius_is_named(self, name, capsys):
+        _, _, err = run_cli(self.BAD[name], capsys)
+        assert "the radius R must be finite and > 0" in err
 
 
 class TestToJsonable:

@@ -1,6 +1,7 @@
 """Quadrature: closed forms, the K = I + J identity, decomposition, probes."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from cselab import (
     uniform_bound_check,
     young_combine,
 )
-from cselab.quadrature import _GAUSS_PAIR
+from cselab.quadrature import _AXIS, _GAUSS_PAIR, _NODE_T, _NODE_U
 
 X = BivariatePoly.variable("x")
 Y = BivariatePoly.variable("y")
@@ -60,6 +61,13 @@ class TestCellRule:
             for b in range(degree + 1):
                 assert rule(a, b) == pytest.approx(exact(a, b), rel=1e-13)
         assert rule(degree + 1, 0) != pytest.approx(exact(degree + 1, 0), rel=1e-6)
+
+    def test_axis_tables_rebuild_the_pair_exactly(self):
+        # the engine evaluates the pair on its axes: 5 abscissae per side
+        rebuilt = tuple((_AXIS[i][0], _AXIS[j][0], _AXIS[i][1] * _AXIS[j][1])
+                        for i, j in zip(_NODE_U, _NODE_T))
+        assert rebuilt == _GAUSS_PAIR
+        assert len(set(a for a, _ in _AXIS)) == 5
 
 
 class TestConfig:
@@ -133,6 +141,22 @@ class TestAnnulusIntegral:
         v2 = annulus_integral(f, 0.4, dom, config=CFG)
         assert v2.value + v2.error_estimate >= v1.value - v1.error_estimate
 
+    @pytest.mark.parametrize("c", [0.3, 0.0])
+    def test_overflowing_region_is_dropped_without_splitting(self, c):
+        # r^2 overflows beyond |x| ~ 1e154: no split can resolve those cells,
+        # so the number dropped does not grow with the depth cap (splitting
+        # them to the cap dropped 23,552 cells at cap 4 and 94,208 at cap 5)
+        dom = Annulus(1.0, 1e157)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reps = [annulus_integral(z_poly(0, 1), c, dom,
+                                     config=QuadratureConfig(max_refinement_depth=cap))
+                    for cap in (4, 5)]
+        assert reps[0].refinement_flags == reps[1].refinement_flags
+        (flag,) = reps[0].refinement_flags
+        assert flag.startswith("unresolved-singular-cell:")
+        assert not reps[0].converged
+
     def test_extended_precision_runs(self):
         cfg = QuadratureConfig(precision="extended")
         rep = annulus_integral(z_poly(0, 1), 0.5, Annulus(0.0, 1.0), config=cfg)
@@ -205,6 +229,20 @@ class TestFiberIntegralK:
         assert kr.j_report.refinement_flags == (flag,)
         forced = int(flag.split(":")[1])
         assert kr.k_report.refinement_flags == (f"max-depth-reached:{2 * forced}",)
+
+
+class TestRadiusValidation:
+    @pytest.mark.parametrize("radius", [0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("operation", [
+        lambda r: fiber_integral_K(X + Y, Fraction(1, 100), 0.5, r, CFG),
+        lambda r: fiber_integral_K(X + Y, 0, 0.5, r, CFG),
+        lambda r: convergence_sweep(X + Y, 0.5, r, None, CFG),
+        lambda r: uniform_bound_check(X + Y, 0.5, r, [Fraction(1, 100)], CFG),
+        lambda r: decompose_I(X + Y, Fraction(1, 100), 0.5, r, 5.0, CFG),
+    ], ids=["K", "K0", "sweep", "bound", "decompose"])
+    def test_radius_must_be_finite_and_positive(self, operation, radius):
+        with pytest.raises(ValueError, match="radius R must be finite and > 0"):
+            operation(radius)
 
 
 class TestDecomposeI:
