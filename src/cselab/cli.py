@@ -2,11 +2,10 @@
 
 Subcommands: exponent, lct, polygon, sweep, bound, counterexample, probe.
 Exit codes: 0 when verdicts match the theorem expectations, 2 when a
-holomorphic input produces a violated (or failed-stability) verdict, 1 on
-a rejected input (one "error:" line on stderr).  The environment variable
-CSE_LAB_PRECISION (double or extended) selects the quadrature arithmetic.
-Each subcommand imports only the modules it runs: exponent, lct, polygon
-and counterexample load neither numpy nor the quadrature.
+holomorphic input produces a violated (or failed-stability) verdict or a
+bound rests on a flagged integral, 1 on a rejected input (one "error:" line
+on stderr).  Each subcommand imports only the modules it runs: exponent,
+lct, polygon and counterexample load neither numpy nor the quadrature.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -45,12 +43,8 @@ def _quad_config(ns):
     config's own default."""
     from .quadrature import QuadratureConfig
 
-    precision = os.environ.get("CSE_LAB_PRECISION", "double")
-    if precision not in ("double", "extended"):
-        raise UsageError("CSE_LAB_PRECISION must be 'double' or 'extended'")
     given = {field: getattr(ns, opt[2:].replace("-", "_")) for opt, *_, field in _QUAD_OPTS}
-    return QuadratureConfig(precision=precision,
-                            **{k: v for k, v in given.items() if v is not None})
+    return QuadratureConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_exact(text: str) -> Fraction:
@@ -260,6 +254,7 @@ def _cmd_bound(ns) -> int:
     ts = [_parse_exact(t) for t in ns.t] if ns.t else default_t_sequence()
     report = uniform_bound_check(f, ns.c, ns.R, ts, cfg)
     payload = {"bound": report}
+    flagged = any(r.flags for r in report.rows)
     if ns.factor:
         factors = [_parse_fn(x) for x in ns.factor]
         orders, bounds = [], []
@@ -273,6 +268,7 @@ def _cmd_bound(ns) -> int:
         for g, li in zip(factors, orders):
             rep = uniform_bound_check(g, ns.c * total / li, ns.R, ts, cfg)
             bounds.append((li, rep.bound))
+            flagged = flagged or any(r.flags for r in rep.rows)
         combined = young_combine(bounds)
         payload["young"] = {
             "factors": factors,
@@ -282,7 +278,7 @@ def _cmd_bound(ns) -> int:
             "product_bound_le_combined": report.bound <= combined,
         }
     _emit(payload, ns)
-    return 2 if report.growth_flag else 0
+    return 2 if report.growth_flag or flagged else 0
 
 
 def _cmd_counterexample(ns) -> int:

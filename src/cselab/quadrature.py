@@ -58,19 +58,17 @@ PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The five knobs of the adaptive scheme.
+    """The four knobs of the adaptive scheme.
 
     radial_cells_per_decade and angular_cells size the initial grid;
     max_refinement_depth caps dyadic splitting; target_rel_tolerance is the
-    per-cell threshold on the disagreement of the 2x2 and 3x3 Gauss rules;
-    precision 'extended' runs the cell arithmetic in long double.
+    per-cell threshold on the disagreement of the 2x2 and 3x3 Gauss rules.
     """
 
     radial_cells_per_decade: int = 4
     angular_cells: int = 8
     max_refinement_depth: int = 14
     target_rel_tolerance: float = 1e-3
-    precision: str = "double"
 
     def __post_init__(self):
         if self.radial_cells_per_decade < 4 or self.angular_cells < 4:
@@ -79,18 +77,6 @@ class QuadratureConfig:
             raise ValueError("max_refinement_depth must be >= 4")
         if not (0 < self.target_rel_tolerance < 0.1):
             raise ValueError("target_rel_tolerance must lie in (0, 0.1)")
-        if self.precision not in ("double", "extended"):
-            raise ValueError("precision must be 'double' or 'extended'")
-
-    @property
-    def complex_dtype(self):
-        import numpy as np
-        return np.clongdouble if self.precision == "extended" else np.complex128
-
-    @property
-    def real_dtype(self):
-        import numpy as np
-        return np.longdouble if self.precision == "extended" else np.float64
 
 
 @dataclass(frozen=True)
@@ -176,6 +162,7 @@ class SweepReport:
     rows: tuple
     k0: float
     k0_err: float
+    k0_flags: tuple
     verdict: str           # "converged" | "inconclusive"
     hypothesis_note: str
     function: object       # the swept BivariatePoly or MixedFunction
@@ -186,8 +173,8 @@ class SweepReport:
 
     def to_json_obj(self):
         return {"function": self.function, "K0": self.k0, "K0_err": self.k0_err,
-                "verdict": self.verdict, "hypothesis_note": self.hypothesis_note,
-                "rows": self.rows}
+                "K0_flags": self.k0_flags, "verdict": self.verdict,
+                "hypothesis_note": self.hypothesis_note, "rows": self.rows}
 
 
 @dataclass
@@ -200,7 +187,7 @@ class BoundReport:
     def to_json_obj(self):
         return {"bound": self.bound, "growth_flag": self.growth_flag,
                 "note": self.note,
-                "rows": [{"t": r.t, "K_t": r.k_t, "err": r.err}
+                "rows": [{"t": r.t, "K_t": r.k_t, "err": r.err, "flags": r.flags}
                          for r in self.rows]}
 
 
@@ -231,16 +218,15 @@ def _fiber_parts(fiber):
     raise TypeError("expected LaurentForm or UnivariatePoly")
 
 
-def _base_fn(fiber, c: float, cfg: QuadratureConfig, chart: str = "x", t=None):
+def _base_fn(fiber, c: float, chart: str = "x", t=None):
     """|f|^(-2c) as a vectorized function of the chart coordinate.
 
     This is the one float evaluator of fiber functions.  The y chart
     evaluates the fiber function at x = t/y for the given t."""
     import numpy as np
     num, d = _fiber_parts(fiber)
-    coeffs = np.array([complex(cr / num.den, ci / num.den) for cr, ci in num.nums],
-                      dtype=cfg.complex_dtype)
-    tc = cfg.complex_dtype(exact_param(t).to_complex()) if chart == "y" else None
+    coeffs = np.array([complex(cr / num.den, ci / num.den) for cr, ci in num.nums])
+    tc = exact_param(t).to_complex() if chart == "y" else None
 
     def evaluate(z):
         x = tc / z if chart == "y" else z
@@ -288,9 +274,9 @@ _NODE_T = tuple(j for b in ((0, 1), (2, 3, 4)) for _ in b for j in b)
 
 
 @lru_cache(maxsize=None)
-def _axis_arrays(rdt):
+def _axis_arrays():
     import numpy as np
-    ab, w = (np.array(col, dtype=rdt) for col in zip(*_AXIS))
+    ab, w = (np.array(col) for col in zip(*_AXIS))
     return ab, w[:2], w[2:], np.array(_NODE_U), np.array(_NODE_T)
 
 
@@ -301,14 +287,14 @@ def _cell_rule(cells, base_fn, radial=None, center=0j):
     Each rule sums over angle before the radial factors apply, so an
     infinite node of one rule leaves the other's sum finite."""
     import numpy as np
-    ab, w2, w3, node_u, node_t = _axis_arrays(cells.dtype.type)
+    ab, w2, w3, node_u, node_t = _axis_arrays()
     lo = cells[:, 0::2].T
     side = cells[:, 1::2].T - lo
     ut = lo[:, None] + side[:, None] * ab[:, None]
     # libm's exp, through a complex exp: numpy's own float64 exp is an ulp
     # off on some arguments, which the fiber's zeros amplify
     er = np.exp(ut[0] + 0j).real
-    phase = np.empty(er.shape, dtype=np.result_type(er, np.complex64))
+    phase = np.empty(er.shape, dtype=complex)
     np.cos(ut[1], out=phase.real)
     np.sin(ut[1], out=phase.imag)
     x = phase.take(node_t, axis=0)
@@ -335,7 +321,6 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     grid, so linear identities between them hold to rounding.
     """
     import numpy as np
-    rdt = cfg.real_dtype
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
@@ -343,8 +328,8 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     n_th = max(4, cfg.angular_cells)
 
     # cells are rows (u0, u1, theta0, theta1), with their depths beside them
-    ue = np.linspace(u_lo, u_hi, n_u + 1, dtype=rdt)
-    te = np.linspace(0.0, 2.0 * math.pi, n_th + 1, dtype=rdt)
+    ue = np.linspace(u_lo, u_hi, n_u + 1)
+    te = np.linspace(0.0, 2.0 * math.pi, n_th + 1)
     edges = np.broadcast_arrays(ue[:-1, None], ue[1:, None], te[:-1], te[1:])
     cells = np.stack(edges, axis=-1).reshape(-1, 4)
     depth = np.zeros(len(cells), dtype=np.int32)
@@ -353,7 +338,7 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
     # refined around the zero before the tolerance loop sees them
     zs = [complex(z) - complex(center) for z in zero_points]
     zs = np.array([(math.log(abs(z)), math.atan2(z.imag, z.real) % (2.0 * math.pi))
-                   for z in zs if abs(z) > 0], dtype=rdt).reshape(-1, 1, 2)
+                   for z in zs if abs(z) > 0]).reshape(-1, 1, 2)
     for _ in range(2):
         hit = ((cells[:, 0::2] <= zs) & (zs <= cells[:, 1::2])).all(axis=2).any(axis=0)
         if not hit.any():
@@ -362,11 +347,11 @@ def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
         cells = np.concatenate([cells[~hit], kids])
         depth = np.concatenate([depth[~hit], kid_depth])
 
-    sums = rdt(0.0)   # becomes (errors, masses) of every weight
+    sums = 0.0   # becomes (errors, masses) of every weight
     cells_used = forced = dropped = 0
     abs_floor = None
     tol = cfg.target_rel_tolerance
-    node_u = _axis_arrays(rdt)[3]
+    node_u = _axis_arrays()[3]
     with np.errstate(all="ignore"):
         while len(cells):
             rule, vals, factors = _cell_rule(cells, base_fn, radial, center)
@@ -497,7 +482,7 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
     if divergent is not None:
         return divergent
 
-    base = _base_fn(fiber, c, cfg, chart=chart, t=t)
+    base = _base_fn(fiber, c, chart=chart, t=t)
     masses, errs, cells, flags, converged = _adaptive_polar(
         base, work, cfg, zero_points=[z.location_complex() for z in interior])
     meta = {"inner_truncated": truncated}
@@ -566,7 +551,7 @@ def fiber_integral_K(f, t, c: float, radius: float,
                        j_report=divergent)
 
     import numpy as np
-    base = _base_fn(fib, c, cfg)
+    base = _base_fn(fib, c)
     t2 = t_abs * t_abs
 
     def radial(r2):
@@ -705,7 +690,8 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
         if final_ok and monotone:
             verdict = "converged"
     return SweepReport(rows=tuple(rows), k0=k0.k_report.value,
-                       k0_err=k0.k_report.error_estimate, verdict=verdict,
+                       k0_err=k0.k_report.error_estimate,
+                       k0_flags=k0.k_report.refinement_flags, verdict=verdict,
                        hypothesis_note=note, function=f)
 
 
@@ -792,7 +778,7 @@ def exponent_probe_1d(fiber, zero, c: float,
     cfg = config or QuadratureConfig()
     if c <= 0:
         raise ValueError("the probe needs c > 0")
-    base = _base_fn(fiber, c, cfg)
+    base = _base_fn(fiber, c)
     center = exact_param(zero).to_complex()
 
     radii, masses = [], []

@@ -2,7 +2,8 @@
 
 Report types name their JSON fields, with raw values, in a to_json_obj()
 method; to_jsonable is the one place that turns values into JSON.  Floats
-are normalized to 12 significant digits, exact scalars become plain ints
+are normalized to 12 significant digits, and a non-finite one becomes a
+string, so the JSON is strict (RFC 8259); exact scalars become plain ints
 or exact strings, and polynomials are printed by format_function.  All
 emitters sort keys, so a fixed configuration reproduces byte-identical
 artifacts.
@@ -21,10 +22,14 @@ from .rationals import ExactPairs, GaussianRational, pair_json, param_float, _in
 SWEEP_CSV_HEADER = "t,K_t,err,I_t,J_t,ratio"
 
 
-def fmt_float(x) -> float:
+def fmt_float(x) -> float | str:
+    """x at 12 significant digits; a non-finite x as the string "infinity",
+    "-infinity" or "nan", since strict JSON has no such numbers."""
     x = float(x)
-    if math.isinf(x) or math.isnan(x):
-        return x
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "infinity" if x > 0 else "-infinity"
     return float(f"{x:.12g}")
 
 
@@ -62,7 +67,8 @@ def to_jsonable(obj):
 
 
 def render_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def render_csv(report) -> str:
@@ -71,7 +77,7 @@ def render_csv(report) -> str:
     if isinstance(report, SweepReport):
         lines = [SWEEP_CSV_HEADER]
         for (t, k, err, i, j, ratio) in report.csv_rows():
-            lines.append(",".join(f"{fmt_float(v):.12g}" for v in
+            lines.append(",".join(f"{float(v):.12g}" for v in
                                   (t, k, err, i, j, ratio)))
         return "\n".join(lines) + "\n"
     raise TypeError("CSV output is defined for sweep reports")
@@ -87,7 +93,7 @@ def render_plot_data(report) -> str:
         pairs = list(zip(report.radii, report.masses))
     else:
         raise TypeError("plot-data output is defined for sweep and probe reports")
-    return "\n".join(f"{fmt_float(a):.12g} {fmt_float(b):.12g}"
+    return "\n".join(f"{float(a):.12g} {float(b):.12g}"
                      for a, b in pairs) + "\n"
 
 

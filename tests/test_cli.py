@@ -1,6 +1,8 @@
 """Command line interface: subcommands, exit codes, deterministic artifacts."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from cselab.cli import main
-from cselab.reports import SWEEP_CSV_HEADER, to_jsonable
+from cselab.cli import _QUAD_OPTS, main
+from cselab.quadrature import QuadratureConfig
+from cselab.reports import SWEEP_CSV_HEADER, render_json, to_jsonable
 
 
 def run_cli(args, capsys):
@@ -124,6 +127,12 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--f", "x+y"], capsys)
         assert code == 1
 
+    def test_every_config_field_is_an_option(self):
+        # a knob of the quadrature is reachable from the command line, and
+        # only through an option
+        fields = {f.name for f in dataclasses.fields(QuadratureConfig)}
+        assert fields == {field for *_, field in _QUAD_OPTS}
+
 
 class TestCounterexampleCommand:
     def test_n0_matches_diagonal_family(self, capsys):
@@ -233,6 +242,12 @@ class TestToJsonable:
         assert to_jsonable([Report()]) == [{
             "x": 0.333333333333, "q": "1/3", "n": 2,
             "z": {"re": 0.0, "im": 1.0}, "rows": ["1/2", None]}]
+
+    def test_non_finite_floats_are_strings(self):
+        values = [math.inf, -math.inf, math.nan, complex(1.5, math.inf)]
+        assert to_jsonable(values) == ["infinity", "-infinity", "nan",
+                                       {"re": 1.5, "im": "infinity"}]
+        assert "Infinity" not in render_json(values)
 
     def test_object_without_json_form_is_rejected(self):
         with pytest.raises(TypeError, match="no JSON form for object"):

@@ -41,10 +41,10 @@ ERROR_REL = 1e-6
 # the frozen engine
 # ---------------------------------------------------------------------------
 
-def frozen_base_fn(fiber, c, cfg):
+def frozen_base_fn(fiber, c):
     num, d = _fiber_parts(fiber)
     coeffs = np.array([complex(cr / num.den, ci / num.den) for cr, ci in num.nums],
-                      dtype=cfg.complex_dtype)
+                      dtype=np.complex128)
 
     def evaluate(x):
         acc = np.zeros_like(x)
@@ -86,15 +86,14 @@ def frozen_split_cells(u0, u1, t0, t1, depth, mask, keep_only_split=False):
 
 def frozen_adaptive_polar(base_fn, annulus, cfg, weight_fns=(frozen_unit_weight,),
                           zero_points=(), center=0j):
-    rdt = cfg.real_dtype
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
     n_th = max(4, cfg.angular_cells)
 
-    ue = np.linspace(u_lo, u_hi, n_u + 1, dtype=rdt)
-    te = np.linspace(0.0, 2.0 * math.pi, n_th + 1, dtype=rdt)
+    ue = np.linspace(u_lo, u_hi, n_u + 1, dtype=np.float64)
+    te = np.linspace(0.0, 2.0 * math.pi, n_th + 1, dtype=np.float64)
     u0 = np.repeat(ue[:-1], n_th)
     u1 = np.repeat(ue[1:], n_th)
     t0 = np.tile(te[:-1], n_u)
@@ -115,15 +114,14 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, weight_fns=(frozen_unit_weight,
         u0, u1, t0, t1, depth = frozen_split_cells(u0, u1, t0, t1, depth, hit)
 
     n_w = len(weight_fns)
-    totals = [rdt(0.0) for _ in range(n_w)]
-    errors = [rdt(0.0) for _ in range(n_w)]
+    totals = [np.float64(0.0) for _ in range(n_w)]
+    errors = [np.float64(0.0) for _ in range(n_w)]
     cells_used = 0
     forced = 0
     dropped = 0
     abs_floor = None
     tol = cfg.target_rel_tolerance
-    cplx = cfg.complex_dtype
-    ctr = cplx(complex(center))
+    ctr = np.complex128(complex(center))
     node_u, node_t, node_w = (np.array(col) for col in zip(*_GAUSS_PAIR))
 
     while u0.size:
@@ -132,11 +130,11 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, weight_fns=(frozen_unit_weight,
         area = du * dt
         uu = u0[:, None] + du[:, None] * node_u
         tt = t0[:, None] + dt[:, None] * node_t
-        xn = ctr + np.exp(uu.astype(cplx) + 1j * tt.astype(cplx))
+        xn = ctr + np.exp(uu.astype(np.complex128) + 1j * tt.astype(np.complex128))
         bn = base_fn(xn) * np.exp(2.0 * uu) * node_w
 
-        coarse = np.empty((n_w, u0.size), dtype=rdt)
-        fine = np.empty((n_w, u0.size), dtype=rdt)
+        coarse = np.empty((n_w, u0.size), dtype=np.float64)
+        fine = np.empty((n_w, u0.size), dtype=np.float64)
         for k, w in enumerate(weight_fns):
             vals = bn * w(xn)
             coarse[k] = vals[:, :4].sum(axis=1) * area
@@ -197,7 +195,7 @@ def frozen_K(f, t, c, radius, cfg):
 
     with np.errstate(all="ignore"):
         return frozen_adaptive_polar(
-            frozen_base_fn(fib, c, cfg), Annulus(t_abs / radius, radius), cfg,
+            frozen_base_fn(fib, c), Annulus(t_abs / radius, radius), cfg,
             weight_fns=(frozen_unit_weight, w_j, w_k),
             zero_points=[z.location_complex() for z in zeros])
 
@@ -223,15 +221,13 @@ def t_value(q, kind):
 @given(germ=st.sampled_from(GERMS), q=st.integers(20, 10 ** 6),
        kind=st.sampled_from(["positive", "negative", "imaginary"]),
        c_share=st.floats(0.05, 0.95), radius=st.sampled_from([0.5, 1.0]),
-       tol=st.sampled_from([1e-3, 1e-5]),
-       precision=st.sampled_from(["double", "extended"]))
-def test_K_takes_the_frozen_engines_decisions(germ, q, kind, c_share, radius, tol,
-                                              precision):
+       tol=st.sampled_from([1e-3, 1e-5]))
+def test_K_takes_the_frozen_engines_decisions(germ, q, kind, c_share, radius, tol):
     text, c0 = germ
     f = parse_expression(text)
     t = t_value(q, kind)
     c = round(float(c0) * c_share, 4)
-    cfg = QuadratureConfig(target_rel_tolerance=tol, precision=precision)
+    cfg = QuadratureConfig(target_rel_tolerance=tol)
     kr = fiber_integral_K(f, t, c, radius, cfg)
     reports = (kr.i_report, kr.j_report, kr.k_report)
     k = kr.k_report
@@ -248,22 +244,50 @@ gaussian_roots = st.builds(
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(roots=st.lists(gaussian_roots, min_size=1, max_size=3), which=st.integers(0, 2),
        c=st.floats(0.05, 0.45), r=st.floats(1e-4, 0.05),
-       tol=st.sampled_from([1e-3, 1e-5]),
-       precision=st.sampled_from(["double", "extended"]))
+       tol=st.sampled_from([1e-3, 1e-5]))
 def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c, r,
-                                                                 tol, precision):
+                                                                 tol):
     # a multiplicity probe's annulus A(r, 2r) about one root of prod (z - a_k)
     fiber = UnivariatePoly([1])
     for a in roots:
         fiber = fiber * UnivariatePoly([-a, 1])
     center = roots[which % len(roots)].to_complex()
-    cfg = QuadratureConfig(target_rel_tolerance=tol, precision=precision)
+    cfg = QuadratureConfig(target_rel_tolerance=tol)
     ann = Annulus(r, 2.0 * r)
-    new = _adaptive_polar(_base_fn(fiber, c, cfg), ann, cfg, center=center)
+    new = _adaptive_polar(_base_fn(fiber, c), ann, cfg, center=center)
     with np.errstate(all="ignore"):
-        old = frozen_adaptive_polar(frozen_base_fn(fiber, c, cfg), ann, cfg,
+        old = frozen_adaptive_polar(frozen_base_fn(fiber, c), ann, cfg,
                                     center=center)
     assert_same_run(new, old)
+
+
+def triple_zero_runs():
+    """(engine, frozen engine) about a triple zero at the centre.
+
+    The integrand is radial there, so a cell's 2x2 and 3x3 sums agree to
+    5e-11 of its mass and the error estimate is mostly cancellation."""
+    fiber = UnivariatePoly([0, 0, 0, 1])
+    cfg = QuadratureConfig(target_rel_tolerance=1e-3)
+    ann = Annulus(0.03125, 0.0625)
+    new = _adaptive_polar(_base_fn(fiber, 0.3125), ann, cfg)
+    with np.errstate(all="ignore"):
+        old = frozen_adaptive_polar(frozen_base_fn(fiber, 0.3125), ann, cfg)
+    return new, old
+
+
+def test_a_triple_zero_at_the_centre_takes_the_frozen_engines_decisions():
+    new, old = triple_zero_runs()
+    assert new[2:] == old[2:]
+    assert new[0] == pytest.approx(old[0], rel=VALUE_REL, abs=0)
+
+
+# the two engines round the cell sums apart, and their error estimates here
+# are 1.5032230e-10 and 1.5032199e-10, 2e-6 relative apart
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known mismatch in a cancelling error estimate")
+def test_a_triple_zero_at_the_centre_has_the_frozen_error_estimate():
+    new, old = triple_zero_runs()
+    assert new[1] == pytest.approx(old[1], rel=ERROR_REL, abs=0)
 
 
 # ---------------------------------------------------------------------------

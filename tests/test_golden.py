@@ -2,13 +2,15 @@
 
 The determinism tests compare the CLI with itself; these compare it with
 files committed under tests/golden/, so any drift in an artifact shows.
-Every report type that reaches JSON, CSV or plot data has a golden here.
+Every report type that reaches JSON, CSV or plot data has a golden here,
+and every JSON artifact must parse as strict JSON (RFC 8259).
 Regenerate the files (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -49,11 +51,11 @@ CASES = {
 }
 
 
-def run_stdout(argv) -> bytes:
+def run_stdout(argv, expect_code=0) -> bytes:
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
-    assert code == 0
+    assert code == expect_code
     return buf.getvalue().encode("utf-8")
 
 
@@ -74,10 +76,45 @@ def produce(name) -> bytes:
     return fn(arg)
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity (RFC 8259)."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
 def test_stdout_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.out").read_bytes()
     assert produce(name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(set(ARTIFACTS) - {"sweep_line_csv",
+                                                         "sweep_line_plot"}))
+def test_json_golden_is_strict(name):
+    strict_loads((GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8"))
+
+
+# integrals no refinement resolves: beyond |x| ~ 1e154, r^2 overflows
+UNRESOLVED_BOUND = ["bound", "--f", "x+y", "--c", "0.5", "--R", "1e300",
+                    "--t", "1/100"]
+UNRESOLVED_SWEEP = ["sweep", "--f", "x+y", "--c", "0.5", "--R", "1e200",
+                    "--t-count", "2", "--format", "json"]
+
+
+def test_bound_on_an_unresolved_integral_is_flagged():
+    data = strict_loads(run_stdout(UNRESOLVED_BOUND, expect_code=2))
+    (row,) = data["bound"]["rows"]
+    (flag,) = row["flags"]
+    assert flag.startswith("unresolved-singular-cell:")
+
+
+def test_sweep_flags_an_unresolved_k0():
+    data = strict_loads(run_stdout(UNRESOLVED_SWEEP, expect_code=2))
+    (flag,) = data["K0_flags"]
+    assert flag.startswith("unresolved-singular-cell:")
+    assert data["K0"] == 0.0
+    assert [r["ratio"] for r in data["rows"]] == ["infinity", "infinity"]
 
 
 if __name__ == "__main__":

@@ -78,8 +78,6 @@ class TestConfig:
             QuadratureConfig(angular_cells=3)
         with pytest.raises(ValueError):
             QuadratureConfig(target_rel_tolerance=0.5)
-        with pytest.raises(ValueError):
-            QuadratureConfig(precision="quad")
 
 
 class TestAnnulusIntegral:
@@ -156,11 +154,6 @@ class TestAnnulusIntegral:
         (flag,) = reps[0].refinement_flags
         assert flag.startswith("unresolved-singular-cell:")
         assert not reps[0].converged
-
-    def test_extended_precision_runs(self):
-        cfg = QuadratureConfig(precision="extended")
-        rep = annulus_integral(z_poly(0, 1), 0.5, Annulus(0.0, 1.0), config=cfg)
-        assert rep.value == pytest.approx(2 * math.pi, rel=1e-3)
 
 
 class TestFiberIntegralK:
