@@ -3,8 +3,8 @@
 Subcommands: exponent, lct, polygon, sweep, bound, counterexample, probe.
 Exit codes: 0 when verdicts match the theorem expectations, 2 when a
 holomorphic input produces a violated (or failed-stability) verdict or a
-bound rests on a flagged integral, 1 on a rejected input (one "error:" line
-on stderr).  Each subcommand imports only the modules it runs: exponent,
+bound, sweep or probe rests on a flagged integral, 1 on a rejected input
+(one "error:" line on stderr).  Each subcommand imports only the modules it runs: exponent,
 lct, polygon and counterexample load neither numpy nor the quadrature.
 """
 
@@ -329,7 +329,7 @@ def _cmd_probe(ns) -> int:
         pr = exponent_probe_1d(fib, loc, ns.c, cfg, r0=r0)
         out.append({"zero": z, "probe": pr})
     _emit({"probes": out}, ns)
-    return 0
+    return 2 if any(any(o["probe"].flags) for o in out) else 0
 
 
 _COMMANDS = {

@@ -16,6 +16,11 @@ reported divergent rather than returning a number.  A cell whose 13 nodes
 all have a non-finite integrand (where r^2 overflows, say) is dropped at
 once and flagged unresolved, since no split can resolve it.
 
+An operation is one run of the engine: the rows of a sweep, the t != 0
+samples of a bound, the annuli of a probe or of the I_t decomposition are
+its parts, refined in shared rounds, each with its own cells, floor and
+counts.
+
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.
 
@@ -30,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from . import newton
 from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
@@ -50,6 +56,10 @@ RATIO_BAND = 0.05          # final |K_t/K_0 - 1| a converged sweep allows
 TREND_SLACK = 0.02         # per-step rise of |K_t/K_0 - 1| a sweep forgives
 INNER_CUT_DECADES = 30.0   # an inner radius 0 is cut to R * 10^-30
 PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
+# cells evaluated at once: 13 x 512 complex nodes take 104 KiB, under glibc's
+# 128 KiB mmap threshold, so the temporaries come from the heap (on a 2-CPU
+# x86-64 host 0.7 us a cell, against 1.0-1.2 us in blocks of 2048-4096)
+CHUNK_CELLS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +208,12 @@ class ProbeResult:
     fit_residual: float
     radii: tuple
     masses: tuple
+    flags: tuple           # refinement flags of each annulus, as radii
 
     def to_json_obj(self):
         return {"multiplicity_estimate": self.multiplicity_estimate,
                 "slope": self.slope, "fit_residual": self.fit_residual,
-                "radii": self.radii, "masses": self.masses}
+                "radii": self.radii, "masses": self.masses, "flags": self.flags}
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,8 @@ def _base_fn(fiber, c: float, chart: str = "x", t=None):
 
     def evaluate(z):
         x = tc / z if chart == "y" else z
-        acc = np.full_like(x, coeffs[-1])
+        acc = np.empty_like(x)
+        acc.fill(coeffs[-1])
         for ck in coeffs[-2::-1]:
             acc *= x
             if ck:
@@ -271,6 +283,8 @@ _GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
 _AXIS = _G2 + _G3
 _NODE_U = tuple(i for b in ((0, 1), (2, 3, 4)) for i in b for _ in b)
 _NODE_T = tuple(j for b in ((0, 1), (2, 3, 4)) for _ in b for j in b)
+# a cell's four children, u fastest, as columns of (u0, u1, th0, th1, u_mid, th_mid)
+_QUADRANTS = ((0, 4, 2, 5), (4, 1, 2, 5), (0, 4, 5, 3), (4, 1, 5, 3))
 
 
 @lru_cache(maxsize=None)
@@ -280,12 +294,15 @@ def _axis_arrays():
     return ab, w[:2], w[2:], np.array(_NODE_U), np.array(_NODE_T)
 
 
-def _cell_rule(cells, base_fn, radial=None, center=0j):
-    """(coarse and fine sums of each weight, base at the 13 nodes, radial
+def _cell_rule(cells, segments, center=0j):
+    """(coarse and fine sums of each weight, base at the 13 nodes, weight
     factors at the 5 u abscissae) of each row (u0, u1, theta0, theta1).
 
-    Each rule sums over angle before the radial factors apply, so an
-    infinite node of one rule leaves the other's sum finite."""
+    segments are (start, stop, base_fn, t2): base_fn evaluates those rows,
+    and their weights, each times the log-polar Jacobian r^2 = |x - center|^2,
+    are 1 alone when t2 is None, else 1, t2/r^4 and 1 + t2/r^4.  Each rule
+    sums over angle before the weights apply, so an infinite node of one rule
+    leaves the other's sum finite."""
     import numpy as np
     ab, w2, w3, node_u, node_t = _axis_arrays()
     lo = cells[:, 0::2].T
@@ -301,107 +318,148 @@ def _cell_rule(cells, base_fn, radial=None, center=0j):
     x *= er.take(node_u, axis=0)
     if center:
         x += center
-    vals = base_fn(x)
+    vals = (segments[0][2](x) if len(segments) == 1 else
+            np.concatenate([base_fn(x[:, a:b]) for a, b, base_fn, _ in segments], axis=1))
     ang = np.concatenate((w2 @ vals[:4].reshape(2, 2, -1),
                           w3 @ vals[4:].reshape(3, 3, -1)))
     ang *= side[0] * side[1]
-    factors = (er * er)[None] if radial is None else radial(er * er)
+    r2 = er * er
+    t2 = [s[3] for s in segments]
+    if t2[0] is None:
+        factors = r2[None]
+    else:   # q = r^2 |y|^2/|x|^2 with y = t/x
+        q = (t2[0] if len(t2) == 1 else np.repeat(t2, [b - a for a, b, *_ in segments])) / r2
+        factors = np.array((r2, q, r2 + q))
     rs = factors * ang
     return np.array((w2 @ rs[:, :2], w3 @ rs[:, 2:])), vals, factors
 
 
-def _adaptive_polar(base_fn, annulus: Annulus, cfg: QuadratureConfig,
-                    radial=None, zero_points=(), center=0j):
-    """Masses of base*w_k over the annulus for every weight w_k.
+def _segments(parts, spans, lo, hi):
+    """The _cell_rule segments of rows lo to hi, counted from lo; spans are
+    (part index, first row, end row) in row order."""
+    return [(max(a, lo) - lo, min(b, hi) - lo, parts[p][0], parts[p][3])
+            for p, a, b in spans if a < hi and b > lo]
 
-    The weights are radial: radial maps r^2 = |x - center|^2 to the stack
-    of w_k r^2, each weight times the log-polar Jacobian; the default is the
-    unit weight alone.  Returns (masses, errors, cells_used, flags,
-    converged).  The last weight drives refinement; all weights share the
-    grid, so linear identities between them hold to rounding.
-    """
+
+def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center):
+    """The cells (u0, u1, theta0, theta1) and depths of an annulus's initial
+    grid, with the cells that contain a detected zero split twice, so
+    singular regions are refined before the tolerance test sees them."""
     import numpy as np
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
     n_th = max(4, cfg.angular_cells)
-
-    # cells are rows (u0, u1, theta0, theta1), with their depths beside them
-    ue = np.linspace(u_lo, u_hi, n_u + 1)
-    te = np.linspace(0.0, 2.0 * math.pi, n_th + 1)
-    edges = np.broadcast_arrays(ue[:-1, None], ue[1:, None], te[:-1], te[1:])
-    cells = np.stack(edges, axis=-1).reshape(-1, 4)
+    # np.linspace's own arithmetic, without its overhead
+    ue = np.arange(n_u + 1.0) * ((u_hi - u_lo) / n_u) + u_lo
+    te = np.arange(n_th + 1.0) * (2.0 * math.pi / n_th)
+    ue[-1], te[-1] = u_hi, 2.0 * math.pi
+    cells = np.empty((n_u, n_th, 4))
+    cells[..., 0], cells[..., 1] = ue[:-1, None], ue[1:, None]
+    cells[..., 2], cells[..., 3] = te[:-1], te[1:]
+    cells = cells.reshape(-1, 4)
     depth = np.zeros(len(cells), dtype=np.int32)
 
-    # pre-split cells containing a detected zero, so singular regions are
-    # refined around the zero before the tolerance loop sees them
     zs = [complex(z) - complex(center) for z in zero_points]
     zs = np.array([(math.log(abs(z)), math.atan2(z.imag, z.real) % (2.0 * math.pi))
-                   for z in zs if abs(z) > 0]).reshape(-1, 1, 2)
-    for _ in range(2):
-        hit = ((cells[:, 0::2] <= zs) & (zs <= cells[:, 1::2])).all(axis=2).any(axis=0)
+                   for z in zs if abs(z) > 0]).reshape(-1, 2)
+    uz, tz = zs[:, :1], zs[:, 1:]
+    for _ in range(2 if len(zs) else 0):
+        u0, u1, t0, t1 = cells.T
+        hit = ((u0 <= uz) & (uz <= u1) & (t0 <= tz) & (tz <= t1)).any(axis=0)
         if not hit.any():
             break
         kids, kid_depth = _split_cells(cells[hit], depth[hit])
         cells = np.concatenate([cells[~hit], kids])
         depth = np.concatenate([depth[~hit], kid_depth])
+    return cells, depth
 
-    sums = 0.0   # becomes (errors, masses) of every weight
-    cells_used = forced = dropped = 0
-    abs_floor = None
+
+def _adaptive_polar(parts, cfg: QuadratureConfig, center=0j):
+    """(masses, errors, cells_used, flags, converged) of each part.
+
+    A part is (base_fn, annulus, zero_points, t2), weighted as in _cell_rule;
+    a run's parts all carry a t2, or none does.  Each round evaluates every
+    unfinished cell, CHUNK_CELLS at a time, then accepts and splits them.  A
+    part's cells stay contiguous, so its sums, floor and counts are its own.
+    The last weight drives refinement; a part's weights share its grid, so
+    linear identities between them hold to rounding."""
+    import numpy as np
+    if not parts:
+        return []
+    grids = [_initial_grid(ann, cfg, zp, center) for _, ann, zp, _ in parts]
+    cells = np.concatenate([g[0] for g in grids])
+    depth = np.concatenate([g[1] for g in grids])
+    live = [(p, len(g[0])) for p, g in enumerate(grids)]   # (part, rows) in row order
+
+    sums = [0.0] * len(parts)        # (errors, masses) of each weight, per part
+    used = [0] * len(parts)
+    flag_counts = np.zeros((len(parts), 2), dtype=np.int64)   # forced, dropped
+    floors = None
     tol = cfg.target_rel_tolerance
     node_u = _axis_arrays()[3]
     with np.errstate(all="ignore"):
         while len(cells):
-            rule, vals, factors = _cell_rule(cells, base_fn, radial, center)
-            if abs_floor is None:
-                first = rule[0, -1]
-                scale0 = float(first[np.isfinite(first)].sum())
-                abs_floor = tol * max(scale0, 1e-300) / (4.0 * len(cells))
+            ends = list(accumulate(n for _, n in live))
+            spans = [(p, e - n, e) for (p, n), e in zip(live, ends)]
+            rules = [_cell_rule(cells[lo:lo + CHUNK_CELLS],
+                                _segments(parts, spans, lo, lo + CHUNK_CELLS), center)[0]
+                     for lo in range(0, len(cells), CHUNK_CELLS)]
+            rule = rules[0] if len(rules) == 1 else np.concatenate(rules, axis=2)
+            if floors is None:
+                floors = [tol * max(float(seg[np.isfinite(seg)].sum()), 1e-300) / (4.0 * len(seg))
+                          for seg in (rule[0, -1, a:b] for _, a, b in spans)]
+            floor = (floors[live[0][0]] if len(live) == 1 else
+                     np.repeat([floors[p] for p, _ in live], [n for _, n in live]))
             rule[0] = np.abs(rule[1] - rule[0])    # now (|fine - coarse|, fine)
             finite = np.isfinite(rule[0]).all(axis=0)
-            accept = finite & (rule[0, -1] <= tol * rule[1, -1] + abs_floor)
+            accept = finite & (rule[0, -1] <= tol * rule[1, -1] + floor)
+            flagged = None                         # (forced, dropped) of each cell
             if not finite.all():
-                # a cell non-finite at all 13 nodes is dropped: no split helps
+                # a cell non-finite at all 13 nodes is dropped: no split helps;
+                # only these cells are evaluated again, for their node values
                 bad = np.flatnonzero(~finite)
-                node_factors = factors.take(node_u, axis=1)[:, :, bad]
-                hopeless = ~np.isfinite(vals[:, bad] * node_factors).all(axis=0).any(axis=0)
-                accept[bad[hopeless]] = True
-                dropped += int(np.count_nonzero(hopeless))
+                sub = [(p, *np.searchsorted(bad, (a, b))) for p, a, b in spans]
+                _, vals, factors = _cell_rule(cells[bad], _segments(parts, sub, 0, len(bad)),
+                                              center)
+                flagged = np.zeros((2, len(cells)), dtype=bool)
+                flagged[1, bad] = ~np.isfinite(
+                    vals * factors.take(node_u, axis=1)).all(axis=0).any(axis=0)
+                accept |= flagged[1]
                 rule[:, :, bad] = 0.0      # so the sums below see no NaN * 0
             at_cap = depth >= cfg.max_refinement_depth
             if at_cap.any():
-                forced_now = at_cap & ~accept
-                forced += int(np.count_nonzero(forced_now))
-                dropped += int(np.count_nonzero(forced_now & ~finite))
+                if flagged is None:
+                    flagged = np.zeros((2, len(cells)), dtype=bool)
+                flagged[0] = at_cap & ~accept
+                flagged[1] |= flagged[0] & ~finite
                 accept |= at_cap
             good = accept & finite
-            sums = sums + rule @ good
-            cells_used += int(np.count_nonzero(good))
-            cells, depth = _split_cells(cells[~accept], depth[~accept])
+            keep = ~accept
+            live = []
+            for p, a, b in spans:
+                sums[p] = sums[p] + rule[..., a:b] @ good[a:b]
+                used[p] += int(np.count_nonzero(good[a:b]))
+                if flagged is not None:
+                    flag_counts[p] += np.count_nonzero(flagged[:, a:b], axis=1)
+                kept = int(np.count_nonzero(keep[a:b]))
+                if kept:
+                    live.append((p, 4 * kept))
+            cells, depth = _split_cells(cells[keep], depth[keep])
 
-    flags = []
-    if forced:
-        flags.append(f"max-depth-reached:{forced}")
-    if dropped:
-        flags.append(f"unresolved-singular-cell:{dropped}")
-    converged = forced == 0 and dropped == 0
-    return ([float(v) for v in sums[1]], [float(e) for e in sums[0]],
-            cells_used, tuple(flags), converged)
+    kinds = ("max-depth-reached", "unresolved-singular-cell")
+    return [(masses.tolist(), errs.tolist(), n_used,
+             tuple(f"{kind}:{n}" for kind, n in zip(kinds, counts) if n), not any(counts))
+            for (errs, masses), n_used, counts in zip(sums, used, flag_counts.tolist())]
 
 
 def _split_cells(cells, depth):
     """The four children of each cell, quadrant by quadrant after it."""
     import numpy as np
     mid = 0.5 * (cells[:, 0::2] + cells[:, 1::2])
-    kids = np.repeat(cells, 4, axis=0)
-    quad = kids.reshape(-1, 2, 2, 4)     # (cell, theta half, u half, side)
-    quad[:, :, 0, 1] = mid[:, 0:1]
-    quad[:, :, 1, 0] = mid[:, 0:1]
-    quad[:, 0, :, 3] = mid[:, 1:2]
-    quad[:, 1, :, 2] = mid[:, 1:2]
-    return kids, np.repeat(depth + 1, 4)
+    kids = np.concatenate((cells, mid), axis=1).take(_QUADRANTS, axis=1)
+    return kids.reshape(-1, 4), (depth + 1).repeat(4)
 
 
 def _check_radius(radius):
@@ -456,6 +514,11 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
         Known zeros (in the x coordinate); detected automatically when
         omitted.  Used for pre-refinement and the divergence test.
     """
+    return _annulus_reports(fiber, c, (domain,), chart, config, t, zeros)[0]
+
+
+def _annulus_reports(fiber, c, domains, chart, config, t, zeros):
+    """annulus_integral over each domain; the convergent ones share one run."""
     cfg = config or QuadratureConfig()
     if c < 0:
         raise ValueError("c must be nonnegative")
@@ -474,24 +537,27 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
         zeros = [FiberZero(tc / z.location_complex(), z.multiplicity, False)
                  for z in zeros if z.location_complex() != 0]
 
-    truncated = domain.r_inner == 0
-    work = (Annulus(domain.r_outer * 10.0 ** -INNER_CUT_DECADES, domain.r_outer)
-            if truncated else domain)
-    interior = _interior_zeros(zeros, work)
-    divergent = _divergent_report(interior, c, domain, chart)
-    if divergent is not None:
-        return divergent
+    reports, todo = [], []
+    for domain in domains:
+        work = (Annulus(domain.r_outer * 10.0 ** -INNER_CUT_DECADES, domain.r_outer)
+                if domain.r_inner == 0 else domain)
+        interior = _interior_zeros(zeros, work)
+        reports.append(_divergent_report(interior, c, domain, chart))
+        if reports[-1] is None:
+            todo.append((len(reports) - 1, work, [z.location_complex() for z in interior]))
 
     base = _base_fn(fiber, c, chart=chart, t=t)
-    masses, errs, cells, flags, converged = _adaptive_polar(
-        base, work, cfg, zero_points=[z.location_complex() for z in interior])
-    meta = {"inner_truncated": truncated}
-    if truncated:
-        meta["inner_cut"] = work.r_inner
-    return IntegralReport(
-        value=masses[0], error_estimate=errs[0], cells_used=cells,
-        refinement_flags=flags, domain=domain, chart=chart, c=c,
-        converged=converged, meta=meta)
+    runs = _adaptive_polar([(base, work, pts, None) for _, work, pts in todo], cfg)
+    for (i, work, _), (masses, errs, cells, flags, converged) in zip(todo, runs):
+        truncated = domains[i].r_inner == 0
+        meta = {"inner_truncated": truncated}
+        if truncated:
+            meta["inner_cut"] = work.r_inner
+        reports[i] = IntegralReport(
+            value=masses[0], error_estimate=errs[0], cells_used=cells,
+            refinement_flags=flags, domain=domains[i], chart=chart, c=c,
+            converged=converged, meta=meta)
+    return reports
 
 
 def fiber_integral_K(f, t, c: float, radius: float,
@@ -508,71 +574,69 @@ def fiber_integral_K(f, t, c: float, radius: float,
     Requires 0 < c < c_0(f_0): otherwise the stability hypothesis fails
     and the request is rejected.
     """
-    cfg = config or QuadratureConfig()
     _check_radius(radius)
-    f = as_mixed(f)
+    return _k_reports(as_mixed(f), [t], c, radius, config or QuadratureConfig())[0]
+
+
+def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
+    """The KReport of f (a MixedFunction) at each t, once 0 < c < c_0 holds;
+    each convergent t != 0 is a part of one adaptive run."""
     c0 = central_exponent(f, "min")
     if not (0 < c < float(c0)):
         raise ValueError(f"{STABILITY_HYPOTHESIS}; got c={c}, c_0={c0}")
+    reports, todo = [], []
+    for t in ts:
+        tt = exact_param(t)
+        if tt.is_zero():
+            reports.append(_central_k(f, c, radius, cfg))
+            continue
+        t_abs = param_modulus(tt)
+        domain = Annulus(t_abs / radius, radius)
+        fib = substitute_fiber(f, t)
+        zeros = fiber_zeros(fib, tt, delta=radius)
+        div = _divergent_report(_interior_zeros(zeros, domain), c, domain, "x")
+        reports.append(div and KReport(t=t, k_report=div, i_report=div, j_report=div))
+        if div is None:
+            todo.append((len(reports) - 1, t, (_base_fn(fib, c), domain,
+                                               [z.location_complex() for z in zeros],
+                                               t_abs * t_abs)))
 
-    tt = exact_param(t)
-    if tt.is_zero():
-        # 0 < c < c_0 keeps both axis restrictions nonzero
-        disc = Annulus(0.0, radius)
-        i_rep = annulus_integral(f.holo.restrict_x_axis(), c, disc, config=cfg)
-        j_rep = annulus_integral(f.holo.restrict_y_axis(), c, disc, config=cfg)
-        # the y axis is integrated in its own coordinate, so label it as the
-        # y chart (chart="y" would evaluate at x = t/y with t = 0)
-        j_rep.chart = "y"
-        # sum the counts per kind; the kinds sort alphabetically in the
-        # order _adaptive_polar emits them, after a bare 'divergent'
-        counts = {}
-        for flag in sorted(i_rep.refinement_flags + j_rep.refinement_flags):
-            kind, _, n = flag.partition(":")
-            counts[kind] = counts.get(kind, 0) + int(n or 0)
-        k_rep = IntegralReport(
-            value=i_rep.value + j_rep.value,
-            error_estimate=i_rep.error_estimate + j_rep.error_estimate,
-            cells_used=i_rep.cells_used + j_rep.cells_used,
-            refinement_flags=tuple(f"{k}:{n}" if n else k for k, n in counts.items()),
-            domain=disc, chart="central", c=c,
-            converged=i_rep.converged and j_rep.converged,
-            divergent=i_rep.divergent or j_rep.divergent,
-            meta={"note": "central fiber: sum over the two axis components"})
-        return KReport(t=0, k_report=k_rep, i_report=i_rep, j_report=j_rep)
+    runs = _adaptive_polar([part for _, _, part in todo], cfg)
+    for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
+        mk = dict(cells_used=cells, refinement_flags=flags, domain=part[1],
+                  c=c, converged=converged)
+        reports[i] = KReport(
+            t=t, k_report=IntegralReport(masses[2], errs[2], chart="density", **mk),
+            i_report=IntegralReport(masses[0], errs[0], chart="x", **mk),
+            j_report=IntegralReport(masses[1], errs[1], chart="y-via-x", **mk))
+    return reports
 
-    t_abs = param_modulus(tt)
-    domain = Annulus(t_abs / radius, radius)
-    fib = substitute_fiber(f, t)
-    zeros = fiber_zeros(fib, tt, delta=radius)
-    divergent = _divergent_report(_interior_zeros(zeros, domain), c, domain, "x")
-    if divergent is not None:
-        return KReport(t=t, k_report=divergent, i_report=divergent,
-                       j_report=divergent)
 
-    import numpy as np
-    base = _base_fn(fib, c)
-    t2 = t_abs * t_abs
-
-    def radial(r2):
-        # r^2 times the weights 1, |y|^2/|x|^2 = t^2/r^4 and the intrinsic
-        # density (|x|^2 + |y|^2)/|x|^2 = 1 + t^2/r^4, with y = t/x
-        q = t2 / r2
-        return np.array((r2, q, r2 + q))
-
-    masses, errs, cells, flags, converged = _adaptive_polar(
-        base, domain, cfg, radial=radial,
-        zero_points=[z.location_complex() for z in zeros])
-
-    mk = dict(cells_used=cells, refinement_flags=flags, domain=domain,
-              c=c, converged=converged)
-    k_rep = IntegralReport(value=masses[2], error_estimate=errs[2],
-                           chart="density", **mk)
-    i_rep = IntegralReport(value=masses[0], error_estimate=errs[0],
-                           chart="x", **mk)
-    j_rep = IntegralReport(value=masses[1], error_estimate=errs[1],
-                           chart="y-via-x", **mk)
-    return KReport(t=t, k_report=k_rep, i_report=i_rep, j_report=j_rep)
+def _central_k(f, c: float, radius: float, cfg: QuadratureConfig) -> KReport:
+    """K_0: the two punctured-disc integrals of the axis restrictions."""
+    # 0 < c < c_0 keeps both axis restrictions nonzero
+    disc = Annulus(0.0, radius)
+    i_rep = annulus_integral(f.holo.restrict_x_axis(), c, disc, config=cfg)
+    j_rep = annulus_integral(f.holo.restrict_y_axis(), c, disc, config=cfg)
+    # the y axis is integrated in its own coordinate, so label it as the
+    # y chart (chart="y" would evaluate at x = t/y with t = 0)
+    j_rep.chart = "y"
+    # sum the counts per kind; the kinds sort alphabetically in the
+    # order _adaptive_polar emits them, after a bare 'divergent'
+    counts = {}
+    for flag in sorted(i_rep.refinement_flags + j_rep.refinement_flags):
+        kind, _, n = flag.partition(":")
+        counts[kind] = counts.get(kind, 0) + int(n or 0)
+    k_rep = IntegralReport(
+        value=i_rep.value + j_rep.value,
+        error_estimate=i_rep.error_estimate + j_rep.error_estimate,
+        cells_used=i_rep.cells_used + j_rep.cells_used,
+        refinement_flags=tuple(f"{k}:{n}" if n else k for k, n in counts.items()),
+        domain=disc, chart="central", c=c,
+        converged=i_rep.converged and j_rep.converged,
+        divergent=i_rep.divergent or j_rep.divergent,
+        meta={"note": "central fiber: sum over the two axis components"})
+    return KReport(t=0, k_report=k_rep, i_report=i_rep, j_report=j_rep)
 
 
 def decompose_I(f, t, c: float, radius: float, r1: float,
@@ -610,15 +674,12 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
 
     fib = substitute_fiber(f, tt)
     zeros = fiber_zeros(fib, tt, delta=radius)
-    reports = []
     z_domains = [(1.0 / r1, r1), (r1, radius / s ** l), (s ** k / radius, 1.0 / r1)]
     x_domains = [Annulus(a1, a2), Annulus(a2, a3), Annulus(a0, a1)]
-    for (zd, xd) in zip(z_domains, x_domains):
-        rep = annulus_integral(fib, c, xd, chart="x", config=cfg, t=t,
-                               zeros=zeros)
+    reports = _annulus_reports(fib, c, x_domains, "x", cfg, t, zeros)
+    for rep, zd in zip(reports, z_domains):
         rep.meta.update({"s": s, "endpoints": (k, l),
                          "z_annulus": f"A({zd[0]:.6g}, {zd[1]:.6g})"})
-        reports.append(rep)
     return tuple(reports)
 
 
@@ -643,8 +704,8 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
     stability theorem's scope; note that a single segment is only a
     necessary condition, which the report records) and 0 < c < c_0(f_0).
     The verdict is "converged" when the final ratio sits inside RATIO_BAND
-    around 1 and |ratio - 1| decreases monotonically up to TREND_SLACK plus
-    quadrature error.
+    around 1, |ratio - 1| decreases monotonically up to TREND_SLACK plus
+    quadrature error, and neither K_0 nor any row carries a refinement flag.
     """
     cfg = config or QuadratureConfig()
     _check_radius(radius)
@@ -668,19 +729,15 @@ def convergence_sweep(f, c: float, radius: float, t_sequence=None,
         if not param_modulus(cur) < param_modulus(prev):
             raise ValueError("t sequence must be strictly decreasing in |t|")
 
-    k0 = fiber_integral_K(f, 0, c, radius, cfg)
-    rows = []
-    any_divergent = False
-    for t in ts:
-        kr = fiber_integral_K(f, t, c, radius, cfg)
-        if kr.k_report.divergent:
-            any_divergent = True
-        ratio = (kr.k_report.value / k0.k_report.value
-                 if k0.k_report.value else math.inf)
-        rows.append(_sweep_row(t, kr, ratio))
+    k0, *krs = _k_reports(f, [0, *ts], c, radius, cfg)
+    rows = [_sweep_row(t, kr, kr.k_report.value / k0.k_report.value
+                       if k0.k_report.value else math.inf)
+            for t, kr in zip(ts, krs)]
 
+    # a divergent row or K_0 carries the flag "divergent"
+    flagged = k0.k_report.refinement_flags or any(r.flags for r in rows)
     verdict = "inconclusive"
-    if len(rows) >= 2 and not any_divergent and k0.k_report.value > 0:
+    if len(rows) >= 2 and not flagged and k0.k_report.value > 0:
         final_ok = abs(rows[-1].ratio - 1.0) <= RATIO_BAND
         errs = [r.err / k0.k_report.value for r in rows]
         devs = [abs(r.ratio - 1.0) for r in rows]
@@ -708,8 +765,8 @@ def uniform_bound_check(f, c: float, radius: float, t_samples,
     samples = sorted(t_samples, key=param_modulus, reverse=True)
     if not samples:
         raise ValueError("empty t sample list")
-    rows = [_sweep_row(t, fiber_integral_K(f, t, c, radius, cfg), math.nan)
-            for t in samples]
+    rows = [_sweep_row(t, kr, math.nan)
+            for t, kr in zip(samples, _k_reports(as_mixed(f), samples, c, radius, cfg))]
     bound = max(r.k_t + r.err for r in rows)
     growth = growth_trend(rows)
     note = ("K_t grows toward t = 0 with non-decaying slope beyond the "
@@ -772,6 +829,8 @@ def exponent_probe_1d(fiber, zero, c: float,
     Integrates |f|^(-2c) over the PROBE_ANNULI annuli A(r, 2r) centered at
     the zero for r = r0 * 2^-j and fits the slope alpha of log mass against
     log r; the local model mass ~ r^(2 - 2cm) gives m = (2 - alpha)/(2c).
+    The annuli share one adaptive run.  flags holds the refinement flags
+    of each annulus used in the fit, in the order of radii.
     Needs c * multiplicity < 1 so the masses stay finite, and at least 4
     usable annuli.
     """
@@ -781,16 +840,14 @@ def exponent_probe_1d(fiber, zero, c: float,
     base = _base_fn(fiber, c)
     center = exact_param(zero).to_complex()
 
-    radii, masses = [], []
-    for j in range(PROBE_ANNULI):
-        r = r0 * 2.0 ** (-j)
-        ann = Annulus(r, 2.0 * r)
-        m, _, _, _, _ = _adaptive_polar(base, ann, cfg, center=center)
-        if math.isfinite(m[0]) and m[0] > 0:
-            radii.append(r)
-            masses.append(m[0])
-    if len(radii) < 4:
+    radii = [r0 * 2.0 ** (-j) for j in range(PROBE_ANNULI)]
+    runs = _adaptive_polar([(base, Annulus(r, 2.0 * r), (), None) for r in radii],
+                           cfg, center)
+    usable = [(r, m[0], flags) for r, (m, _, _, flags, _) in zip(radii, runs)
+              if math.isfinite(m[0]) and m[0] > 0]
+    if len(usable) < 4:
         raise ValueError("fewer than 4 usable annuli")
+    radii, masses, flags = zip(*usable)
     import numpy as np
     lr = np.log(np.array(radii))
     lm = np.log(np.array(masses))
@@ -798,5 +855,5 @@ def exponent_probe_1d(fiber, zero, c: float,
     residual = float(np.max(np.abs(lm - (slope * lr + intercept))))
     m_hat = (2.0 - slope) / (2.0 * c)
     return ProbeResult(multiplicity_estimate=float(m_hat), slope=float(slope),
-                       fit_residual=residual, radii=tuple(radii),
-                       masses=tuple(masses))
+                       fit_residual=residual, radii=radii, masses=masses,
+                       flags=flags)

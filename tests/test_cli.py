@@ -127,6 +127,16 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--f", "x+y"], capsys)
         assert code == 1
 
+    def test_flagged_rows_make_the_verdict_inconclusive(self, capsys):
+        # at depth 4 every row stops at the cap, however close its ratios are
+        code, out, _ = run_cli(["sweep", "--f", "x + y", "--c", "0.5", "--R", "1",
+                                "--max-depth", "4", "--tolerance", "1e-5",
+                                "--format", "json"], capsys)
+        data = json.loads(out)
+        assert all(r["flags"][0].startswith("max-depth-reached:") for r in data["rows"])
+        assert data["verdict"] == "inconclusive"
+        assert code == 2
+
     def test_every_config_field_is_an_option(self):
         # a knob of the quadrature is reachable from the command line, and
         # only through an option
@@ -167,6 +177,15 @@ class TestProbeCommand:
     def test_multiplicity_requires_inputs(self, capsys):
         code, _, err = run_cli(["probe", "--kind", "multiplicity"], capsys)
         assert code == 1
+
+    def test_flagged_annuli_exit_two(self, capsys):
+        code, out, _ = run_cli(["probe", "--kind", "multiplicity", "--f", "(x + y)^2",
+                                "--t", "1/1000", "--c", "0.49", "--max-depth", "4",
+                                "--tolerance", "1e-8"], capsys)
+        flags = [f for p in json.loads(out)["probes"] for f in p["probe"]["flags"]]
+        assert len(flags) == 16
+        assert [f for f in flags if f] == [["max-depth-reached:2"]] * 2
+        assert code == 2
 
 
 class TestBoundCommand:

@@ -254,7 +254,7 @@ def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c
     center = roots[which % len(roots)].to_complex()
     cfg = QuadratureConfig(target_rel_tolerance=tol)
     ann = Annulus(r, 2.0 * r)
-    new = _adaptive_polar(_base_fn(fiber, c), ann, cfg, center=center)
+    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None)], cfg, center=center)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, c), ann, cfg,
                                     center=center)
@@ -269,7 +269,7 @@ def triple_zero_runs():
     fiber = UnivariatePoly([0, 0, 0, 1])
     cfg = QuadratureConfig(target_rel_tolerance=1e-3)
     ann = Annulus(0.03125, 0.0625)
-    new = _adaptive_polar(_base_fn(fiber, 0.3125), ann, cfg)
+    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None)], cfg)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, 0.3125), ann, cfg)
     return new, old
@@ -319,7 +319,7 @@ def pinned_base(node):
 @pytest.mark.parametrize("k", [0, 3, 4, 8, 12])   # coarse 0 and 3, fine 4, 8, 12
 def test_one_infinite_node_takes_the_frozen_engines_decisions(k):
     base = pinned_base(first_cell_node(k))
-    new = _adaptive_polar(base, PIN_ANNULUS, PIN_CFG)
+    new = _adaptive_polar([(base, PIN_ANNULUS, (), None)], PIN_CFG)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG)
     assert_same_run(new, old)
@@ -331,8 +331,8 @@ def test_an_infinite_node_leaves_the_other_rules_sum_alone(k):
     # the rules sum over angle separately, so no inf * 0 reaches the other
     u_lo, u_hi = math.log(PIN_ANNULUS.r_inner), math.log(PIN_ANNULUS.r_outer)
     cell = np.array([[u_lo, u_lo + (u_hi - u_lo) / 4, 0.0, 2.0 * math.pi / 8]])
-    clean, _, _ = _cell_rule(cell, pinned_base(100.0))
-    rule, vals, _ = _cell_rule(cell, pinned_base(first_cell_node(k)))
+    clean, _, _ = _cell_rule(cell, [(0, 1, pinned_base(100.0), None)])
+    rule, vals, _ = _cell_rule(cell, [(0, 1, pinned_base(first_cell_node(k)), None)])
     assert np.isinf(vals).sum() == 1
     hit, other = (0, 1) if k < 4 else (1, 0)
     assert np.isinf(rule[hit]).all()
