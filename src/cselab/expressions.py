@@ -260,12 +260,13 @@ def parse_expression(text: str):
 
 # -- canonical printing ------------------------------------------------------
 
-def _terms(poly):
-    """(sign, body) per nonzero term of a BivariatePoly or UnivariatePoly."""
+def _terms(poly, var="z"):
+    """(sign, body) per nonzero term of a BivariatePoly, or of a UnivariatePoly
+    in the variable var."""
     if isinstance(poly, BivariatePoly):
         items = [((("x", m), ("y", n)), poly.terms[m, n]) for m, n in sorted(poly.terms)]
     else:
-        items = [((("z", e),), c) for e, c in enumerate(poly.nums) if c != (0, 0)]
+        items = [(((var, e),), c) for e, c in enumerate(poly.nums) if c != (0, 0)]
     terms = []
     for powers, (cr, ci) in items:
         mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)

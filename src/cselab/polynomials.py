@@ -13,14 +13,18 @@ from fractions import Fraction
 from itertools import accumulate, chain, count
 from math import gcd, lcm
 
-from .rationals import GaussianRational, ZERO, exact_param, pair_text, _int_pair, _power
+from .rationals import GaussianRational, ZERO, exact_param, _int_pair, _power
 
 
 class IdenticallyZeroError(ValueError):
     """Raised where an operation needs a function that is not identically zero."""
 
 
-_coeff = GaussianRational.coerce
+def _text(f) -> str:
+    """str() of a polynomial or MixedFunction: the canonical text that
+    parse_expression reads back (expressions imports this module)."""
+    from .expressions import format_function
+    return format_function(f)
 
 
 def _scalar(c, den) -> GaussianRational:
@@ -156,7 +160,7 @@ class UnivariatePoly:
 
     def evaluate(self, z) -> GaussianRational:
         """Exact Horner evaluation at a Gaussian-rational point."""
-        zz, acc = _coeff(z), ZERO
+        zz, acc = exact_param(z), ZERO
         for c in reversed(self.coeffs):
             acc = acc * zz + c
         return acc
@@ -164,13 +168,7 @@ class UnivariatePoly:
     def monic(self) -> "UnivariatePoly":
         return _monic_poly(self.nums) if self.nums else self
 
-    def to_str(self, var: str = "z") -> str:
-        parts = [f"({pair_text(*c, self.den)})" + (f"*{var}^{k}" if k > 1 else f"*{var}" * k)
-                 for k, c in reversed(list(enumerate(self.nums))) if c != (0, 0)]
-        return " + ".join(parts) or "0"
-
-    def __str__(self):
-        return self.to_str("z")
+    __str__ = _text
 
     def __repr__(self):
         return f"UnivariatePoly({[str(c) for c in self.coeffs]})"
@@ -564,7 +562,7 @@ class BivariatePoly:
         return BivariatePoly._from_ints(out, self.den)
 
     def evaluate(self, x, y) -> GaussianRational:
-        xx, yy = _coeff(x), _coeff(y)
+        xx, yy = exact_param(x), exact_param(y)
         acc = GaussianRational(0)
         for (m, n), c in self.sorted_items():
             acc = acc + c * (xx ** m) * (yy ** n)
@@ -589,12 +587,7 @@ class BivariatePoly:
     def total_degree(self) -> int:
         return max((m + n for (m, n) in self.terms), default=-1)
 
-    def __str__(self):
-        parts = []
-        for m, n in sorted(self.terms):
-            mono = [v if e == 1 else f"{v}^{e}" for v, e in (("x", m), ("y", n)) if e]
-            parts.append(f"({pair_text(*self.terms[m, n], self.den)})*{'*'.join(mono) or '1'}")
-        return " + ".join(parts) or "0"
+    __str__ = _text
 
     def __repr__(self):
         return f"BivariatePoly({{{', '.join(f'{k}: {c}' for k, c in self.sorted_items())}}})"
@@ -618,7 +611,7 @@ class MixedFunction:
         if radial_half_exp % 2 == 0:
             raise ValueError("radial exponent nu must be odd (term |xy|^(nu/2))")
         object.__setattr__(self, "holo", holo)
-        object.__setattr__(self, "radial_coeff", _coeff(radial_coeff))
+        object.__setattr__(self, "radial_coeff", exact_param(radial_coeff))
         object.__setattr__(self, "radial_half_exp", int(radial_half_exp))
 
     def __setattr__(self, name, value):
@@ -646,7 +639,7 @@ class MixedFunction:
         val = self.holo.evaluate(x, y)
         if self.radial_coeff.is_zero():
             return val
-        xx, yy = _coeff(x), _coeff(y)
+        xx, yy = exact_param(x), exact_param(y)
         prod = xx * yy
         if not prod.is_real():
             raise ValueError("exact evaluation needs x*y real (|xy| rational)")
@@ -654,11 +647,7 @@ class MixedFunction:
         root = mag.exact_sqrt()
         return val + self.radial_coeff * root ** self.radial_half_exp
 
-    def __str__(self):
-        if self.radial_coeff.is_zero():
-            return str(self.holo)
-        return (f"{self.holo} + ({self.radial_coeff})*"
-                f"|xy|^({self.radial_half_exp}/2)")
+    __str__ = _text
 
 
 def as_mixed(f) -> MixedFunction:
@@ -685,7 +674,7 @@ class LaurentForm:
 
     def __init__(self, numerator: UnivariatePoly, pole_order: int,
                  constant=0, t=None):
-        constant = _coeff(constant)
+        constant = exact_param(constant)
         # strip common powers of x between numerator and pole
         if not numerator.is_zero() and pole_order > 0:
             v = numerator.valuation()
@@ -713,7 +702,7 @@ class LaurentForm:
         return self.numerator + UnivariatePoly.monomial(self.pole_order, self.constant)
 
     def evaluate(self, x) -> GaussianRational:
-        xx = _coeff(x)
+        xx = exact_param(x)
         if self.pole_order and xx.is_zero():
             raise ZeroDivisionError("evaluation at the pole x = 0")
         val = self.numerator.evaluate(xx)
@@ -728,7 +717,8 @@ class LaurentForm:
                 and self.pole_order == other.pole_order)
 
     def __str__(self):
-        base = f"({self.numerator.to_str('x')})"
+        from .expressions import _join_terms, _terms
+        base = f"({_join_terms(_terms(self.numerator, 'x')) or '0'})"
         if self.pole_order:
             base += f" / x^{self.pole_order}"
         if not self.constant.is_zero():
@@ -739,8 +729,9 @@ class LaurentForm:
 def substitute_fiber(f, t, s=None) -> LaurentForm:
     """Laurent normal form of x -> F(x, t/x) on the fiber xy = t.
 
-    t is any nonzero scalar accepted by exact_param; a float or complex t
-    is taken at its exact binary value, so every t has one exact form.
+    t (and s) go through exact_param, the one coercion: a float or complex
+    t is taken at its exact binary value, so every t has one exact form,
+    and nan or inf raise ValueError.
     For a MixedFunction the radial term needs t > 0 with an exact square
     root: pass s explicitly (s^2 = t) or let it be extracted when t is a
     perfect rational square.  t = 0 is rejected; the central fiber is the
@@ -810,7 +801,7 @@ def vanishing_order(f, point) -> int:
     shift by 1 of von zur Gathen & Gerhard 1997); at 0 it is the valuation.
     Raises IdenticallyZeroError for the zero function.
     """
-    p = GaussianRational.coerce(point)
+    p = exact_param(point)
     if isinstance(f, LaurentForm):
         if p.is_zero():
             raise ValueError("Laurent forms are evaluated away from x = 0")

@@ -95,8 +95,8 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        if not (self.r_outer > 0 and self.r_inner >= 0):
-            raise ValueError("annulus radii must satisfy 0 <= r_in, 0 < r_out")
+        if not (self.r_inner >= 0 and 0 < self.r_outer < math.inf):
+            raise ValueError("annulus radii must satisfy 0 <= r_in, 0 < r_out < inf")
         if self.r_inner >= self.r_outer:
             raise ValueError("annulus needs r_inner < r_outer")
 
@@ -520,8 +520,8 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
 def _annulus_reports(fiber, c, domains, chart, config, t, zeros):
     """annulus_integral over each domain; the convergent ones share one run."""
     cfg = config or QuadratureConfig()
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0; got c={c}")
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
     if zeros is None and c > 0:
@@ -835,8 +835,8 @@ def exponent_probe_1d(fiber, zero, c: float,
     usable annuli.
     """
     cfg = config or QuadratureConfig()
-    if c <= 0:
-        raise ValueError("the probe needs c > 0")
+    if not 0 < c < math.inf:
+        raise ValueError(f"the probe needs a finite c > 0; got c={c}")
     base = _base_fn(fiber, c)
     center = exact_param(zero).to_complex()
 

@@ -12,7 +12,9 @@ def _as_fraction(v) -> Fraction:
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"parameter must be finite, got {v!r}")
+    if isinstance(v, (str, float)):   # a finite float is a dyadic rational
         return Fraction(v)
     raise TypeError(f"cannot build an exact rational from {type(v).__name__}")
 
@@ -34,15 +36,6 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def coerce(cls, v) -> "GaussianRational":
-        """Accept GaussianRational, int, Fraction or exact string."""
-        if isinstance(v, GaussianRational):
-            return v
-        return cls(_as_fraction(v))
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -54,7 +47,7 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
+        o = exact_param(other)
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -63,14 +56,14 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = GaussianRational.coerce(other)
+        o = exact_param(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        return exact_param(other) - self
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
+        o = exact_param(other)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -92,10 +85,10 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        return self * exact_param(other).inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        return exact_param(other) * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -110,8 +103,8 @@ class GaussianRational:
 
     def __eq__(self, other):
         try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+            o = exact_param(other)
+        except (TypeError, ValueError):   # == nan is False, not an error
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
@@ -144,7 +137,7 @@ class GaussianRational:
 
 def _int_pair(v):
     """(re, im, den) with v = (re + im*i)/den, den the lcm of the parts' denominators."""
-    g = GaussianRational.coerce(v)
+    g = exact_param(v)
     re, im = g.re, g.im
     d = math.lcm(re.denominator, im.denominator)
     return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
@@ -203,25 +196,21 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def _float_fraction(x: float) -> Fraction:
-    if not math.isfinite(x):
-        raise ValueError(f"parameter must be finite, got {x!r}")
-    return Fraction(x)
-
-
 def exact_param(t) -> GaussianRational:
-    """The exact value of a parameter given as int, Fraction, GaussianRational,
-    float or complex.
+    """The one coercion of an outside scalar to a GaussianRational.
 
-    Every finite float is a dyadic rational, so Fraction(float) is its exact
-    value and float parameters take the same exact path as rational ones;
-    nan and inf are rejected.
+    A GaussianRational passes through; an int, Fraction or exact string,
+    and a float or complex, are taken at their exact value.  Every finite
+    float is a dyadic rational, so Fraction(float) is its binary value and a
+    float takes the same exact path as a rational; nan and inf raise
+    ValueError.  The arithmetic operators, the polynomial constructors and
+    every exact entry point take their scalars through here.
     """
+    if isinstance(t, GaussianRational):
+        return t
     if isinstance(t, complex):
-        return GaussianRational(_float_fraction(t.real), _float_fraction(t.imag))
-    if isinstance(t, float):
-        return GaussianRational(_float_fraction(t))
-    return GaussianRational.coerce(t)
+        return GaussianRational(t.real, t.imag)
+    return GaussianRational(t)
 
 
 def param_modulus(t) -> float:

@@ -160,6 +160,37 @@ class TestGaussianRational:
         with pytest.raises(ValueError):
             gr(2).exact_sqrt()
 
+    def test_equality_with_floats(self):
+        # a float compares at its binary value; nan is unequal, not an error
+        assert gr(1) == 1.0 and gr(Fraction(1, 4)) == 0.25
+        assert gr(Fraction(1, 10)) != 0.1
+        assert (gr(1) == math.nan) is False
+
+
+# scalar -> does the entry point hold it at the exact value `want`?  Each
+# coerces through rationals.exact_param.
+HOLDS = {
+    "GaussianRational": lambda x, want: GaussianRational(x.real, x.imag) == want,
+    "UnivariatePoly": lambda x, want: UnivariatePoly([x]) == UnivariatePoly([want]),
+    "BivariatePoly": lambda x, want: (BivariatePoly({(0, 0): x})
+                                      == BivariatePoly({(0, 0): want})),
+    "MixedFunction": lambda x, want: (
+        MixedFunction(BivariatePoly.variable("x"), x).radial_coeff == want),
+    "vanishing_order": lambda x, want: vanishing_order(UnivariatePoly([-want, 1]), x) == 1,
+    # x*y restricts to the constant t on the fiber xy = t
+    "substitute_fiber": lambda x, want: want.is_zero() or substitute_fiber(
+        BivariatePoly.monomial(1, 1), x).numerator == UnivariatePoly([want]),
+}
+
+
+@given(x=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.complex_numbers(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=100, derandomize=True)
+def test_entry_points_hold_a_float_at_its_binary_value(x):
+    want = GaussianRational(Fraction(x.real), Fraction(x.imag))
+    for name, holds in HOLDS.items():
+        assert holds(x, want), name
+
 
 class TestRingOps:
     def test_difference_of_squares(self):
@@ -275,10 +306,13 @@ class TestSubstituteFiber:
         assert (form.pole_order, form.constant, form.t) == (
             expected.pole_order, expected.constant, t)
 
-    def test_nonfinite_t_rejected(self):
-        for t in (math.nan, math.inf, complex(0.0, math.inf)):
+    @pytest.mark.parametrize("entry", HOLDS)
+    def test_nonfinite_t_rejected(self, entry):
+        # every exact entry point, not only substitute_fiber, rejects nan and inf
+        for t in (math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                  complex(math.nan, 1.0)):
             with pytest.raises(ValueError, match="finite"):
-                substitute_fiber(BivariatePoly.variable("x"), t)
+                HOLDS[entry](t, gr(1))
 
     @given(f=bivariate(max_points=4, max_exp=3),
            t=st.fractions(min_value=Fraction(1, 40), max_value=2,

@@ -247,6 +247,14 @@ class TestUsageErrors:
         assert "the radius R must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_probe_rejects_a_non_finite_c(c, capsys):
+    code, out, err = run_cli(["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
+                              "--t", "1/1000", "--c", c], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: the probe needs a finite c > 0; got c={c}\n"
+
+
 class TestToJsonable:
     """The one JSON writer: raw fields in, normalized JSON values out."""
 

@@ -11,10 +11,12 @@ from cselab import (
     BivariatePoly,
     ExpressionError,
     GaussianRational,
+    LaurentForm,
     MixedFunction,
     UnivariatePoly,
     format_function,
     parse_expression,
+    substitute_fiber,
 )
 
 X = BivariatePoly.variable("x")
@@ -149,6 +151,7 @@ class TestRoundTrip:
         again = parse_expression(printed)
         assert again == obj
         assert format_function(again) == printed  # printing is idempotent
+        assert str(obj) == printed  # str() is the one printer's text
 
     def test_canonical_ordering_is_lex(self):
         f = parse_expression("x + y")
@@ -162,6 +165,12 @@ class TestRoundTrip:
         assert format_function(UnivariatePoly([])) == "0*z^0"
         assert format_function(UnivariatePoly([Fraction(-3, 2)])) == "-3/2*z^0"
         assert parse_expression("0*z^0") == UnivariatePoly([])
+
+    def test_laurent_form_prints_its_numerator_in_x(self):
+        form = substitute_fiber(parse_expression("y^2 - x^3"), Fraction(1, 4))
+        assert str(form) == "(1/16 - x^5) / x^2"
+        form = LaurentForm(UnivariatePoly([1, 0, GaussianRational(0, -2)]), 1, constant=-2)
+        assert str(form) == "(1 - 2*i*x^2) / x^1 + (-2)"
 
 
 nonzero = gaussian.filter(lambda c: not c.is_zero())

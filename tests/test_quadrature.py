@@ -238,6 +238,22 @@ class TestRadiusValidation:
             operation(radius)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_annulus_integral_rejects_c(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            annulus_integral(z_poly(0, 1), c, Annulus(0.5, 1.0))
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_probe_rejects_c(self, c):
+        with pytest.raises(ValueError, match="finite c > 0"):
+            exponent_probe_1d(z_poly(-1, 0, 1), 1, c)
+
+    def test_annulus_rejects_an_infinite_radius(self):
+        with pytest.raises(ValueError, match="r_out < inf"):
+            Annulus(1.0, math.inf)
+
+
 class TestDecomposeI:
     def test_partition_radii_cover_annulus(self):
         t = Fraction(1, 10 ** 4)
