@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from fractions import Fraction
 
@@ -150,7 +149,8 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=0.05)
+    p.add_argument("--r0", type=float, default=0.05, help="largest probe radius (finite, > 0), "
+                   "cut to 1/4 the distance to the nearest other zero and |zero|/2 at a pole")
     _add_quad_opts(p)
     _add_out_opts(p)
 
@@ -320,16 +320,9 @@ def _cmd_probe(ns) -> int:
     zeros = fiber_zeros(fib, t, delta=ns.delta)
     if not zeros:
         raise UsageError("no fiber zeros inside the polydisc to probe")
-    locs = [z.location_complex() for z in zeros]
-    out = []
-    for z, loc in zip(zeros, locs):
-        # keep the annuli clear of the other zeros and of the pole at x = 0
-        sep = min((abs(loc - o) for o in locs if o != loc), default=math.inf)
-        r0 = min(ns.r0, sep / 4.0, abs(loc) / 2.0)
-        pr = exponent_probe_1d(fib, loc, ns.c, cfg, r0=r0)
-        out.append({"zero": z, "probe": pr})
-    _emit({"probes": out}, ns)
-    return 2 if any(any(o["probe"].flags) for o in out) else 0
+    probes = exponent_probe_1d(fib, [z.location_complex() for z in zeros], ns.c, cfg, r0=ns.r0)
+    _emit({"probes": [{"zero": z, "probe": pr} for z, pr in zip(zeros, probes)]}, ns)
+    return 2 if any(any(pr.flags) for pr in probes) else 0
 
 
 _COMMANDS = {

@@ -263,7 +263,7 @@ def holder_probe(n: int, sample_scale: float = 1.0, profile=None) -> HolderProbe
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (sample_scale > 0) or not np.isfinite(sample_scale):
-        raise ValueError("degenerate sample range: sample_scale must be positive")
+        raise ValueError(f"sample_scale must be finite and positive; got {sample_scale}")
     if profile is None:
         exponent = (2 * n + 1) / 2.0
         profile = lambda r: r ** exponent

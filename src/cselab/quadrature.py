@@ -17,9 +17,9 @@ all have a non-finite integrand (where r^2 overflows, say) is dropped at
 once and flagged unresolved, since no split can resolve it.
 
 An operation is one run of the engine: the rows of a sweep, the t != 0
-samples of a bound, the annuli of a probe or of the I_t decomposition are
-its parts, refined in shared rounds, each with its own cells, floor and
-counts.
+samples of a bound, every probed zero's annuli or the annuli of the I_t
+decomposition are its parts, refined in shared rounds, each with its own
+centre, cells, floor and counts.
 
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.
@@ -275,11 +275,9 @@ def _detect_zeros(fiber):
 _G2 = ((0.5 - 0.5 / math.sqrt(3.0), 0.5), (0.5 + 0.5 / math.sqrt(3.0), 0.5))
 _G3 = ((0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0), (0.5, 8.0 / 18.0),
        (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0))
-_GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
-                    for (gu, wu) in g for (gt, wt) in g)
-# the same pair on its tensor axes: the 5 distinct (abscissa, weight) pairs of
-# a side, the 2-point rule's then the 3-point rule's, and for each node of
-# _GAUSS_PAIR the index of its u pair and of its theta pair
+# the pair on its tensor axes: the 5 distinct (abscissa, weight) pairs of a
+# side, the 2-point rule's then the 3-point rule's, and for each of the 13
+# nodes (2x2 then 3x3) the index of its u pair and of its theta pair
 _AXIS = _G2 + _G3
 _NODE_U = tuple(i for b in ((0, 1), (2, 3, 4)) for i in b for _ in b)
 _NODE_T = tuple(j for b in ((0, 1), (2, 3, 4)) for _ in b for j in b)
@@ -294,15 +292,15 @@ def _axis_arrays():
     return ab, w[:2], w[2:], np.array(_NODE_U), np.array(_NODE_T)
 
 
-def _cell_rule(cells, segments, center=0j):
+def _cell_rule(cells, segments):
     """(coarse and fine sums of each weight, base at the 13 nodes, weight
     factors at the 5 u abscissae) of each row (u0, u1, theta0, theta1).
 
-    segments are (start, stop, base_fn, t2): base_fn evaluates those rows,
-    and their weights, each times the log-polar Jacobian r^2 = |x - center|^2,
-    are 1 alone when t2 is None, else 1, t2/r^4 and 1 + t2/r^4.  Each rule
-    sums over angle before the weights apply, so an infinite node of one rule
-    leaves the other's sum finite."""
+    segments are (start, stop, base_fn, t2, center): base_fn evaluates those
+    rows about center, and their weights, each times the log-polar Jacobian
+    r^2 = |x - center|^2, are 1 alone when t2 is None, else 1, t2/r^4 and
+    1 + t2/r^4.  Each rule sums over angle before the weights apply, so an
+    infinite node of one rule leaves the other's sum finite."""
     import numpy as np
     ab, w2, w3, node_u, node_t = _axis_arrays()
     lo = cells[:, 0::2].T
@@ -316,10 +314,11 @@ def _cell_rule(cells, segments, center=0j):
     np.sin(ut[1], out=phase.imag)
     x = phase.take(node_t, axis=0)
     x *= er.take(node_u, axis=0)
-    if center:
-        x += center
+    for a, b, *_, center in segments:
+        if center:
+            x[:, a:b] += center
     vals = (segments[0][2](x) if len(segments) == 1 else
-            np.concatenate([base_fn(x[:, a:b]) for a, b, base_fn, _ in segments], axis=1))
+            np.concatenate([base_fn(x[:, a:b]) for a, b, base_fn, *_ in segments], axis=1))
     ang = np.concatenate((w2 @ vals[:4].reshape(2, 2, -1),
                           w3 @ vals[4:].reshape(3, 3, -1)))
     ang *= side[0] * side[1]
@@ -337,7 +336,7 @@ def _cell_rule(cells, segments, center=0j):
 def _segments(parts, spans, lo, hi):
     """The _cell_rule segments of rows lo to hi, counted from lo; spans are
     (part index, first row, end row) in row order."""
-    return [(max(a, lo) - lo, min(b, hi) - lo, parts[p][0], parts[p][3])
+    return [(max(a, lo) - lo, min(b, hi) - lo, parts[p][0], *parts[p][3:])
             for p, a, b in spans if a < hi and b > lo]
 
 
@@ -376,19 +375,19 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center):
     return cells, depth
 
 
-def _adaptive_polar(parts, cfg: QuadratureConfig, center=0j):
+def _adaptive_polar(parts, cfg: QuadratureConfig):
     """(masses, errors, cells_used, flags, converged) of each part.
 
-    A part is (base_fn, annulus, zero_points, t2), weighted as in _cell_rule;
-    a run's parts all carry a t2, or none does.  Each round evaluates every
-    unfinished cell, CHUNK_CELLS at a time, then accepts and splits them.  A
-    part's cells stay contiguous, so its sums, floor and counts are its own.
-    The last weight drives refinement; a part's weights share its grid, so
-    linear identities between them hold to rounding."""
+    A part is (base_fn, annulus, zero_points, t2, center), weighted as in
+    _cell_rule; a run's parts all carry a t2, or none does.  Each round
+    evaluates every unfinished cell, CHUNK_CELLS at a time, then accepts and
+    splits them.  A part's cells stay contiguous, so its sums, floor and
+    counts are its own.  The last weight drives refinement; a part's weights
+    share its grid, so linear identities between them hold to rounding."""
     import numpy as np
     if not parts:
         return []
-    grids = [_initial_grid(ann, cfg, zp, center) for _, ann, zp, _ in parts]
+    grids = [_initial_grid(ann, cfg, zp, center) for _, ann, zp, _, center in parts]
     cells = np.concatenate([g[0] for g in grids])
     depth = np.concatenate([g[1] for g in grids])
     live = [(p, len(g[0])) for p, g in enumerate(grids)]   # (part, rows) in row order
@@ -404,7 +403,7 @@ def _adaptive_polar(parts, cfg: QuadratureConfig, center=0j):
             ends = list(accumulate(n for _, n in live))
             spans = [(p, e - n, e) for (p, n), e in zip(live, ends)]
             rules = [_cell_rule(cells[lo:lo + CHUNK_CELLS],
-                                _segments(parts, spans, lo, lo + CHUNK_CELLS), center)[0]
+                                _segments(parts, spans, lo, lo + CHUNK_CELLS))[0]
                      for lo in range(0, len(cells), CHUNK_CELLS)]
             rule = rules[0] if len(rules) == 1 else np.concatenate(rules, axis=2)
             if floors is None:
@@ -421,8 +420,7 @@ def _adaptive_polar(parts, cfg: QuadratureConfig, center=0j):
                 # only these cells are evaluated again, for their node values
                 bad = np.flatnonzero(~finite)
                 sub = [(p, *np.searchsorted(bad, (a, b))) for p, a, b in spans]
-                _, vals, factors = _cell_rule(cells[bad], _segments(parts, sub, 0, len(bad)),
-                                              center)
+                _, vals, factors = _cell_rule(cells[bad], _segments(parts, sub, 0, len(bad)))
                 flagged = np.zeros((2, len(cells)), dtype=bool)
                 flagged[1, bad] = ~np.isfinite(
                     vals * factors.take(node_u, axis=1)).all(axis=0).any(axis=0)
@@ -547,7 +545,7 @@ def _annulus_reports(fiber, c, domains, chart, config, t, zeros):
             todo.append((len(reports) - 1, work, [z.location_complex() for z in interior]))
 
     base = _base_fn(fiber, c, chart=chart, t=t)
-    runs = _adaptive_polar([(base, work, pts, None) for _, work, pts in todo], cfg)
+    runs = _adaptive_polar([(base, work, pts, None, 0j) for _, work, pts in todo], cfg)
     for (i, work, _), (masses, errs, cells, flags, converged) in zip(todo, runs):
         truncated = domains[i].r_inner == 0
         meta = {"inner_truncated": truncated}
@@ -599,7 +597,7 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
         if div is None:
             todo.append((len(reports) - 1, t, (_base_fn(fib, c), domain,
                                                [z.location_complex() for z in zeros],
-                                               t_abs * t_abs)))
+                                               t_abs * t_abs, 0j)))
 
     runs = _adaptive_polar([part for _, _, part in todo], cfg)
     for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
@@ -821,39 +819,47 @@ def young_combine(bounds) -> float:
     return float(sum((li / total) * mi for (li, mi) in bounds))
 
 
-def exponent_probe_1d(fiber, zero, c: float,
+def exponent_probe_1d(fiber, zeros, c: float,
                       config: QuadratureConfig | None = None,
-                      r0: float = 0.05) -> ProbeResult:
-    """Numeric multiplicity estimate from annulus masses around a zero.
+                      r0: float = 0.05) -> list:
+    """A numeric multiplicity estimate at each point of zeros, in order.
 
-    Integrates |f|^(-2c) over the PROBE_ANNULI annuli A(r, 2r) centered at
-    the zero for r = r0 * 2^-j and fits the slope alpha of log mass against
-    log r; the local model mass ~ r^(2 - 2cm) gives m = (2 - alpha)/(2c).
-    The annuli share one adaptive run.  flags holds the refinement flags
-    of each annulus used in the fit, in the order of radii.
-    Needs c * multiplicity < 1 so the masses stay finite, and at least 4
-    usable annuli.
+    Integrates |f|^(-2c) over the PROBE_ANNULI annuli A(r, 2r) centered at a
+    zero z for r = r_z * 2^-j, r_z = min(r0, a quarter of the distance to the
+    nearest other zero, |z|/2 when the fiber has a pole at x = 0), and fits
+    the slope alpha of log mass against log r; the local model mass ~
+    r^(2 - 2cm) gives m = (2 - alpha)/(2c).  All the annuli share one adaptive
+    run.  flags holds the refinement flags of each annulus used in the fit, in
+    the order of radii.  Needs c * multiplicity < 1 so the masses stay
+    finite, and at least 4 usable annuli per zero.
     """
     cfg = config or QuadratureConfig()
     if not 0 < c < math.inf:
         raise ValueError(f"the probe needs a finite c > 0; got c={c}")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"the probe radius r0 must be finite and > 0; got r0={r0}")
     base = _base_fn(fiber, c)
-    center = exact_param(zero).to_complex()
-
-    radii = [r0 * 2.0 ** (-j) for j in range(PROBE_ANNULI)]
-    runs = _adaptive_polar([(base, Annulus(r, 2.0 * r), (), None) for r in radii],
-                           cfg, center)
-    usable = [(r, m[0], flags) for r, (m, _, _, flags, _) in zip(radii, runs)
-              if math.isfinite(m[0]) and m[0] > 0]
-    if len(usable) < 4:
-        raise ValueError("fewer than 4 usable annuli")
-    radii, masses, flags = zip(*usable)
+    pole = _fiber_parts(fiber)[1] > 0
+    centers = [exact_param(z).to_complex() for z in zeros]
+    parts = []
+    for z in centers:
+        sep = min((abs(z - o) for o in centers if o != z), default=math.inf)
+        r_z = min(r0, sep / 4.0, abs(z) / 2.0 if pole else math.inf)
+        parts += [(base, Annulus(r, 2.0 * r), (), None, z)
+                  for r in (r_z * 2.0 ** (-j) for j in range(PROBE_ANNULI))]
+    runs = list(zip(parts, _adaptive_polar(parts, cfg)))
     import numpy as np
-    lr = np.log(np.array(radii))
-    lm = np.log(np.array(masses))
-    slope, intercept = np.polyfit(lr, lm, 1)
-    residual = float(np.max(np.abs(lm - (slope * lr + intercept))))
-    m_hat = (2.0 - slope) / (2.0 * c)
-    return ProbeResult(multiplicity_estimate=float(m_hat), slope=float(slope),
-                       fit_residual=residual, radii=radii, masses=masses,
-                       flags=flags)
+    results = []
+    for k in range(0, len(runs), PROBE_ANNULI):
+        usable = [(part[1].r_inner, m[0], flags) for part, (m, _, _, flags, _)
+                  in runs[k:k + PROBE_ANNULI] if math.isfinite(m[0]) and m[0] > 0]
+        if len(usable) < 4:
+            raise ValueError("fewer than 4 usable annuli")
+        radii, masses, flags = zip(*usable)
+        lr, lm = np.log(radii), np.log(masses)
+        slope, intercept = np.polyfit(lr, lm, 1)
+        residual = float(np.max(np.abs(lm - (slope * lr + intercept))))
+        results.append(ProbeResult(multiplicity_estimate=float((2.0 - slope) / (2.0 * c)),
+                                   slope=float(slope), fit_residual=residual,
+                                   radii=radii, masses=masses, flags=flags))
+    return results

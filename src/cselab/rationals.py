@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -109,9 +110,10 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # complex's hash, so that a value equal to a complex hashes as it does
+        half = 2 ** (sys.hash_info.width - 1)
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im) + half) % (2 * half) - half
+        return -2 if h == -1 else h
 
     # -- conversions ---------------------------------------------------
 
@@ -226,4 +228,3 @@ def param_float(t) -> float:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)

@@ -259,7 +259,7 @@ def test_criterion_09_numeric_probes():
         mult_ok = True
         for m, c in [(1, 0.4), (2, 0.3), (3, 0.3)]:
             f = UnivariatePoly([-one, one]) ** m
-            res = exponent_probe_1d(f, 1.0, c, cfg)
+            (res,) = exponent_probe_1d(f, [1.0], c, cfg)
             mult_ok &= abs(res.multiplicity_estimate - m) <= 0.05 * m
         holder_ok = True
         for n in (0, 1):

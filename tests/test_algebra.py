@@ -166,6 +166,14 @@ class TestGaussianRational:
         assert gr(Fraction(1, 10)) != 0.1
         assert (gr(1) == math.nan) is False
 
+    @given(a=st.floats(allow_nan=False, allow_infinity=False),
+           b=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, derandomize=True)
+    def test_hash_agrees_with_complex(self, a, b):
+        # equal values must hash alike, or a set keeps 1 + 1j and gr(1, 1) apart
+        assert hash(GaussianRational(a, b)) == hash(complex(a, b))
+        assert len({GaussianRational(a, b), complex(a, b)}) == 1
+
 
 # scalar -> does the entry point hold it at the exact value `want`?  Each
 # coerces through rationals.exact_param.

@@ -7,6 +7,7 @@ same masses to rounding.  Sweeps, bounds, probes and the decomposition of
 I_t make one run for their t != 0 integrals.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from cselab import (
     uniform_bound_check,
 )
 from cselab import quadrature
+from cselab.cli import main
 from cselab.quadrature import PROBE_ANNULI, _adaptive_polar, _base_fn
 from cselab.rationals import exact_param, param_modulus
 
@@ -56,8 +58,9 @@ def build_part(spec):
 
     ("K", germ, q, kind, c_share, R) is the part of K_t: the x-chart annulus
     A(|t|/R, R) of the germ's fiber with the weight t^2, at c = c_share * c_0.
-    ("A", roots, c, r_in, r_out, chart) is prod (z - a) over A(r_in, r_out)
-    with no weight, in the y chart evaluated at x = t/y."""
+    ("A", roots, c, r_in, r_out, chart, center) is prod (z - a) over
+    A(r_in, r_out) about center with no weight, in the y chart evaluated at
+    x = t/y."""
     if spec[0] == "K":
         _, germ, q, kind, c_share, radius = spec
         text, c0 = GERMS[germ]
@@ -67,15 +70,16 @@ def build_part(spec):
         t_abs = param_modulus(tt)
         zeros = fiber_zeros(fib, tt, delta=radius)
         return (_base_fn(fib, float(c0) * c_share), Annulus(t_abs / radius, radius),
-                [z.location_complex() for z in zeros], t_abs * t_abs)
-    _, roots, c, r_in, r_out, chart = spec
+                [z.location_complex() for z in zeros], t_abs * t_abs, 0j)
+    _, roots, c, r_in, r_out, chart, center = spec
     fiber = UnivariatePoly([1])
     for re, im in roots:
         fiber = fiber * UnivariatePoly([-GaussianRational(Fraction(re, 8), Fraction(im, 8)), 1])
     zs = [complex(re, im) / 8 for re, im in roots]
     if chart == "y":
         zs = [float(Y_CHART_T) / z for z in zs if z]
-    return (_base_fn(fiber, c, chart=chart, t=Y_CHART_T), Annulus(r_in, r_out), zs, None)
+    return (_base_fn(fiber, c, chart=chart, t=Y_CHART_T), Annulus(r_in, r_out), zs, None,
+            center)
 
 
 k_specs = st.tuples(st.just("K"), st.integers(0, len(GERMS) - 1), st.integers(20, 10 ** 6),
@@ -88,13 +92,12 @@ roots = st.lists(st.tuples(st.integers(-16, 16), st.integers(-16, 16)), min_size
 def a_specs(draw):
     r_in = draw(st.floats(1e-4, 0.05))
     return ("A", tuple(draw(roots)), draw(st.floats(0.05, 0.45)), r_in,
-            r_in * draw(st.floats(1.5, 40.0)), draw(st.sampled_from(["x", "y"])))
+            r_in * draw(st.floats(1.5, 40.0)), draw(st.sampled_from(["x", "y"])),
+            draw(st.sampled_from([0j, 0.25 + 0.5j, -0.375j])))
 
 
-runs = st.one_of(
-    st.tuples(st.lists(k_specs, min_size=1, max_size=4), st.just(0j)),
-    st.tuples(st.lists(a_specs(), min_size=1, max_size=4),
-              st.sampled_from([0j, 0.25 + 0.5j, -0.375j])))
+runs = st.one_of(st.lists(k_specs, min_size=1, max_size=4),
+                 st.lists(a_specs(), min_size=1, max_size=4))
 
 
 def assert_part_matches_solo(batched, solo):
@@ -107,26 +110,33 @@ def assert_part_matches_solo(batched, solo):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(run=runs, tol=st.sampled_from([1e-3, 1e-5]))
 # parts of different degree and pole order: the cusp, the line and y^3 - x^5
-@example(run=([("K", 0, 1000, "positive", 0.5, 0.5), ("K", 4, 10 ** 4, "negative", 0.9, 1.0),
-               ("K", 3, 400, "imaginary", 0.7, 0.5)], 0j), tol=1e-3)
-# a probe's annuli about a centre other than 0, in both charts
-@example(run=([("A", ((2, 4), (-3, 1)), 0.4, 0.01, 0.02, "x"),
-               ("A", ((2, 4), (-3, 1)), 0.4, 0.005, 0.01, "x"),
-               ("A", ((2, 4),), 0.3, 0.02, 0.5, "y")], 0.25 + 0.5j), tol=1e-5)
+@example(run=[("K", 0, 1000, "positive", 0.5, 0.5), ("K", 4, 10 ** 4, "negative", 0.9, 1.0),
+              ("K", 3, 400, "imaginary", 0.7, 0.5)], tol=1e-3)
+# two probed zeros' annuli, each about its own zero, and an origin annulus in the y chart
+@example(run=[("A", ((2, 4), (-3, 1)), 0.4, 0.01, 0.02, "x", 0.25 + 0.5j),
+              ("A", ((2, 4), (-3, 1)), 0.4, 0.005, 0.01, "x", 0.25 + 0.5j),
+              ("A", ((2, 4), (-3, 1)), 0.4, 0.005, 0.01, "x", -0.375 + 0.125j),
+              ("A", ((2, 4),), 0.3, 0.02, 0.5, "y", 0j)], tol=1e-5)
 # R = 1e300: r^2 overflows, and each part counts its own dropped cells
-@example(run=([("K", 0, 100, "positive", 0.45, 1e300), ("K", 4, 7, "positive", 0.5, 1e300)],
-              0j), tol=1e-3)
+@example(run=[("K", 0, 100, "positive", 0.45, 1e300), ("K", 4, 7, "positive", 0.5, 1e300)],
+         tol=1e-3)
 # tiny radii: r^2 underflows to 0; these parts carry no t^2 weight, so no 0/0
-@example(run=([("A", ((4, 0), (-4, 0)), 0.3, 1e-300, 1e-200, "x"),
-               ("A", ((4, 0),), 0.2, 1e-250, 1e-100, "x")], 0j), tol=1e-3)
+@example(run=[("A", ((4, 0), (-4, 0)), 0.3, 1e-300, 1e-200, "x", 0j),
+              ("A", ((4, 0),), 0.2, 1e-250, 1e-100, "x", 0j)], tol=1e-3)
 def test_a_batched_run_gives_each_part_its_solo_run(run, tol):
-    specs, center = run
     cfg = QuadratureConfig(max_refinement_depth=8, target_rel_tolerance=tol)
-    parts = [build_part(spec) for spec in specs]
-    batched = _adaptive_polar(parts, cfg, center)
+    parts = [build_part(spec) for spec in run]
+    batched = _adaptive_polar(parts, cfg)
     assert len(batched) == len(parts)
     for part, result in zip(parts, batched):
-        assert_part_matches_solo(result, _adaptive_polar([part], cfg, center)[0])
+        assert_part_matches_solo(result, _adaptive_polar([part], cfg)[0])
+
+
+def test_a_probe_of_two_zeros_gives_each_its_one_zero_probe():
+    # (z - 1)(z + 1)(z - 2i) about 1 and -1: no radius cut, no pole
+    fiber = UnivariatePoly([-1, 0, 1]) * UnivariatePoly([GaussianRational(0, -2), 1])
+    both = exponent_probe_1d(fiber, [1, -1], 0.3, CFG)
+    assert both == [exponent_probe_1d(fiber, [z], 0.3, CFG)[0] for z in (1, -1)]
 
 
 def test_an_unresolved_region_stays_with_its_own_part():
@@ -172,9 +182,9 @@ class Spy:
         self.runs = []
         engine = quadrature._adaptive_polar
 
-        def spy(parts, cfg, center=0j):
+        def spy(parts, cfg):
             self.runs.append(list(parts))
-            return engine(parts, cfg, center)
+            return engine(parts, cfg)
 
         monkeypatch.setattr(quadrature, "_adaptive_polar", spy)
 
@@ -219,8 +229,18 @@ class TestOneRunPerOperation:
     def test_probe(self, monkeypatch):
         spy = Spy(monkeypatch)
         fiber = UnivariatePoly([-1, 0, 1])
-        exponent_probe_1d(fiber, 1, 0.3, CFG)
+        exponent_probe_1d(fiber, [1], 0.3, CFG)
         assert [len(run) for run in spy.runs] == [PROBE_ANNULI]
+
+    def test_cli_probe(self, monkeypatch, capsys):
+        # (x + y)^2 has two double zeros on the fiber t = 1/1000
+        spy = Spy(monkeypatch)
+        assert main(["probe", "--kind", "multiplicity", "--f", "(x + y)^2",
+                     "--t", "1/1000"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["probes"]) == 2
+        assert [len(run) for run in spy.runs] == [2 * PROBE_ANNULI]
+        assert [part[4] for part in spy.runs[0][::PROBE_ANNULI]] == pytest.approx(
+            [-1j * 1e-3 ** 0.5, 1j * 1e-3 ** 0.5])
 
     def test_decompose_I(self, monkeypatch):
         spy = Spy(monkeypatch)

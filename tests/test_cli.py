@@ -225,6 +225,15 @@ class TestUsageErrors:
         "polygon-zero": ["polygon", "--f", "0"],
         "probe-holder-negative-n": ["probe", "--kind", "holder", "--n", "-1"],
         "probe-holder-zero-scale": ["probe", "--kind", "holder", "--scale", "0"],
+        "probe-holder-infinite-scale": ["probe", "--kind", "holder", "--scale", "inf"],
+        "probe-holder-nan-scale": ["probe", "--kind", "holder", "--scale", "nan"],
+        "probe-nan-r0": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
+                         "--t", "1/1000", "--r0", "nan"],
+        "probe-negative-r0": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
+                              "--t", "1/1000", "--r0", "-1"],
+        # exited 0 while the cut to the zeros' separation hid it
+        "probe-infinite-r0": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
+                              "--t", "1/1000", "--r0", "inf"],
         "probe-c-zero": ["probe", "--kind", "multiplicity", "--f", "x+y",
                          "--t", "1/100", "--c", "0"],
         "counterexample-negative-n": ["counterexample", "--n", "-1"],
@@ -245,6 +254,16 @@ class TestUsageErrors:
     def test_bad_radius_is_named(self, name, capsys):
         _, _, err = run_cli(self.BAD[name], capsys)
         assert "the radius R must be finite and > 0" in err
+
+    @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-r0")])
+    def test_bad_r0_is_named(self, name, capsys):
+        _, _, err = run_cli(self.BAD[name], capsys)
+        assert "the probe radius r0 must be finite and > 0" in err
+
+    @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-scale")])
+    def test_bad_scale_is_named(self, name, capsys):
+        _, _, err = run_cli(self.BAD[name], capsys)
+        assert "sample_scale must be finite and positive" in err
 
 
 @pytest.mark.parametrize("c", ["nan", "inf"])

@@ -25,8 +25,7 @@ from cselab import (
     parse_expression,
     substitute_fiber,
 )
-from cselab.quadrature import (_GAUSS_PAIR, _adaptive_polar, _base_fn, _cell_rule,
-                               _fiber_parts)
+from cselab.quadrature import _G2, _G3, _adaptive_polar, _base_fn, _cell_rule, _fiber_parts
 from cselab.rationals import exact_param, param_modulus
 
 # the corpus germs with their central exponents c_0
@@ -35,6 +34,9 @@ GERMS = (("y^2 - x^3", Fraction(1, 3)), ("x^2 - y^2", Fraction(1, 2)),
          ("x + y", Fraction(1)))
 VALUE_REL = 1e-12
 ERROR_REL = 1e-6
+# the embedded rule pair node by node, (u, theta, weight): 2x2 then 3x3
+GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
+                   for (gu, wu) in g for (gt, wt) in g)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +124,7 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, weight_fns=(frozen_unit_weight,
     abs_floor = None
     tol = cfg.target_rel_tolerance
     ctr = np.complex128(complex(center))
-    node_u, node_t, node_w = (np.array(col) for col in zip(*_GAUSS_PAIR))
+    node_u, node_t, node_w = (np.array(col) for col in zip(*GAUSS_PAIR))
 
     while u0.size:
         du = u1 - u0
@@ -254,7 +256,7 @@ def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c
     center = roots[which % len(roots)].to_complex()
     cfg = QuadratureConfig(target_rel_tolerance=tol)
     ann = Annulus(r, 2.0 * r)
-    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None)], cfg, center=center)[0]
+    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None, center)], cfg)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, c), ann, cfg,
                                     center=center)
@@ -269,7 +271,7 @@ def triple_zero_runs():
     fiber = UnivariatePoly([0, 0, 0, 1])
     cfg = QuadratureConfig(target_rel_tolerance=1e-3)
     ann = Annulus(0.03125, 0.0625)
-    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None)], cfg)[0]
+    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None, 0j)], cfg)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, 0.3125), ann, cfg)
     return new, old
@@ -299,11 +301,11 @@ PIN_CFG = QuadratureConfig()
 
 
 def first_cell_node(k):
-    """Node k of _GAUSS_PAIR in the first initial cell of PIN_ANNULUS."""
+    """Node k of GAUSS_PAIR in the first initial cell of PIN_ANNULUS."""
     u_lo, u_hi = math.log(PIN_ANNULUS.r_inner), math.log(PIN_ANNULUS.r_outer)
     du = (u_hi - u_lo) / 4          # n_u = 4 cells over log10(4) decades
     dt = 2.0 * math.pi / PIN_CFG.angular_cells
-    fu, ft, _ = _GAUSS_PAIR[k]
+    fu, ft, _ = GAUSS_PAIR[k]
     return complex(math.exp(u_lo + du * fu) * complex(math.cos(dt * ft), math.sin(dt * ft)))
 
 
@@ -319,7 +321,7 @@ def pinned_base(node):
 @pytest.mark.parametrize("k", [0, 3, 4, 8, 12])   # coarse 0 and 3, fine 4, 8, 12
 def test_one_infinite_node_takes_the_frozen_engines_decisions(k):
     base = pinned_base(first_cell_node(k))
-    new = _adaptive_polar([(base, PIN_ANNULUS, (), None)], PIN_CFG)[0]
+    new = _adaptive_polar([(base, PIN_ANNULUS, (), None, 0j)], PIN_CFG)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG)
     assert_same_run(new, old)
@@ -331,8 +333,8 @@ def test_an_infinite_node_leaves_the_other_rules_sum_alone(k):
     # the rules sum over angle separately, so no inf * 0 reaches the other
     u_lo, u_hi = math.log(PIN_ANNULUS.r_inner), math.log(PIN_ANNULUS.r_outer)
     cell = np.array([[u_lo, u_lo + (u_hi - u_lo) / 4, 0.0, 2.0 * math.pi / 8]])
-    clean, _, _ = _cell_rule(cell, [(0, 1, pinned_base(100.0), None)])
-    rule, vals, _ = _cell_rule(cell, [(0, 1, pinned_base(first_cell_node(k)), None)])
+    clean, _, _ = _cell_rule(cell, [(0, 1, pinned_base(100.0), None, 0j)])
+    rule, vals, _ = _cell_rule(cell, [(0, 1, pinned_base(first_cell_node(k)), None, 0j)])
     assert np.isinf(vals).sum() == 1
     hit, other = (0, 1) if k < 4 else (1, 0)
     assert np.isinf(rule[hit]).all()

@@ -1,4 +1,6 @@
-"""Every name a cselab module imports is used in that module."""
+"""Every name a cselab module imports is used in that module, and every
+name a module defines at its top level is read by some cselab module or
+exported by the package."""
 
 import ast
 from pathlib import Path
@@ -38,3 +40,53 @@ def test_an_unused_import_is_found():
               "def f(t):\n"
               "    return math.pi * exact_param(t)\n")
     assert unused_imports(source) == [(2, "os"), (3, "pt")]
+
+
+def module_level_names(tree):
+    """The names a module's top-level statements define, other than dunders."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for n in (n for t in targets for n in ast.walk(t)):
+                if isinstance(n, ast.Name):
+                    names[n.id] = node.lineno
+    return {n: line for n, line in names.items() if not n.startswith("__")}
+
+
+def read_names(tree):
+    """The names a module reads: loaded names, attributes and from-imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def dead_names(sources, exported):
+    """(module, line, name) of each top-level name that no module reads and
+    the package does not export; sources maps module names to source."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return sorted((m, line, name) for m, tree in trees.items()
+                  for name, line in module_level_names(tree).items()
+                  if name not in read and name not in exported)
+
+
+def test_no_dead_module_level_names():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_names(sources, set(cselab.__all__)) == []
+
+
+def test_a_dead_name_is_found():
+    sources = {"a": "from .b import used\nKEPT = used\nDEAD, (PAIR, _X) = 1, (2, 3)\n"
+                    "def f():\n    return _X + b.attr\n",
+               "b": "import a\nused = attr = 1\ndef exported():\n    pass\n"}
+    assert dead_names(sources, {"exported"}) == [("a", 2, "KEPT"), ("a", 3, "DEAD"),
+                                                  ("a", 3, "PAIR"), ("a", 4, "f")]

@@ -22,11 +22,14 @@ from cselab import (
     uniform_bound_check,
     young_combine,
 )
-from cselab.quadrature import _AXIS, _GAUSS_PAIR, _NODE_T, _NODE_U
+from cselab.quadrature import _AXIS, _G2, _G3, _NODE_T, _NODE_U
 
 X = BivariatePoly.variable("x")
 Y = BivariatePoly.variable("y")
 CFG = QuadratureConfig()
+# the embedded rule pair node by node, (u, theta, weight): 2x2 then 3x3
+GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
+                   for (gu, wu) in g for (gt, wt) in g)
 
 
 def z_poly(*coeffs):
@@ -44,8 +47,8 @@ class TestCellRule:
     # to the rectangle [u0, u1] x [th0, th1]
     U0, U1, TH0, TH1 = -2.0, -0.5, 1.0, 2.5
 
-    @pytest.mark.parametrize("nodes, degree", [(_GAUSS_PAIR[:4], 3),
-                                               (_GAUSS_PAIR[4:], 5)])
+    @pytest.mark.parametrize("nodes, degree", [(GAUSS_PAIR[:4], 3),
+                                               (GAUSS_PAIR[4:], 5)])
     def test_exact_on_monomials_up_to_degree(self, nodes, degree):
         du, dth = self.U1 - self.U0, self.TH1 - self.TH0
 
@@ -66,7 +69,7 @@ class TestCellRule:
         # the engine evaluates the pair on its axes: 5 abscissae per side
         rebuilt = tuple((_AXIS[i][0], _AXIS[j][0], _AXIS[i][1] * _AXIS[j][1])
                         for i, j in zip(_NODE_U, _NODE_T))
-        assert rebuilt == _GAUSS_PAIR
+        assert rebuilt == GAUSS_PAIR
         assert len(set(a for a, _ in _AXIS)) == 5
 
 
@@ -247,7 +250,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_probe_rejects_c(self, c):
         with pytest.raises(ValueError, match="finite c > 0"):
-            exponent_probe_1d(z_poly(-1, 0, 1), 1, c)
+            exponent_probe_1d(z_poly(-1, 0, 1), [1], c)
 
     def test_annulus_rejects_an_infinite_radius(self):
         with pytest.raises(ValueError, match="r_out < inf"):
@@ -396,11 +399,11 @@ class TestExponentProbe:
         one = GaussianRational(1)
         for m, c in [(1, 0.4), (2, 0.3), (3, 0.3)]:
             f = UnivariatePoly([-one, one]) ** m  # (z-1)^m
-            res = exponent_probe_1d(f, 1.0, c, CFG)
+            (res,) = exponent_probe_1d(f, [1.0], c, CFG)
             assert res.multiplicity_estimate == pytest.approx(m, rel=0.05)
 
     def test_constant_has_zero_multiplicity(self):
-        res = exponent_probe_1d(z_poly(2), 0.3, 0.3, CFG)
+        (res,) = exponent_probe_1d(z_poly(2), [0.3], 0.3, CFG)
         assert res.slope == pytest.approx(2.0, abs=0.01)
         assert res.multiplicity_estimate == pytest.approx(0.0, abs=0.02)
 
@@ -409,9 +412,9 @@ class TestExponentProbe:
         f = (UnivariatePoly([-one, one])
              * UnivariatePoly([one * 3, one])
              * UnivariatePoly([one * GaussianRational(0, 4), one]))
-        res = exponent_probe_1d(f, 1.0, 0.4, CFG, r0=0.05)
+        (res,) = exponent_probe_1d(f, [1.0], 0.4, CFG, r0=0.05)
         assert res.multiplicity_estimate == pytest.approx(1, rel=0.05)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            exponent_probe_1d(z_poly(0, 1), 0.0, 0.0, CFG)
+            exponent_probe_1d(z_poly(0, 1), [0.0], 0.0, CFG)
