@@ -52,7 +52,7 @@ print()
 # of the fiber xy = s^2, although its central exponent is 1
 f = MixedFunction(x + y, -2, 1)
 s = Fraction(1, 10)
-form = substitute_fiber(f, s * s, s=s)
+form = substitute_fiber(f, s * s)
 print(f"F = {format_function(f)} on xy = s^2, s = {s}:  {form}")
 print(f"  exponent at (s, s): {fiber_exponent(f, s * s, (s, s))}")
 print(f"  central exponent:   {central_exponent(f, 'min')}")

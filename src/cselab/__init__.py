@@ -27,7 +27,7 @@ _EXPORTS = {   # module -> the names the package exports from it
     "degeneration": (
         "CatalogEntry", "Divisor", "FiberZero", "LctResult", "SemicontinuityReport",
         "builtin_catalog", "central_exponent", "fiber_exponent", "fiber_zeros",
-        "lct_from_resolution", "load_catalog", "semicontinuity_check", "volume_density",
+        "lct_from_resolution", "load_catalog", "semicontinuity_check",
     ),
     "quadrature": (
         "Annulus", "BoundReport", "IntegralReport", "KReport", "ProbeResult",

@@ -189,14 +189,13 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
     ord_z1 = vanishing_order(record.p_n, 1)
 
     for s in samples:
-        t = s * s
-        fib = substitute_fiber(record.family, t, s=s)
+        fib = substitute_fiber(record.family, s * s)
         d = fib.pole_order
         if d > 2 * n + 1:
             raise ViolationCheckError("fiber pole order exceeds 2n+1")
         # x^k: lhs_k / num.den = c_k p^(N-k) q^(k-N) / p_n.den (s = p/q, N = 4n+2); times
         # num.den p_n.den p^(T-N) q^(T-k), T = top: lhs_k b q^(T-k) = c_k a p^(T-k)
-        num, rhs = fib.combined_numerator(), record.p_n.nums
+        num, rhs = fib.numerator, record.p_n.nums
         top = max(4 * n + 2, len(rhs) - 1)
         pk = list(accumulate(repeat(s.numerator, top), mul, initial=1))[::-1]
         qk = list(accumulate(repeat(s.denominator, top), mul, initial=1))[::-1]

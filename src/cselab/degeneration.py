@@ -38,32 +38,6 @@ DEFAULT_DELTA = 0.1
 
 
 # ---------------------------------------------------------------------------
-# fiber volume form
-# ---------------------------------------------------------------------------
-
-def volume_density(x, y, chart: str = "x") -> float:
-    """Density of the fiber volume form dV_t against the chart area form.
-
-    On the graph y = t/x the intrinsic volume form is
-    (|x|^2 + |y|^2)/|x|^2 * dV_x; the y-chart density swaps the roles.
-    The chart breaks where its coordinate vanishes.
-    """
-    ax2 = abs(complex(x)) ** 2
-    ay2 = abs(complex(y)) ** 2
-    if chart == "x":
-        if ax2 == 0:
-            raise ZeroDivisionError("x-chart density undefined at x = 0; "
-                                    "use the y-chart")
-        return (ax2 + ay2) / ax2
-    if chart == "y":
-        if ay2 == 0:
-            raise ZeroDivisionError("y-chart density undefined at y = 0; "
-                                    "use the x-chart")
-        return (ax2 + ay2) / ay2
-    raise ValueError("chart must be 'x' or 'y'")
-
-
-# ---------------------------------------------------------------------------
 # fiber zero localization
 # ---------------------------------------------------------------------------
 
@@ -293,8 +267,10 @@ def _exact_fiber_zero_list(num: UnivariatePoly):
     failed divides_power.  A candidate that passes and divides the factor
     is exact, and each such candidate is used once: when a second root snaps
     to a used one, the numeric roots are taken from the factor with the
-    exact roots divided out.
+    exact roots divided out.  Raises IdenticallyZeroError for num = 0.
     """
+    if num.is_zero():
+        raise IdenticallyZeroError("fiber function is identically zero")
     zeros = []
     for factor, mult in squarefree_decomposition(num):
         claimed, found, collided = set(), [], False
@@ -339,14 +315,11 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     if tt.is_zero():
         raise ValueError("t = 0 is the central fiber; use the axis restrictions")
     fib = f if isinstance(f, LaurentForm) else substitute_fiber(f, t)
-    num = fib.combined_numerator()
-    if num.is_zero():
-        raise IdenticallyZeroError("fiber function is identically zero")
     t_abs = param_modulus(tt)
 
     slack = 1.0 + 1e-12
     kept = []
-    for z in _exact_fiber_zero_list(num):
+    for z in _exact_fiber_zero_list(fib.numerator):
         ax = abs(z.location_complex())
         if ax == 0.0:
             continue  # x = 0 is not on the fiber graph
@@ -532,18 +505,26 @@ def builtin_catalog():
 
 
 def load_catalog(path):
-    """Read a catalog file: JSON list of {name, divisors: [{k, a, through}]}."""
+    """Read a catalog file: JSON list of {name, divisors: [{k, a, through}]}.
+
+    Raises ValueError, naming the file and the entry, for any other shape."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError(f"catalog {path}: expected a JSON list of entries")
     entries = {}
-    for item in raw:
-        divisors = tuple(
-            Divisor(int(d["k"]), int(d["a"]), bool(d.get("through", True)))
-            for d in item["divisors"])
-        entries[item["name"]] = CatalogEntry(
-            item["name"], divisors,
-            bool(item.get("log_resolution", False)),
-            item.get("curve"))
+    for i, item in enumerate(raw):
+        try:
+            divisors = tuple(
+                Divisor(int(d["k"]), int(d["a"]), bool(d.get("through", True)))
+                for d in item["divisors"])
+            entries[item["name"]] = CatalogEntry(
+                item["name"], divisors,
+                bool(item.get("log_resolution", False)),
+                item.get("curve"))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"catalog {path}: entry {i} {json.dumps(item)} is "
+                             f"malformed ({type(e).__name__}: {e})") from None
     return entries
 
 

@@ -4,7 +4,7 @@ A polynomial stores one int denominator den > 0 and Gaussian-integer
 numerators, (re, im) pairs of ints, with gcd(den, all numerator parts) = 1
 and no zero stored at the top, so equal polynomials store equal ints and
 all arithmetic runs on them.  Fiber restriction along the family xy = t
-produces Laurent normal forms N(x)/x^d + const.
+produces Laurent normal forms N(x)/x^d.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ class UnivariatePoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1):
+        if exponent < 0:
+            raise ValueError("exponent must be nonnegative")
         p, r, d = _int_pair(coeff)
         return cls._from_ints([(0, 0)] * exponent + [(p, r)], d)
 
@@ -663,18 +665,18 @@ def as_mixed(f) -> MixedFunction:
 # ---------------------------------------------------------------------------
 
 class LaurentForm:
-    """N(x)/x^d + const: the restriction of F to the graph y = t/x.
+    """N(x)/x^d: the restriction of F to the graph y = t/x.
 
     Normalized so x does not divide N when N is nonzero and d > 0; d = 0
-    means the restriction is a polynomial.  The additive constant comes from
-    the radial term of a MixedFunction and is kept exact.
+    means the restriction is a polynomial.  The radial term of a
+    MixedFunction is a constant on the fiber, so N holds it too.
     """
 
-    __slots__ = ("numerator", "pole_order", "constant", "t")
+    __slots__ = ("numerator", "pole_order", "t")
 
-    def __init__(self, numerator: UnivariatePoly, pole_order: int,
-                 constant=0, t=None):
-        constant = exact_param(constant)
+    def __init__(self, numerator: UnivariatePoly, pole_order: int, t=None):
+        if pole_order < 0:
+            raise ValueError("pole order must be nonnegative")
         # strip common powers of x between numerator and pole
         if not numerator.is_zero() and pole_order > 0:
             v = numerator.valuation()
@@ -686,77 +688,50 @@ class LaurentForm:
             pole_order = 0
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "pole_order", int(pole_order))
-        object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "t", t)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentForm is immutable")
 
     def is_zero(self) -> bool:
-        return self.numerator.is_zero() and self.constant.is_zero()
-
-    def combined_numerator(self) -> UnivariatePoly:
-        """N(x) + const * x^d, so the function is (that)/x^d."""
-        if self.constant.is_zero():
-            return self.numerator
-        return self.numerator + UnivariatePoly.monomial(self.pole_order, self.constant)
+        return self.numerator.is_zero()
 
     def evaluate(self, x) -> GaussianRational:
         xx = exact_param(x)
         if self.pole_order and xx.is_zero():
             raise ZeroDivisionError("evaluation at the pole x = 0")
         val = self.numerator.evaluate(xx)
-        if self.pole_order:
-            val = val / xx ** self.pole_order
-        return val + self.constant
+        return val / xx ** self.pole_order if self.pole_order else val
 
     def __eq__(self, other):
         if not isinstance(other, LaurentForm):
             return NotImplemented
-        return (self.combined_numerator() == other.combined_numerator()
-                and self.pole_order == other.pole_order)
+        return self.numerator == other.numerator and self.pole_order == other.pole_order
 
     def __str__(self):
         from .expressions import _join_terms, _terms
         base = f"({_join_terms(_terms(self.numerator, 'x')) or '0'})"
         if self.pole_order:
             base += f" / x^{self.pole_order}"
-        if not self.constant.is_zero():
-            base += f" + ({self.constant})"
         return base
 
 
-def substitute_fiber(f, t, s=None) -> LaurentForm:
+def substitute_fiber(f, t) -> LaurentForm:
     """Laurent normal form of x -> F(x, t/x) on the fiber xy = t.
 
-    t (and s) go through exact_param, the one coercion: a float or complex
-    t is taken at its exact binary value, so every t has one exact form,
-    and nan or inf raise ValueError.
-    For a MixedFunction the radial term needs t > 0 with an exact square
-    root: pass s explicitly (s^2 = t) or let it be extracted when t is a
-    perfect rational square.  t = 0 is rejected; the central fiber is the
-    axis pair and is handled by the axis restrictions.
+    t goes through exact_param, the one coercion: a float or complex t is
+    taken at its exact binary value, so every t has one exact form, and nan
+    or inf raise ValueError.
+    For a MixedFunction the radial term is the constant c * s^nu with
+    s = sqrt(t), which needs t > 0 to be a perfect rational square.  t = 0
+    is rejected; the central fiber is the axis pair and is handled by the
+    axis restrictions.
     """
     tt = exact_param(t)
     if tt.is_zero():
         raise ValueError("t = 0: the central fiber is not a graph; "
                          "use the axis restrictions instead")
     f = as_mixed(f)
-    constant = ZERO
-    if not f.radial_coeff.is_zero():
-        if not tt.is_real() or tt.re <= 0:
-            raise ValueError("radial term needs t to be a positive real")
-        if s is not None:
-            ss = exact_param(s)
-            if not ss.is_real() or ss.re <= 0 or ss * ss != tt:
-                raise ValueError("s must be a positive exact scalar with s^2 = t")
-        else:
-            try:
-                ss = tt.exact_sqrt()
-            except ValueError as e:
-                raise ValueError(f"radial term needs an exact square root of "
-                                 f"t = {t} ({e}); pass s with s^2 = t") from None
-        constant = f.radial_coeff * ss ** f.radial_half_exp
 
     # group x^m y^n -> t^n x^(m-n) by the exponent m-n, on Gaussian-integer
     # numerators: with F = G/L and t = u/d, the coefficient of x^e is sum over
@@ -783,8 +758,18 @@ def substitute_fiber(f, t, s=None) -> LaurentForm:
     nums = [(0, 0)] * (max(by_exp, default=-1) + shift + 1)
     for e, c in by_exp.items():
         nums[e + shift] = c
-    return LaurentForm(UnivariatePoly._from_ints(nums, f.holo.den * d_pows[top]),
-                       shift, constant, t=tt)
+    num = UnivariatePoly._from_ints(nums, f.holo.den * d_pows[top])
+    if not f.radial_coeff.is_zero():
+        if not tt.is_real() or tt.re <= 0:
+            raise ValueError("radial term needs t to be a positive real")
+        try:
+            s = tt.exact_sqrt()
+        except ValueError as e:
+            raise ValueError(f"radial term needs an exact square root of "
+                             f"t = {t} ({e})") from None
+        # c * s^nu = c * s^nu * x^shift / x^shift joins the numerator
+        num += UnivariatePoly.monomial(shift, f.radial_coeff * s ** f.radial_half_exp)
+    return LaurentForm(num, shift, t=tt)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +790,7 @@ def vanishing_order(f, point) -> int:
     if isinstance(f, LaurentForm):
         if p.is_zero():
             raise ValueError("Laurent forms are evaluated away from x = 0")
-        poly = f.combined_numerator()
+        poly = f.numerator
     elif isinstance(f, UnivariatePoly):
         poly = f
     else:

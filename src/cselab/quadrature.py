@@ -40,13 +40,7 @@ from itertools import accumulate
 from . import newton
 from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
                            fiber_zeros)
-from .polynomials import (
-    IdenticallyZeroError,
-    LaurentForm,
-    UnivariatePoly,
-    as_mixed,
-    substitute_fiber,
-)
+from .polynomials import LaurentForm, UnivariatePoly, as_mixed, substitute_fiber
 from .rationals import exact_param, param_float, param_modulus
 
 STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
@@ -223,7 +217,7 @@ class ProbeResult:
 def _fiber_parts(fiber):
     """(numerator, pole order) of a LaurentForm or UnivariatePoly."""
     if isinstance(fiber, LaurentForm):
-        return fiber.combined_numerator(), fiber.pole_order
+        return fiber.numerator, fiber.pole_order
     if isinstance(fiber, UnivariatePoly):
         return fiber, 0
     raise TypeError("expected LaurentForm or UnivariatePoly")
@@ -255,14 +249,6 @@ def _base_fn(fiber, c: float, chart: str = "x", t=None):
         return av ** (-2.0 * c)
 
     return evaluate
-
-
-def _detect_zeros(fiber):
-    """Zero structure of a fiber function, from its exact coefficients."""
-    num, _ = _fiber_parts(fiber)
-    if num.is_zero():
-        raise IdenticallyZeroError("fiber function is identically zero")
-    return _exact_fiber_zero_list(num)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +509,7 @@ def _annulus_reports(fiber, c, domains, chart, config, t, zeros):
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
     if zeros is None and c > 0:
-        zeros = _detect_zeros(fiber)
+        zeros = _exact_fiber_zero_list(_fiber_parts(fiber)[0])
     zeros = list(zeros or ())
 
     if t is None and isinstance(fiber, LaurentForm):

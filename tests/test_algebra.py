@@ -19,6 +19,7 @@ from cselab import (
     MixedFunction,
     UnivariatePoly,
     divides_power,
+    parse_expression,
     poly_gcd,
     squarefree_decomposition,
     substitute_fiber,
@@ -102,7 +103,7 @@ EXPORTED = (   # the public names of the package
     "format_function holder_probe lct_from_resolution lct_polygon_estimate "
     "load_catalog parse_expression poly_gcd principal_part semicontinuity_check "
     "single_segment squarefree_decomposition substitute_fiber uniform_bound_check "
-    "vanishing_order verify_violation vn_basis volume_density wn_generator "
+    "vanishing_order verify_violation vn_basis wn_generator "
     "young_combine").split()
 
 
@@ -127,7 +128,7 @@ class TestPackageExports:
         namespace = {}
         exec("from cselab import *", namespace)
         del namespace["__builtins__"]
-        assert len(EXPORTED) == 61
+        assert len(EXPORTED) == 60
         assert sorted(namespace) == sorted(EXPORTED)
 
 
@@ -210,6 +211,12 @@ class TestRingOps:
         z2 = UnivariatePoly.monomial(2)
         assert z2.derivative() == UnivariatePoly.monomial(1, 2)
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            UnivariatePoly.monomial(-2, 3)
+        with pytest.raises(ValueError):
+            BivariatePoly.monomial(-1, 0)
+
     def test_derivative_of_constant_is_zero(self):
         assert UnivariatePoly([gr(5, 2)]).derivative().is_zero()
         assert BivariatePoly.monomial(0, 0, 3).derivative("x").is_zero()
@@ -277,14 +284,35 @@ class TestSubstituteFiber:
         f = MixedFunction(BivariatePoly.variable("x") + BivariatePoly.variable("y"),
                           -2, 1)
         s = Fraction(1, 10)
-        form = substitute_fiber(f, s * s, s=s)
+        form = substitute_fiber(f, s * s)
         z = UnivariatePoly([-s, 1])
-        assert form.combined_numerator() == z * z
+        assert form.numerator == z * z
         assert form.pole_order == 1
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
             substitute_fiber(BivariatePoly.variable("x"), 0)
+
+    def test_radial_term_that_cancels_is_zero(self):
+        # xy - |xy|^(1/2)/2 on xy = 1/4 is 1/4 - 1/4
+        form = substitute_fiber(parse_expression("x*y - 1/2*abs(x*y)^(1/2)"),
+                                Fraction(1, 4))
+        assert form.is_zero()
+        assert str(form) == "(0)"
+
+    @given(f=st.builds(MixedFunction, bivariate(max_points=5, max_exp=4),
+                       gaussian.filter(lambda c: not c.is_zero()),
+                       st.integers(0, 3).map(lambda k: 2 * k + 1)),
+           s=st.fractions(min_value=Fraction(1, 30), max_value=3, max_denominator=30))
+    @settings(max_examples=100, derandomize=True)
+    def test_radial_constant_joins_the_numerator(self, f, s):
+        # F = G + c|xy|^(nu/2) on xy = s^2 is G's form N/x^d plus c s^nu x^d / x^d
+        form = substitute_fiber(f, s * s)
+        holo = substitute_fiber(f.holo, s * s)
+        c = f.radial_coeff * gr(s) ** f.radial_half_exp
+        radial = UnivariatePoly.monomial(holo.pole_order, c)
+        assert form.numerator == holo.numerator + radial
+        assert form.pole_order == holo.pole_order
 
     def test_float_t_gives_the_form_of_its_fraction(self):
         x = BivariatePoly.variable("x")
@@ -311,8 +339,7 @@ class TestSubstituteFiber:
             coeffs[e + d] = c
         expected = LaurentForm(UnivariatePoly(coeffs), d, t=t)
         assert form.numerator.coeffs == expected.numerator.coeffs
-        assert (form.pole_order, form.constant, form.t) == (
-            expected.pole_order, expected.constant, t)
+        assert (form.pole_order, form.t) == (expected.pole_order, t)
 
     @pytest.mark.parametrize("entry", HOLDS)
     def test_nonfinite_t_rejected(self, entry):
@@ -352,7 +379,7 @@ class TestVanishingOrder:
         f = MixedFunction(BivariatePoly.variable("x") + BivariatePoly.variable("y"),
                           -2, 1)
         s = Fraction(1, 10)
-        form = substitute_fiber(f, s * s, s=s)
+        form = substitute_fiber(f, s * s)
         assert vanishing_order(form, s) == 2
 
     def test_kernel_witness_order_four(self):
@@ -407,10 +434,10 @@ class TestVanishingOrderGaussian:
         x = BivariatePoly.variable("x")
         y = BivariatePoly.variable("y")
         f = MixedFunction(x + y.scale(gr(0, 2)), gr(-2, -2), 1)
-        form = substitute_fiber(f, Fraction(1, 4), s=Fraction(1, 2))
-        assert not form.constant.is_zero()
+        form = substitute_fiber(f, Fraction(1, 4))
+        assert form != substitute_fiber(f.holo, Fraction(1, 4))
         assert vanishing_order(form, HALF_ONE_PLUS_I) == 2
-        assert order_by_derivatives(form.combined_numerator(), HALF_ONE_PLUS_I) == 2
+        assert order_by_derivatives(form.numerator, HALF_ONE_PLUS_I) == 2
         assert vanishing_order(form, HALF_ONE_PLUS_I.conjugate()) == 0
 
 
@@ -608,9 +635,14 @@ class TestHeuristicGcd:
 
 class TestLaurentForm:
     def test_constant_folding(self):
-        form = LaurentForm(UnivariatePoly([1, 0, 1]), 1, constant=-2)
-        combined = form.combined_numerator()
-        assert combined == UnivariatePoly([1, -2, 1])
+        # x + y - 2|xy|^(1/2) on xy = 1: the radial constant -2 joins (1 + x^2)/x
+        f = MixedFunction(BivariatePoly.variable("x") + BivariatePoly.variable("y"), -2, 1)
+        form = substitute_fiber(f, 1)
+        assert form.numerator == UnivariatePoly([1, -2, 1])
+
+    def test_negative_pole_order_rejected(self):
+        with pytest.raises(ValueError):
+            LaurentForm(UnivariatePoly([1, 2]), -1)
 
     def test_normalization_strips_common_x(self):
         # (x^2 + x^3)/x^2 should normalize to (1 + x)/x^0... pole fully cancels
@@ -619,7 +651,7 @@ class TestLaurentForm:
         assert form.numerator == UnivariatePoly([1, 1])
 
     def test_evaluate_matches_combined(self):
-        form = LaurentForm(UnivariatePoly([1, 2, 3]), 2, constant=5)
+        form = LaurentForm(UnivariatePoly([1, 2, 3]) + UnivariatePoly.monomial(2, 5), 2)
         x = Fraction(3, 2)
         expected = (gr(1) + gr(2) * gr(x) + gr(3) * gr(x) ** 2) / gr(x) ** 2 + gr(5)
         assert form.evaluate(x) == expected

@@ -59,6 +59,15 @@ class TestExponentCommand:
         assert code == 1 and out == ""
         assert "exact square root of t = 1/1000" in err
 
+    def test_non_square_t_error_names_no_s(self, capsys):
+        # s = sqrt(t) is computed, never passed: no option takes it
+        code, out, err = run_cli(
+            ["exponent", "--f", "x+y-2*abs(x*y)^(1/2)", "--t", "1/2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exact square root of t = 1/2" in err
+        assert "pass s" not in err and "s^2" not in err
+
     def test_bad_expression_usage_error(self, capsys):
         code, _, err = run_cli(["exponent", "--f", "x + + y"], capsys)
         assert code == 1
@@ -89,6 +98,19 @@ class TestLctCommand:
         assert code == 0
         data = json.loads(out)
         assert data["entries"][0]["resolution_value"] == {"num": 1, "den": 7}
+
+    @pytest.mark.parametrize("content", [
+        [{"name": "a"}],
+        {"a": 1},
+        [{"name": "a", "divisors": [{"k": None, "a": 1}]}],
+    ])
+    def test_malformed_catalog_is_one_error_line(self, content, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(["lct", "--catalog", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
 
 
 class TestPolygonCommand:

@@ -291,8 +291,8 @@ class TestVerifyViolation:
         # x^(2n+1) F_n(x, s^2/x) = s^(4n+2) P_n(x/s) with exact coefficients
         rec = counterexample_record(1)
         s = Fraction(1, 2)
-        fib = substitute_fiber(rec.family, s * s, s=s)
-        lhs = fib.combined_numerator() * UnivariatePoly.monomial(3 - fib.pole_order)
+        fib = substitute_fiber(rec.family, s * s)
+        lhs = fib.numerator * UnivariatePoly.monomial(3 - fib.pole_order)
         srat = GaussianRational(s)
         rhs = dilate(rec.p_n, srat.inverse()).scale(srat ** 6)
         assert lhs == rhs
@@ -315,9 +315,9 @@ class TestVerifyViolation:
 
         rec = counterexample_record(n)
         p_n = rec.p_n + UnivariatePoly.monomial(k % (4 * n + 3), delta)
-        fib = substitute_fiber(rec.family, s * s, s=s)
+        fib = substitute_fiber(rec.family, s * s)
         srat = GaussianRational(s)
-        holds = (fib.combined_numerator() * UnivariatePoly.monomial(2 * n + 1 - fib.pole_order)
+        holds = (fib.numerator * UnivariatePoly.monomial(2 * n + 1 - fib.pole_order)
                  == dilate(p_n, srat.inverse()).scale(srat ** (4 * n + 2)))
         assert holds == (delta == 0)
         if holds:

@@ -26,7 +26,6 @@ from cselab import (
     load_catalog,
     parse_expression,
     semicontinuity_check,
-    volume_density,
 )
 from cselab import degeneration, polynomials
 from cselab.degeneration import _nearest_fraction, _roots_of_unipoly
@@ -40,23 +39,6 @@ Y = BivariatePoly.variable("y")
 def diag_mixed():
     """x + y - 2|xy|^(1/2): vanishes to order 2 along the diagonal fibers."""
     return MixedFunction(X + Y, -2, 1)
-
-
-class TestVolumeDensity:
-    def test_formula_instance(self):
-        assert volume_density(1, 2) == pytest.approx(5.0)
-
-    def test_symmetry_point(self):
-        assert volume_density(3 + 4j, 4 - 3j) == pytest.approx(2.0)
-
-    def test_y_chart(self):
-        assert volume_density(2, 1, chart="y") == pytest.approx(5.0)
-
-    def test_chart_breakdown(self):
-        with pytest.raises(ZeroDivisionError):
-            volume_density(0, 1)
-        with pytest.raises(ZeroDivisionError):
-            volume_density(1, 0, chart="y")
 
 
 class TestFiberZeros:

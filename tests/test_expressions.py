@@ -169,8 +169,8 @@ class TestRoundTrip:
     def test_laurent_form_prints_its_numerator_in_x(self):
         form = substitute_fiber(parse_expression("y^2 - x^3"), Fraction(1, 4))
         assert str(form) == "(1/16 - x^5) / x^2"
-        form = LaurentForm(UnivariatePoly([1, 0, GaussianRational(0, -2)]), 1, constant=-2)
-        assert str(form) == "(1 - 2*i*x^2) / x^1 + (-2)"
+        form = LaurentForm(UnivariatePoly([1, -2, GaussianRational(0, -2)]), 1)
+        assert str(form) == "(1 - 2*x - 2*i*x^2) / x^1"
 
 
 nonzero = gaussian.filter(lambda c: not c.is_zero())

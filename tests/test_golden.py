@@ -33,6 +33,9 @@ CASES = {
     "exponent_node_exact": ["exponent", "--f", "x^2 - y^2", "--t", "1/10000"],
     # the cusp's fiber zeros have exact multiplicities but numeric locations
     "exponent_cusp_numeric": ["exponent", "--f", "y^2-x^3", "--t", "1e-4"],
+    # a radial fiber: the constant c*s^nu joins the Laurent numerator
+    "exponent_radial_diagonal": ["exponent", "--f", "x + y - 2*abs(x*y)^(1/2)",
+                                 "--t", "1/100", "--t", "1/10000"],
     "lct_cusp": ["lct", "--name", "cusp"],
     "polygon_cusp": ["polygon", "--f", "y^2-x^3"],
     "counterexample_n2": ["counterexample", "--n", "2", "--s", "3/7"],
