@@ -2,11 +2,17 @@
 
 The generator is cross-checked against an independent nullspace oracle
 (plain Fraction row reduction of the derivative conditions, no shared code
-with the divided-difference formula).
+with the divided-difference formula).  verify_violation, which forms the
+fiber identity once per record, is checked against frozen_verify, a frozen
+copy of the per-sample verification it replaced.
 """
 
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +25,7 @@ from cselab import (
     MixedFunction,
     UnivariatePoly,
     ViolationCheckError,
+    ViolationReport,
     build_family,
     counterexample_record,
     divides_power,
@@ -29,6 +36,8 @@ from cselab import (
     vn_basis,
     wn_generator,
 )
+from cselab.counterexamples import _fiber_identity
+from cselab.degeneration import central_exponent
 from cselab.exact_linalg import node_products
 
 P1_COEFFS = [1, 0, -9, 16, -9, 0, 1]
@@ -113,6 +122,49 @@ def divided_difference_weights(nodes):
 def dilate(p, a):
     """P(a*z), coefficient by coefficient."""
     return UnivariatePoly([c * a ** k for k, c in enumerate(p.coeffs)])
+
+
+# -- oracle: the per-sample verification, frozen -------------------------------
+
+def frozen_verify(record, s_samples):
+    """verify_violation as it was when it re-proved the fiber identity for each
+    sample: substitute_fiber, a cross-multiplied comparison with P_n, and the
+    order of the fiber function at x = s.  Kept unchanged as an oracle."""
+    n = record.n
+    samples = tuple(Fraction(s) for s in s_samples)
+    if not samples:
+        raise ValueError("need at least one s sample")
+    for s in samples:
+        if s <= 0:
+            raise ValueError("s samples must be positive rationals")
+    ord_z1 = vanishing_order(record.p_n, 1)
+
+    for s in samples:
+        fib = substitute_fiber(record.family, s * s)
+        d = fib.pole_order
+        if d > 2 * n + 1:
+            raise ViolationCheckError("fiber pole order exceeds 2n+1")
+        num, rhs = fib.numerator, record.p_n.nums
+        top = max(4 * n + 2, len(rhs) - 1)
+        pk = list(accumulate(repeat(s.numerator, top), mul, initial=1))[::-1]
+        qk = list(accumulate(repeat(s.denominator, top), mul, initial=1))[::-1]
+        lhs = ((0, 0),) * (2 * n + 1 - d) + num.nums
+        a, b = num.den * qk[4 * n + 2], record.p_n.den * pk[4 * n + 2]
+        if len(lhs) != len(rhs) or any(
+                (lr * b * y, li * b * y) != (cr * a * x, ci * a * x)
+                for (lr, li), (cr, ci), x, y in zip(lhs, rhs, pk, qk)):
+            raise ViolationCheckError(
+                f"fiber identity failed at n={n}, s={s}: construction bug")
+        if vanishing_order(fib, s) != ord_z1:
+            raise ViolationCheckError("fiber exponent mismatch")
+
+    central = central_exponent(record.family, "min")
+    fiber_exp = Exponent.reciprocal_order(ord_z1)
+    violated = (fiber_exp < central
+                and fiber_exp <= Exponent(Fraction(1, 2 * n + 2))
+                and central == Exponent(Fraction(1, 2 * n + 1)))
+    return ViolationReport(n=n, s_samples=samples, identity_ok=True, fiber_order=ord_z1,
+                           central=central, fiber=fiber_exp, violated=violated)
 
 
 class TestDividedDifferenceWeights:
@@ -309,7 +361,7 @@ class TestVerifyViolation:
            k=st.integers(0, 14), delta=st.sampled_from([0, 1, -1, Fraction(1, 7)]))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_identity_check_agrees_with_the_rational_identity(self, n, s, k, delta):
-        # verify_violation compares cross-multiplied integer numerators; the
+        # verify_violation evaluates the identity formed once in (x, s); the
         # oracle is the identity on Gaussian-rational polynomials
         from dataclasses import replace
 
@@ -354,6 +406,104 @@ class TestVerifyViolation:
             verify_violation(rec, [Fraction(-1, 10)])
         with pytest.raises(ValueError):
             verify_violation(rec, [])
+
+    @pytest.mark.parametrize("sample, value", [
+        (GaussianRational(Fraction(1, 3)), Fraction(1, 3)),
+        ("3/5", Fraction(3, 5)),
+        (0.25, Fraction(1, 4)),
+        (2, Fraction(2)),
+    ])
+    def test_samples_taken_through_the_one_coercion(self, sample, value):
+        rep = verify_violation(counterexample_record(1), [sample])
+        assert rep.s_samples == (value,) and type(rep.s_samples[0]) is Fraction
+
+    @pytest.mark.parametrize("sample", [
+        GaussianRational(1, 1), complex(0.5, 1), float("nan"), float("inf"),
+        complex("nan+1j"), GaussianRational(0), -0.5,
+    ])
+    def test_bad_samples_raise_naming_the_sample(self, sample):
+        with pytest.raises(ValueError, match=re.escape(f"s={sample!r}")):
+            verify_violation(counterexample_record(1), [Fraction(1, 3), sample])
+
+    def test_fiber_order_is_the_order_at_s(self):
+        # the per-sample check the dilation argument replaced, now made here
+        for n in range(7):
+            rec = counterexample_record(n)
+            rep = verify_violation(rec, self.S_SAMPLES)
+            for s in self.S_SAMPLES:
+                assert vanishing_order(substitute_fiber(rec.family, s * s), s) == rep.fiber_order
+
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_cost_does_not_grow_with_the_sample_count(self, monkeypatch, count):
+        import cselab.counterexamples as ce
+        import cselab.polynomials as poly
+
+        rec = counterexample_record(3)
+        assert _fiber_identity(rec) == {}
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for mod in (ce, poly):
+            monkeypatch.setattr(mod, "vanishing_order", spy("order", vanishing_order))
+            monkeypatch.setattr(mod, "substitute_fiber", spy("fiber", substitute_fiber),
+                                raising=False)
+        samples = [Fraction(k, k + 2) for k in range(1, count + 1)]
+        assert verify_violation(rec, samples).violated
+        assert calls == ["order"]
+
+    @given(n=st.integers(0, 4), data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_agrees_with_the_per_sample_oracle(self, n, data):
+        # perturb P_n, Q_n, c_n and nu, some by a term that cancels at one s0 only;
+        # the report must be the frozen one, both must raise ViolationCheckError, or
+        # both must raise the same other error
+        pool = [Fraction(1, 7), Fraction(1, 3), Fraction(1), Fraction(3, 2)]
+        rec = counterexample_record(n)
+        p_n, big_q, c_n, nu = rec.p_n, rec.big_q, rec.c_n, 2 * n + 1
+        coeffs = st.sampled_from([1, -2, Fraction(1, 7), GaussianRational(1, 1),
+                                  GaussianRational(0, 1)])
+        s0 = data.draw(st.sampled_from(pool))
+        if data.draw(st.booleans()):
+            p_n += UnivariatePoly.monomial(data.draw(st.integers(0, 4 * n + 5)),
+                                           data.draw(coeffs))
+        if data.draw(st.booleans()):
+            big_q += BivariatePoly.monomial(data.draw(st.integers(0, 3)),
+                                            data.draw(st.integers(0, 2 * n + 4)),
+                                            data.draw(coeffs))
+        if data.draw(st.booleans()):
+            # a x^i y^j on the fiber is a s^(2j) x^e, e = 2n+1+i-j; s^(4n+2) P(x/s) gets
+            # b s^(4n+2-e) x^e, and the two agree at s = s0 alone when i + j != 2n+1;
+            # two such pairs with opposite b keep P(1) = 0
+            for b in (3, -3):
+                i = data.draw(st.integers(0, 3))
+                j = data.draw(st.integers(0, 2 * n + 1 + i))
+                big_q += BivariatePoly.monomial(i, j, b * s0 ** (2 * n + 1 - i - j))
+                p_n += UnivariatePoly.monomial(2 * n + 1 + i - j, b)
+        if data.draw(st.booleans()):
+            c_n += data.draw(coeffs)
+        if data.draw(st.booleans()):
+            # c' s^nu' = c_n s^(2n+1) at s = s0 alone when nu' != 2n+1
+            nu = data.draw(st.sampled_from(range(1, 4 * n + 6, 2)))
+            c_n *= s0 ** (2 * n + 1 - nu)
+        record = replace(rec, p_n=p_n, big_q=big_q, c_n=c_n,
+                         family=MixedFunction(big_q, c_n, nu))
+        samples = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+                            | st.lists(st.just(s0), min_size=1, max_size=4))
+        try:
+            want = frozen_verify(record, samples)
+        except ViolationCheckError:
+            with pytest.raises(ViolationCheckError):
+                verify_violation(record, samples)
+        except Exception as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                verify_violation(record, samples)
+        else:
+            assert verify_violation(record, samples) == want
 
 
 class TestRecordWriter:
