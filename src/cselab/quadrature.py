@@ -16,10 +16,16 @@ reported divergent rather than returning a number.  A cell whose 13 nodes
 all have a non-finite integrand (where r^2 overflows, say) is dropped at
 once and flagged unresolved, since no split can resolve it.
 
+A disc (inner radius 0) has no inner cut: near its centre it is integrated
+analytically (_disc_tail), exactly when the function is a monomial in the
+chart coordinate, and otherwise over |w| < rho with a bounded tail, the
+engine taking only A(rho, R).  A disc whose centre makes 2 - 2cv <= 0 is
+reported divergent.
+
 An operation is one run of the engine: the rows of a sweep, the t != 0
-samples of a bound, every probed zero's annuli or the annuli of the I_t
-decomposition are its parts, refined in shared rounds, each with its own
-centre, cells, floor and counts.
+samples of a bound, every probed zero's annuli, the annuli of the I_t
+decomposition or the axes of K_0 that are not monomials are its parts,
+refined in shared rounds, each with its own centre, cells, floor and counts.
 
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.
@@ -48,7 +54,6 @@ STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
 
 RATIO_BAND = 0.05          # final |K_t/K_0 - 1| a converged sweep allows
 TREND_SLACK = 0.02         # per-step rise of |K_t/K_0 - 1| a sweep forgives
-INNER_CUT_DECADES = 30.0   # an inner radius 0 is cut to R * 10^-30
 PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
 # cells evaluated at once: 13 x 512 complex nodes take 104 KiB, under glibc's
 # 128 KiB mmap threshold, so the temporaries come from the heap (on a 2-CPU
@@ -458,6 +463,100 @@ def _interior_zeros(zeros, domain: Annulus):
             <= domain.r_outer * (1 + slack)]
 
 
+def _mass_report(value, error, cells, flags, converged, domain, chart, c, meta):
+    """The report of a convergent integral; a value past the float range is
+    flagged float-overflow, never returned as a converged infinity."""
+    if converged and not math.isfinite(value):
+        value, error, flags, converged = math.inf, math.inf, flags + ("float-overflow",), False
+    return IntegralReport(value=value, error_estimate=error, cells_used=cells,
+                          refinement_flags=flags, domain=domain, chart=chart, c=c,
+                          converged=converged, meta=meta)
+
+
+def _chart_moduli(fiber, chart: str, t):
+    """{exponent: |coefficient|^2} of the fiber as a Laurent polynomial in the
+    chart coordinate w, exactly; the y chart substitutes x = t/w."""
+    num, d = _fiber_parts(fiber)
+    den2 = num.den * num.den
+    terms = [(j, Fraction(cr * cr + ci * ci, den2)) for j, (cr, ci) in enumerate(num.nums)
+             if cr or ci]
+    if not terms:
+        raise ValueError("the fiber function vanishes identically")
+    if chart == "x":
+        return {j - d: m for j, m in terms}
+    t2 = exact_param(t).norm2()
+    return {d - j: m * t2 ** (j - d) for j, m in terms}
+
+
+# 8u with u = 2^-53, per term of _power_mass's rounding bound
+_ROUND = 2.0 ** -50
+
+
+def _power_mass(a2: Fraction, c: float, e: float, rho: float):
+    """(mass, rounding bound) of 2 pi |a|^(-2c) rho^e / e, with |a|^2 = a2 > 0
+    exact and e = 2 - 2cv > 0: the integral of |a w^v|^(-2c) over |w| < rho.
+
+    The mass is (2 pi / e) exp(L), L = e ln rho - c (ln n - ln d) for
+    a2 = n/d, so that no factor overflows alone (an L past exp's range gives
+    inf).  Rounding, with u = 2^-53: math.log and math.exp are within 2u of
+    exact, every other operation within u, and e = float(2 - 2cv) within u.
+    So L is within 4u (|e ln rho| + c (|ln n| + |ln d|)) + u |L| of exact,
+    and the mass within that plus 6u relative.  The bound takes 8u per term,
+    which also covers the two powers (1 -+ S)^(-2c) of a tail (4u + 2cu each,
+    their input's rounding raised to 2c) and the rounding of a sum of two
+    masses, K_0 = I + J.  Its last term bounds the absolute error left when
+    exp(L) underflows."""
+    ln_n, ln_d, ln_rho = math.log(a2.numerator), math.log(a2.denominator), math.log(rho)
+    big_l = e * ln_rho - c * (ln_n - ln_d)
+    try:
+        mass = math.tau / e * math.exp(big_l)
+    except OverflowError:
+        mass = math.inf
+    rel = _ROUND * (2.0 + abs(e * ln_rho) + c * (abs(ln_n) + abs(ln_d) + 1.0) + abs(big_l))
+    return mass, mass * rel + math.tau / e * 2.0 ** -1074
+
+
+def _sqrt_up(q: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(q) with about 60 bits of relative precision."""
+    s = 60 + max(0, (q.denominator.bit_length() - q.numerator.bit_length()) // 2)
+    return Fraction(math.isqrt(q.numerator * 4 ** s // q.denominator) + 1, 2 ** s)
+
+
+def _disc_tail(moduli: dict, v: int, c: float, radius: float, tol: float):
+    """(rho, mass, error, meta) of the disc |w| < rho, for rho <= radius.
+
+    moduli are the |coefficient|^2 of g = a w^v (1 + sum_k (b_k/a) w^k),
+    lowest exponent v, with e = 2 - 2cv > 0 (formed from Fraction(c)).
+    A monomial g (or c = 0, where the integrand is 1) has the exact mass
+    _power_mass(|a|^2, c, e, radius) with its rounding bound, and
+    rho = radius.  Otherwise put S(rho) = sum |b_k/a| rho^k: on |w| < rho,
+    |g|^(-2c) lies within |a w^v|^(-2c) [(1 + S)^(-2c), (1 - S)^(-2c)], so
+    the disc's mass lies in P(rho) times that interval, P = _power_mass.  S
+    comes from rational upper bounds on each |b_k/a| and the exact float
+    rho, rounded up, so it cannot come out low.  rho is radius or, if
+    smaller, the radius at which each of the n terms of S is S*/n, where S*
+    (at most 1/2) makes the interval's width relative to its midpoint tol:
+    the mass is the midpoint and the error the half-width plus rounding.
+    """
+    a2 = moduli[v]
+    e = float(2 - 2 * Fraction(c) * v)
+    if c == 0 or len(moduli) == 1:
+        return (radius, *_power_mass(a2, c, e, radius), {"disc": "exact"})
+    betas = {k - v: _sqrt_up(m / a2) for k, m in moduli.items() if k != v}
+    m_tol = ((2.0 - tol) / (2.0 + tol)) ** (0.5 / c)
+    ln_share = math.log(min(0.5, (1.0 - m_tol) / (1.0 + m_tol)) / len(betas))
+    rho = min([radius] + [math.exp((ln_share - math.log(b.numerator) + math.log(b.denominator)) / k)
+                          for k, b in betas.items()])
+    s_exact = sum(b * Fraction(rho) ** k for k, b in betas.items())
+    s = float(s_exact)
+    if s < s_exact:
+        s = math.nextafter(s, math.inf)
+    lo_f, hi_f = (1.0 + s) ** (-2.0 * c), (1.0 - s) ** (-2.0 * c)
+    mass, rounding = _power_mass(a2, c, e, rho)
+    return (rho, mass * (hi_f + lo_f) / 2, mass * (hi_f - lo_f) / 2 + rounding * hi_f,
+            {"disc": "tail", "tail_radius": rho, "tail_interval": (mass * lo_f, mass * hi_f)})
+
+
 def _divergent_report(interior, c: float, domain: Annulus, chart: str):
     """The divergent report for the first interior zero with 2cm >= 2, else None."""
     for z in interior:
@@ -489,58 +588,70 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
     c : float
         Exponent parameter, c >= 0.
     domain : Annulus
-        Integration annulus in the chart coordinate; an inner radius of 0
-        is truncated to a punctured disc (the cut is recorded in meta).
+        Integration annulus in the chart coordinate.  An inner radius of 0
+        is the whole disc: divergent when 2 - 2cv <= 0 (v the order of the
+        function at its centre), else |w| < rho <= R is integrated
+        analytically (_disc_tail) and only A(rho, R) by the engine;
+        meta["disc"] is "exact" (rho = R, a monomial's mass with a rounding
+        bound) or "tail", with meta["tail_radius"] and the bounds
+        meta["tail_interval"] on the mass of |w| < rho.
     chart : 'x' or 'y'
         'y' integrates the same fiber function against dV_y, evaluating it
-        at x = t/y; t defaults to the t of a LaurentForm fiber.
+        at x = t/y for a nonzero t; t defaults to the t of a LaurentForm
+        fiber.
     zeros : optional list of FiberZero
         Known zeros (in the x coordinate); detected automatically when
         omitted.  Used for pre-refinement and the divergence test.
     """
-    return _annulus_reports(fiber, c, (domain,), chart, config, t, zeros)[0]
+    if t is None and isinstance(fiber, LaurentForm):
+        t = fiber.t
+    return _annulus_reports([(fiber, domain, zeros)], c, chart, config, t)[0]
 
 
-def _annulus_reports(fiber, c, domains, chart, config, t, zeros):
-    """annulus_integral over each domain; the convergent ones share one run."""
+def _annulus_reports(jobs, c, chart, config, t):
+    """annulus_integral of each (fiber, domain, zeros) job; every part that
+    needs the engine is a part of one run."""
     cfg = config or QuadratureConfig()
     if not 0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0; got c={c}")
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
-    if zeros is None and c > 0:
-        zeros = _exact_fiber_zero_list(_fiber_parts(fiber)[0])
-    zeros = list(zeros or ())
-
-    if t is None and isinstance(fiber, LaurentForm):
-        t = fiber.t
-    if chart == "y":
-        if t is None:
-            raise ValueError("y-chart integration needs the fiber parameter t")
-        tc = exact_param(t).to_complex()
-        zeros = [FiberZero(tc / z.location_complex(), z.multiplicity, False)
-                 for z in zeros if z.location_complex() != 0]
+    if chart == "y" and (t is None or exact_param(t).is_zero()):
+        raise ValueError("y-chart integration needs a nonzero fiber parameter t")
 
     reports, todo = [], []
-    for domain in domains:
-        work = (Annulus(domain.r_outer * 10.0 ** -INNER_CUT_DECADES, domain.r_outer)
-                if domain.r_inner == 0 else domain)
+    for fiber, domain, zeros in jobs:
+        work, tail = domain, (0.0, 0.0, {})
+        if domain.r_inner == 0:
+            moduli = _chart_moduli(fiber, chart, t)
+            v = min(moduli)
+            if Fraction(c) * v >= 1:       # 2 - 2cv <= 0: divergent at the centre
+                reports.append(_divergent_report([FiberZero(0j, v, False)], c, domain, chart))
+                continue
+            rho, *tail = _disc_tail(moduli, v, c, domain.r_outer, cfg.target_rel_tolerance)
+            if rho == domain.r_outer:
+                mass, err, meta = tail
+                reports.append(_mass_report(mass, err, 0, (), True, domain, chart, c, meta))
+                continue
+            work = Annulus(rho, domain.r_outer)
+        if zeros is None and c > 0:
+            zeros = _exact_fiber_zero_list(_fiber_parts(fiber)[0])
+        zeros = list(zeros or ())
+        if chart == "y":
+            tc = exact_param(t).to_complex()
+            zeros = [FiberZero(tc / z.location_complex(), z.multiplicity, False)
+                     for z in zeros if z.location_complex() != 0]
         interior = _interior_zeros(zeros, work)
         reports.append(_divergent_report(interior, c, domain, chart))
         if reports[-1] is None:
-            todo.append((len(reports) - 1, work, [z.location_complex() for z in interior]))
+            todo.append((len(reports) - 1, tail, (_base_fn(fiber, c, chart=chart, t=t), work,
+                                                  [z.location_complex() for z in interior],
+                                                  None, 0j)))
 
-    base = _base_fn(fiber, c, chart=chart, t=t)
-    runs = _adaptive_polar([(base, work, pts, None, 0j) for _, work, pts in todo], cfg)
-    for (i, work, _), (masses, errs, cells, flags, converged) in zip(todo, runs):
-        truncated = domains[i].r_inner == 0
-        meta = {"inner_truncated": truncated}
-        if truncated:
-            meta["inner_cut"] = work.r_inner
-        reports[i] = IntegralReport(
-            value=masses[0], error_estimate=errs[0], cells_used=cells,
-            refinement_flags=flags, domain=domains[i], chart=chart, c=c,
-            converged=converged, meta=meta)
+    runs = _adaptive_polar([part for *_, part in todo], cfg) if todo else []
+    for (i, (mass, err, meta), _), (masses, errs, cells, flags, converged) in zip(todo, runs):
+        reports[i] = _mass_report(mass + masses[0], err + errs[0], cells, flags, converged,
+                                  jobs[i][1], chart, c, meta)
     return reports
 
 
@@ -552,8 +663,9 @@ def fiber_integral_K(f, t, c: float, radius: float,
     A(|t|/R, R) accumulates three weights: 1 (giving I_t), the Jacobian
     |y|^2/|x|^2 of the y-chart (giving J_t) and the intrinsic fiber volume
     density (|x|^2 + |y|^2)/|x|^2 (giving K_t), so the splitting identity
-    is checked on a shared grid.  At t = 0, K_0 is the sum of the two
-    punctured-disc integrals of the axis restrictions.
+    is checked on a shared grid.  At t = 0, K_0 is the sum of the two disc
+    integrals of the axis restrictions (annulus_integral with an inner
+    radius 0): exact for a monomial axis, as on every corpus germ.
 
     Requires 0 < c < c_0(f_0): otherwise the stability hypothesis fails
     and the request is rejected.
@@ -585,7 +697,7 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
                                                [z.location_complex() for z in zeros],
                                                t_abs * t_abs, 0j)))
 
-    runs = _adaptive_polar([part for _, _, part in todo], cfg)
+    runs = _adaptive_polar([part for _, _, part in todo], cfg) if todo else []
     for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
         mk = dict(cells_used=cells, refinement_flags=flags, domain=part[1],
                   c=c, converged=converged)
@@ -597,11 +709,13 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
 
 
 def _central_k(f, c: float, radius: float, cfg: QuadratureConfig) -> KReport:
-    """K_0: the two punctured-disc integrals of the axis restrictions."""
-    # 0 < c < c_0 keeps both axis restrictions nonzero
+    """K_0: the two disc integrals of the axis restrictions, each in its own
+    coordinate; a monomial axis is exact, and the axes that need the engine
+    share one run."""
+    # 0 < c < c_0 keeps both axis restrictions nonzero, each of order below 1/c
     disc = Annulus(0.0, radius)
-    i_rep = annulus_integral(f.holo.restrict_x_axis(), c, disc, config=cfg)
-    j_rep = annulus_integral(f.holo.restrict_y_axis(), c, disc, config=cfg)
+    i_rep, j_rep = _annulus_reports([(f.holo.restrict_x_axis(), disc, None),
+                                     (f.holo.restrict_y_axis(), disc, None)], c, "x", cfg, None)
     # the y axis is integrated in its own coordinate, so label it as the
     # y chart (chart="y" would evaluate at x = t/y with t = 0)
     j_rep.chart = "y"
@@ -660,7 +774,7 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
     zeros = fiber_zeros(fib, tt, delta=radius)
     z_domains = [(1.0 / r1, r1), (r1, radius / s ** l), (s ** k / radius, 1.0 / r1)]
     x_domains = [Annulus(a1, a2), Annulus(a2, a3), Annulus(a0, a1)]
-    reports = _annulus_reports(fib, c, x_domains, "x", cfg, t, zeros)
+    reports = _annulus_reports([(fib, d, zeros) for d in x_domains], c, "x", cfg, t)
     for rep, zd in zip(reports, z_domains):
         rep.meta.update({"s": s, "endpoints": (k, l),
                          "z_annulus": f"A({zd[0]:.6g}, {zd[1]:.6g})"})

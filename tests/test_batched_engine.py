@@ -217,8 +217,16 @@ class TestOneRunPerOperation:
         ts = [Fraction(1, 100), Fraction(1, 400), Fraction(1, 1600)]
         convergence_sweep(parse_expression("x + y"), 0.5, 1.0, ts, CFG)
         assert [len(run) for run in spy.weighted()] == [3]
-        # K_0: its two axis integrals are runs of their own
-        assert len(spy.runs) == 3
+        # K_0 of the line is exact: its monomial axes need no engine
+        assert len(spy.runs) == 1
+
+    @pytest.mark.parametrize("text, parts", [("y^2 - x^3", []), ("x + y", []),
+                                             ("(y^2 - x^3)*(1 + x + y)", [2])])
+    def test_central_k(self, monkeypatch, text, parts):
+        # monomial axes make no engine run; two non-monomial axes share one
+        spy = Spy(monkeypatch)
+        fiber_integral_K(parse_expression(text), 0, 0.3, 0.5, CFG)
+        assert [len(run) for run in spy.runs] == parts
 
     def test_bound(self, monkeypatch):
         spy = Spy(monkeypatch)

@@ -11,6 +11,7 @@ Regenerate the files (only when a change of output is intended) with
 
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -112,12 +113,16 @@ def test_bound_on_an_unresolved_integral_is_flagged():
     assert flag.startswith("unresolved-singular-cell:")
 
 
-def test_sweep_flags_an_unresolved_k0():
+def test_sweep_with_unresolved_rows_keeps_the_exact_k0():
+    # K_0 of the line is the closed form 4 pi R (both axes monomial, c = 1/2);
+    # the rows are not resolved, and that still reaches the exit code
     data = strict_loads(run_stdout(UNRESOLVED_SWEEP, expect_code=2))
-    (flag,) = data["K0_flags"]
-    assert flag.startswith("unresolved-singular-cell:")
-    assert data["K0"] == 0.0
-    assert [r["ratio"] for r in data["rows"]] == ["infinity", "infinity"]
+    assert data["K0"] == pytest.approx(4 * math.pi * 1e200, rel=1e-11)
+    assert data["K0_flags"] == []
+    for row in data["rows"]:
+        (flag,) = row["flags"]
+        assert flag.startswith("unresolved-singular-cell:")
+    assert data["verdict"] == "inconclusive"
 
 
 if __name__ == "__main__":

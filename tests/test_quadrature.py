@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cselab import (
     Annulus,
     BivariatePoly,
     GaussianRational,
+    LaurentForm,
     QuadratureConfig,
     UnivariatePoly,
     annulus_integral,
@@ -18,6 +20,7 @@ from cselab import (
     decompose_I,
     exponent_probe_1d,
     fiber_integral_K,
+    parse_expression,
     substitute_fiber,
     uniform_bound_check,
     young_combine,
@@ -37,8 +40,9 @@ def z_poly(*coeffs):
 
 
 def power_mass(a, c, r0, radius):
-    """Integral of |x^a|^(-2c) over A(r0, R): 2 pi (R^e - r0^e)/e, e = 2 - 2ca."""
-    e = 2.0 - 2.0 * c * a
+    """Integral of |x^a|^(-2c) over A(r0, R): 2 pi (R^e - r0^e)/e, with
+    e = 2 - 2ca formed exactly from the float c, then rounded once."""
+    e = float(2 - 2 * Fraction(c) * a)
     return 2.0 * math.pi * (radius ** e - r0 ** e) / e
 
 
@@ -105,7 +109,7 @@ class TestAnnulusIntegral:
         (1, 0.5, 0.0, 1.0)])
     def test_power_closed_form_at_default_config(self, a, c, r0, radius):
         rep = annulus_integral(z_poly(*[0] * a, 1), c, Annulus(r0, radius), config=CFG)
-        exact = power_mass(a, c, rep.meta.get("inner_cut", r0), radius)
+        exact = power_mass(a, c, r0, radius)
         assert rep.converged
         assert rep.value == pytest.approx(exact, rel=1e-6)
         assert rep.error_estimate >= abs(rep.value - exact)
@@ -117,6 +121,12 @@ class TestAnnulusIntegral:
         rep_x = annulus_integral(fib, 0.5, dom, chart="x", config=CFG, t=t)
         rep_y = annulus_integral(fib, 0.5, dom, chart="y", config=CFG, t=t)
         assert rep_x.value == pytest.approx(rep_y.value, rel=1e-6)
+
+    @pytest.mark.parametrize("r_inner", [0.0, 0.5])
+    def test_the_y_chart_needs_a_nonzero_t(self, r_inner):
+        # x = t/y is 0 everywhere at t = 0: that is no chart of the fiber
+        with pytest.raises(ValueError, match="nonzero fiber parameter t"):
+            annulus_integral(z_poly(0, 1), 0.3, Annulus(r_inner, 1.0), chart="y", t=0)
 
     def test_divergent_configuration_flagged(self):
         # double zero at x=1 with c = 0.6: local exponent 2.4 >= 2
@@ -168,10 +178,9 @@ class TestFiberIntegralK:
     @pytest.mark.parametrize("f, c, radius, orders", [
         (Y * Y - X ** 3, 0.3, 0.5, (3, 2)), (X + Y, 0.5, 1.0, (1, 1))])
     def test_central_closed_form_at_default_config(self, f, c, radius, orders):
-        # K_0 sums the axis masses of x^k and y^l over the cut disc
+        # K_0 sums the axis masses of x^k and y^l over the whole disc
         kr = fiber_integral_K(f, 0, c, radius, CFG)
-        cut = kr.i_report.meta["inner_cut"]
-        exact = sum(power_mass(a, c, cut, radius) for a in orders)
+        exact = sum(power_mass(a, c, 0.0, radius) for a in orders)
         assert kr.k_report.value == pytest.approx(exact, rel=1e-6)
         assert kr.k_report.error_estimate >= abs(kr.k_report.value - exact)
 
@@ -217,7 +226,8 @@ class TestFiberIntegralK:
 
     def test_central_flags_sum_the_axis_counts(self):
         # both axes force the same number of cells; K_0 reports their sum
-        # (at 1e-9 and depth 4 the cell rule forces 484 cells per axis)
+        # (at 1e-9 and depth 4 the cell rule forces 214 cells per axis on
+        # A(rho, R), rho = 1.25e-9 being where the tail's width is 1e-9)
         cfg = QuadratureConfig(max_refinement_depth=4, target_rel_tolerance=1e-9)
         kr = fiber_integral_K(X ** 2 + X ** 3 + Y ** 2 + Y ** 3, 0, 0.2, 0.5, cfg)
         (flag,) = kr.i_report.refinement_flags
@@ -225,6 +235,88 @@ class TestFiberIntegralK:
         assert kr.j_report.refinement_flags == (flag,)
         forced = int(flag.split(":")[1])
         assert kr.k_report.refinement_flags == (f"max-depth-reached:{2 * forced}",)
+
+
+# the corpus germs with the orders of their x- and y-axis restrictions, each
+# of the form +-w^v, so c_0 = 1/max(v) and K_0 has a closed form
+CORPUS_AXES = (("y^2 - x^3", (3, 2)), ("x^2 - y^2", (2, 2)), ("(x + y)^2", (2, 2)),
+               ("y^3 - x^5", (5, 3)), ("x + y", (1, 1)))
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def disc_mass_50(v, c, radius):
+    """2 pi R^e / e at 50 digits, e = 2 - 2cv: the mass of |w^v|^(-2c) on |w| < R."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = 2 - 2 * Decimal(c) * v
+        return 2 * PI_50 * (e * Decimal(radius).ln()).exp() / e
+
+
+def series_mass(a_abs, v, b_abs, c, radius):
+    """The mass of |a w^v (1 + b w)|^(-2c) on |w| < R for |b| R < 1, from the
+    angular mean of |1 + b w|^(-2c) = |(1 + b w)^(-c)|^2 term by term:
+    2 pi |a|^(-2c) sum_k ((c)_k/k!)^2 |b|^(2k) R^(2k+e)/(2k+e), e = 2 - 2cv."""
+    e = 2.0 - 2.0 * c * v
+    total, coef, k = 0.0, 1.0, 0
+    while True:
+        term = coef * coef * b_abs ** (2 * k) * radius ** (2 * k + e) / (2 * k + e)
+        total += term
+        if term < 1e-18 * total:
+            return 2.0 * math.pi * a_abs ** (-2.0 * c) * total
+        coef *= (c + k) / (k + 1)
+        k += 1
+
+
+class TestDiscTail:
+    @pytest.mark.parametrize("share", [0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("text, orders", CORPUS_AXES, ids=[t for t, _ in CORPUS_AXES])
+    def test_k0_of_a_monomial_axis_pair_is_the_closed_form(self, text, orders, share):
+        # near c_0 the disc |w| < R 10^-30 an inner cut dropped is most of K_0
+        c = share / max(orders)
+        kr = fiber_integral_K(parse_expression(text), 0, c, 0.5, CFG)
+        exact = float(sum(disc_mass_50(v, c, 0.5) for v in orders))
+        k = kr.k_report
+        assert abs(k.value - exact) <= k.error_estimate <= 1e-14 * exact
+        assert k.converged and k.cells_used == 0 and k.refinement_flags == ()
+        assert kr.i_report.meta == kr.j_report.meta == {"disc": "exact"}
+
+    @pytest.mark.parametrize("fiber, chart, t, a_abs, v, b_abs, c, radius", [
+        # 3 x^2 (1 + x/2) on the unit disc
+        (z_poly(0, 0, 3, Fraction(3, 2)), "x", None, 3.0, 2, 0.5, 0.4, 1.0),
+        # a pole: (2 + 2i x/3)/x = 2 x^-1 (1 + i x/3), d = 1
+        (LaurentForm(z_poly(2, GaussianRational(0, Fraction(2, 3))), 1, Fraction(1, 4)),
+         "x", None, 2.0, -1, 1 / 3, 0.3, 2.0),
+        # the y chart: (1 + 4x)/x^3 at x = t/y, t = 1/2, is 16 y^2 (1 + y/2)
+        (LaurentForm(z_poly(1, 4), 3), "y", Fraction(1, 2), 16.0, 2, 0.5, 0.3, 1.0),
+        # S(R) = 1e-6 is below the tolerance's share: the whole disc is tail
+        (z_poly(0, 1, Fraction(1, 10 ** 6)), "x", None, 1.0, 1, 1e-6, 0.3, 1.0),
+    ], ids=["x-chart", "pole", "y-chart", "all-tail"])
+    def test_a_binomial_disc_matches_its_series(self, fiber, chart, t, a_abs, v, b_abs, c,
+                                                radius):
+        rep = annulus_integral(fiber, c, Annulus(0.0, radius), chart=chart, config=CFG, t=t)
+        oracle = series_mass(a_abs, v, b_abs, c, radius)
+        assert abs(rep.value - oracle) <= rep.error_estimate <= CFG.target_rel_tolerance * rep.value
+        assert rep.converged and rep.meta["disc"] == "tail"
+        lo, hi = rep.meta["tail_interval"]
+        rho = rep.meta["tail_radius"]
+        assert lo <= series_mass(a_abs, v, b_abs, c, rho) <= hi and rho <= radius
+        assert (rep.cells_used == 0) == (rep.meta["tail_radius"] == radius)
+
+    @pytest.mark.parametrize("c", [0.6, 0.5])
+    def test_a_disc_divergent_at_its_centre_is_reported_divergent(self, c):
+        # |x^2|^(-2c) on the unit disc: a power divergence, logarithmic at c = 1/2
+        rep = annulus_integral(z_poly(0, 0, 1), c, Annulus(0.0, 1.0), config=CFG)
+        assert rep.divergent and not rep.converged
+        assert rep.value == math.inf and rep.refinement_flags == ("divergent",)
+        assert rep.meta["multiplicity"] == 2
+
+    def test_a_closed_form_past_the_float_range_is_flagged(self):
+        # 2 pi R^1.5/1.5 at R = 1e300 exceeds the largest float
+        rep = annulus_integral(z_poly(0, 1), 0.25, Annulus(0.0, 1e300), config=CFG)
+        kr = fiber_integral_K(X + Y, 0, 0.25, 1e300, CFG)
+        for r in (rep, kr.i_report, kr.j_report, kr.k_report):
+            assert r.value == math.inf and not r.converged
+            assert r.refinement_flags == ("float-overflow",)
 
 
 class TestRadiusValidation:
