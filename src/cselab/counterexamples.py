@@ -14,6 +14,22 @@ w_e = 1/prod_{f in E, f != e} (e - f), and the generator is
 
     P_n = sum_{e in E} (w_e / w_{4n+2}) z^e.
 
+The products are factorials, because the even exponents 0, 2, ..., 2m,
+m = 2n+1, form an arithmetic progression.  For the even node 2i,
+
+    prod_{k != i} (2i - 2k) = 2^m i! (-1)^(m-i) (m-i)!,
+
+times the factor 2i - m from the odd node m.  For the odd node itself,
+prod_{k=0..m} (m - 2k) = m (m-2) ... 1 (-1) ... (-m) = (-1)^(n+1) (m!!)^2.
+The top node 2m has the product 2^m m! m, so
+
+    w_{2i} / w_{2m} = (-1)^(i+1) C(m, i) m / (2i - m),
+    c_n = w_m / w_{2m} = (-1)^(n+1) m 2^m m! / (m!!)^2
+        = (-1)^(n+1) (2n+1) 2^(3n+1) n! / (2n+1)!! = (-1)^(n+1) 2^(4n+1) / C(2n, n),
+
+by m! = m!! 2^n n! and m!! = m (2n)! / (2^n n!); exact_linalg.wn_weights
+computes them with one running binomial.
+
 The sign of w_e is (-1)^#{f in E : f > e}, so the 2n+3 coefficients alternate
 in sign along the sorted exponents.  By Descartes' rule of signs P_n has at
 most 2n+2 positive roots counted with multiplicity, and (z-1)^(2n+2)
@@ -31,17 +47,18 @@ Restricted to the fiber xy = s^2 (s > 0), F_n collapses back to P_n:
 
 so the exponent at (s, s) is 1/ord_{z=1} P_n = 1/(2n+2), strictly below
 the exponent 1/(2n+1) of the homogeneous restriction to the central fiber.
-All of this is verified in exact arithmetic, the identity once per record,
-as a polynomial in (x, s) that every sampled s must annul.
+All of this is verified in exact arithmetic, once per record: the order
+at 1 when the record is built, and the identity as a polynomial in (x, s)
+that every sampled s must annul.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .exact_linalg import node_products
+from .exact_linalg import wn_weights
 from .exponents import Exponent
 from .polynomials import (
     BivariatePoly,
@@ -70,14 +87,10 @@ def vn_basis(n: int):
 
 
 def wn_generator(n: int) -> UnivariatePoly:
-    """The generator of W_n (module docstring), with z^(4n+2) coefficient 1, on
-    integers: w_e / w_{4n+2} = prod_{f != 4n+2} (4n+2 - f) / prod_{f != e} (e - f)."""
-    exps = vn_basis(n)
-    prods = dict(zip(exps, node_products(exps)))
-    lead, den = prods[4 * n + 2], lcm(*prods.values())
-    return UnivariatePoly._from_ints(
-        [(lead * (den // prods[e]), 0) if e in prods else (0, 0) for e in range(4 * n + 3)],
-        den)
+    """The generator of W_n (module docstring), with z^(4n+2) coefficient 1,
+    from the closed-form weights w_e / w_{4n+2} of exact_linalg.wn_weights."""
+    nums, den = wn_weights(n)
+    return UnivariatePoly._from_ints([(a, 0) for a in nums], den)
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,8 @@ class CounterexampleRecord:
     fiber_exponent_at_diagonal: Exponent
     note: str = NORMALIZATION_NOTE
     verification: ViolationReport | None = None  # written with the record when set
+    # (p_n, ord_{z=1} p_n) as build_family proved it; never written or compared
+    _order_at_1: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_json_obj(self):
         out = {
@@ -147,6 +162,7 @@ def build_family(n: int, p_n: UnivariatePoly) -> CounterexampleRecord:
         in_n=True,
         central_exponent=Exponent.reciprocal_order(2 * n + 1),
         fiber_exponent_at_diagonal=Exponent.reciprocal_order(ord_at_1),
+        _order_at_1=(p_n, ord_at_1),
     )
 
 
@@ -202,7 +218,9 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
 
     (a) the fiber identity x^(2n+1) F_n(x, s^2/x) = s^(4n+2) P_n(x/s), formed
     once in (x, s) and evaluated at each sampled s; (b) the fiber exponent at
-    (s, s) is 1/ord_{z=1} P_n, by the dilation x = s*z, and is <= 1/(2n+2);
+    (s, s) is 1/ord_{z=1} P_n, by the dilation x = s*z, and is <= 1/(2n+2)
+    (the order build_family proved is reused while the record's p_n is the
+    one it proved it for, and proved afresh otherwise);
     (c) the central exponent is 1/(2n+1); (d) the strict violation
     inequality.  Any failure of (a) raises ViolationCheckError: the
     construction itself is broken.
@@ -213,7 +231,11 @@ def verify_violation(record: CounterexampleRecord, s_samples) -> ViolationReport
     samples = tuple(_positive_sample(s) for s in s_samples)
     if not samples:
         raise ValueError("need at least one s sample")
-    ord_z1 = vanishing_order(record.p_n, 1)
+    proved = record._order_at_1       # a record made by replace() keeps the old one
+    if proved is not None and proved[0] == record.p_n:
+        ord_z1 = proved[1]
+    else:
+        ord_z1 = vanishing_order(record.p_n, 1)
 
     # s = p/q zeroes an x-coefficient sum_k c_k s^k of D iff sum_k c_k p^(k-lo) q^(hi-k) = 0
     rows = [(min(row), max(row), row) for row in _fiber_identity(record).values()]

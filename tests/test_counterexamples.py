@@ -1,8 +1,9 @@
 """The closed-form W_n generator and the exponent-violation families.
 
-The generator is cross-checked against an independent nullspace oracle
-(plain Fraction row reduction of the derivative conditions, no shared code
-with the divided-difference formula).  verify_violation, which forms the
+The generator is cross-checked against two independent oracles: plain
+Fraction row reduction of the derivative conditions, and the divided
+difference over the exponents from the general node products (no shared
+code with the factorial closed form).  verify_violation, which forms the
 fiber identity once per record, is checked against frozen_verify, a frozen
 copy of the per-sample verification it replaced.
 """
@@ -12,6 +13,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, repeat
+from math import prod
 from operator import mul
 
 import pytest
@@ -38,7 +40,6 @@ from cselab import (
 )
 from cselab.counterexamples import _fiber_identity
 from cselab.degeneration import central_exponent
-from cselab.exact_linalg import node_products
 
 P1_COEFFS = [1, 0, -9, 16, -9, 0, 1]
 
@@ -113,6 +114,13 @@ def integer_coords(p, n):
     assert all(c.im == 0 for c in coords)
     den = math.lcm(*(c.re.denominator for c in coords))
     return [int(c.re * den) for c in coords]
+
+
+def node_products(nodes):
+    """The products prod_{f != e} (e - f) over any distinct int nodes, in node order."""
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("divided-difference nodes must be distinct")
+    return [prod(e - f for f in nodes if f != e) for e in nodes]
 
 
 def divided_difference_weights(nodes):
@@ -235,9 +243,25 @@ class TestSolveWn:
 
 
 class TestClosedForm:
-    """The facts behind the Descartes argument, for every n <= 25."""
+    """The factorial closed form against the general divided difference, and
+    the facts behind the Descartes argument, for every n <= 40."""
 
-    N_MAX = 25
+    N_MAX = 40
+
+    def test_equals_the_general_divided_difference(self):
+        for n in range(self.N_MAX + 1):
+            exps = vn_basis(n)
+            w = dict(zip(exps, divided_difference_weights(exps)))
+            top = w[4 * n + 2]
+            assert wn_generator(n) == UnivariatePoly(
+                [w.get(e, 0) / top for e in range(4 * n + 3)]), n
+
+    def test_middle_coefficient(self):
+        # c_n = (-1)^(n+1) (2n+1) 2^(3n+1) n! / (2n+1)!!
+        for n in range(self.N_MAX + 1):
+            c_n = Fraction((-1) ** (n + 1) * (2 * n + 1) * 2 ** (3 * n + 1) * math.factorial(n),
+                           prod(range(1, 2 * n + 2, 2)))
+            assert wn_generator(n).coefficient(2 * n + 1) == GaussianRational(c_n)
 
     def test_annuls_the_condition_rows(self):
         for n in range(self.N_MAX + 1):
@@ -257,6 +281,7 @@ class TestClosedForm:
         for n in range(self.N_MAX + 1):
             p = wn_generator(n)
             assert p.degree == 4 * n + 2
+            assert p.coefficient(0) == p.coefficient(4 * n + 2) == GaussianRational(1)
             assert UnivariatePoly(reversed(p.coeffs)) == p
 
     def test_order_at_one_is_exact(self):
@@ -433,13 +458,13 @@ class TestVerifyViolation:
             for s in self.S_SAMPLES:
                 assert vanishing_order(substitute_fiber(rec.family, s * s), s) == rep.fiber_order
 
-    @pytest.mark.parametrize("count", [1, 40])
-    def test_cost_does_not_grow_with_the_sample_count(self, monkeypatch, count):
+    @staticmethod
+    def spy_calls(monkeypatch):
+        """The names of the vanishing_order ("order") and substitute_fiber
+        ("fiber") calls made from here on, in order."""
         import cselab.counterexamples as ce
         import cselab.polynomials as poly
 
-        rec = counterexample_record(3)
-        assert _fiber_identity(rec) == {}
         calls = []
 
         def spy(name, fn):
@@ -452,8 +477,30 @@ class TestVerifyViolation:
             monkeypatch.setattr(mod, "vanishing_order", spy("order", vanishing_order))
             monkeypatch.setattr(mod, "substitute_fiber", spy("fiber", substitute_fiber),
                                 raising=False)
+        return calls
+
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_cost_does_not_grow_with_the_sample_count(self, monkeypatch, count):
+        # a built record carries the order build_family proved; a record whose
+        # p_n was replaced (here P_n and F_n doubled, so the identity holds)
+        # gets one proof of its own
+        rec = counterexample_record(3)
+        assert _fiber_identity(rec) == {}
+        doubled = replace(rec, p_n=rec.p_n.scale(2),
+                          family=MixedFunction(rec.big_q.scale(2), 2 * rec.c_n, 7))
+        calls = self.spy_calls(monkeypatch)
         samples = [Fraction(k, k + 2) for k in range(1, count + 1)]
         assert verify_violation(rec, samples).violated
+        assert calls == []
+        assert verify_violation(doubled, samples) == verify_violation(rec, samples)
+        assert calls == ["order"]
+
+    @pytest.mark.parametrize("n", [0, 3, 12])
+    def test_a_record_proves_its_order_once(self, monkeypatch, n):
+        calls = self.spy_calls(monkeypatch)
+        rec = counterexample_record(n)
+        assert calls == ["order"]
+        verify_violation(rec, [Fraction(1, 3)])
         assert calls == ["order"]
 
     @given(n=st.integers(0, 4), data=st.data())

@@ -1,8 +1,9 @@
-"""Every name a cselab module imports is used in that module, and every
-name a module defines at its top level is read by some cselab module or
-exported by the package."""
+"""Every name a cselab module imports is used in that module, every name a
+module defines at its top level is read by some cselab module or exported
+by the package, and every module the traced benchmark names exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import cselab
 
 SRC = Path(cselab.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def unused_imports(source: str):
@@ -90,3 +92,18 @@ def test_a_dead_name_is_found():
                "b": "import a\nused = attr = 1\ndef exported():\n    pass\n"}
     assert dead_names(sources, {"exported"}) == [("a", 2, "KEPT"), ("a", 3, "DEAD"),
                                                   ("a", 3, "PAIR"), ("a", 4, "f")]
+
+
+def traced_modules():
+    """bench/tracing.py's MODULES, read from its source, so no benchmark code runs."""
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "MODULES" for t in node.targets)]
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize("module", traced_modules())
+def test_every_traced_module_imports(module):
+    """The traced benchmark imports each of these cselab modules by name."""
+    assert (SRC / f"{module}.py").is_file()
+    importlib.import_module(f"cselab.{module}")
