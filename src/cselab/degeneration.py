@@ -45,34 +45,28 @@ DEFAULT_DELTA = 0.1
 class FiberZero:
     """A zero of the fiber function on X_t, with multiplicity.
 
-    location is a GaussianRational when the zero was verified exactly,
-    otherwise a complex float root of a squarefree factor, found by the
-    Aberth-Ehrlich iteration of _roots_of_unipoly and stopped once its
-    residual is at the rounding level of the evaluation.  A float root is
-    snapped on ints to the nearest parts with denominators up to 10^6, and
-    the snap is kept only if both denominators divide the monic factor's
-    common denominator (Gauss's lemma: every Gaussian-rational root passes),
-    it lies within 1e-8 of the float, and it is an exact root of the factor.
-    Multiplicities come from squarefree decomposition and are exact even
-    when the location is not.
+    location is a GaussianRational when the zero was verified exactly
+    (exact_location), otherwise a complex float root of a squarefree factor;
+    _exact_fiber_zero_list finds and snaps the roots.  Multiplicities come
+    from squarefree decomposition and are exact even when the location is not.
     """
 
     location: object
     multiplicity: int
-    exact_location: bool
+
+    @property
+    def exact_location(self) -> bool:
+        return isinstance(self.location, GaussianRational)
 
     @property
     def exactness(self) -> str:
         return "exact" if self.exact_location else "numeric"
 
     def location_complex(self) -> complex:
-        if isinstance(self.location, GaussianRational):
-            return self.location.to_complex()
-        return complex(self.location)
+        return self.location.to_complex() if self.exact_location else complex(self.location)
 
     def to_json_obj(self):
-        exact = isinstance(self.location, GaussianRational)
-        return {"location": self.location if exact else complex(self.location),
+        return {"location": self.location if self.exact_location else complex(self.location),
                 "multiplicity": self.multiplicity,
                 "exactness": self.exactness}
 
@@ -279,16 +273,16 @@ def _exact_fiber_zero_list(num: UnivariatePoly):
             if (cand is not None and cand not in claimed
                     and divides_power(factor, cand, 1)):
                 claimed.add(cand)
-                found.append(FiberZero(cand, mult, True))
+                found.append(FiberZero(cand, mult))
             else:
                 collided = collided or cand in claimed
-                found.append(FiberZero(complex(root), mult, False))
+                found.append(FiberZero(complex(root), mult))
         if collided:
             rest = factor
             for cand in claimed:
                 rest = exact_divide(rest, UnivariatePoly([-cand, 1]))
             found = [z for z in found if z.exact_location] + [
-                FiberZero(complex(r), mult, False) for r in _roots_of_unipoly(rest)]
+                FiberZero(complex(r), mult) for r in _roots_of_unipoly(rest)]
         zeros += found
     return zeros
 
@@ -296,18 +290,17 @@ def _exact_fiber_zero_list(num: UnivariatePoly):
 def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     """Zeros of the fiber function of F on X_t inside the polydisc.
 
-    The region is the part of X_t with |x| <= delta and |t/x| <= delta
-    (the polydisc of radius delta around the origin).  t is taken exactly
-    (a float at its binary value) and the fiber function goes through
-    squarefree decomposition, which gives exact multiplicities and, where
-    a root snaps to a verified Gaussian rational, exact locations.
-
-    A caller that has already built the fiber form substitute_fiber(f, t)
-    may pass that LaurentForm as f, so the fiber is substituted once.
+    The region is the part of X_t with |x| <= delta and |t/x| <= delta (the
+    polydisc of radius delta around the origin), that is the annulus
+    |t|/delta <= |x| <= delta of _zeros_in.  t is taken exactly (a float at
+    its binary value) and the fiber function goes through squarefree
+    decomposition, which gives exact multiplicities and, where a root snaps
+    to a verified Gaussian rational, exact locations.  f may be the fiber
+    form substitute_fiber(f, t) itself, so the fiber is substituted once.
 
     Raises IdenticallyZeroError when the fiber function vanishes
     identically (its exponent is 0 by convention), and ValueError unless
-    delta > 0 (math.inf takes every zero).
+    delta > 0 (math.inf takes every zero) or when a form f is another t's.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, not {delta!r}")
@@ -315,18 +308,24 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     if tt.is_zero():
         raise ValueError("t = 0 is the central fiber; use the axis restrictions")
     fib = f if isinstance(f, LaurentForm) else substitute_fiber(f, t)
-    t_abs = param_modulus(tt)
+    _form_t(fib, tt)
+    zeros = _exact_fiber_zero_list(fib.numerator)
+    return sorted(_zeros_in(zeros, param_modulus(tt) / delta, delta), key=_zero_order)
 
-    slack = 1.0 + 1e-12
-    kept = []
-    for z in _exact_fiber_zero_list(fib.numerator):
-        ax = abs(z.location_complex())
-        if ax == 0.0:
-            continue  # x = 0 is not on the fiber graph
-        if ax <= delta * slack and t_abs / ax <= delta * slack:
-            kept.append(z)
-    kept.sort(key=_zero_order)
-    return kept
+
+def _form_t(form: LaurentForm, t=None):
+    """form's own t, or t; ValueError if t is another fiber's."""
+    if t is not None and form.t is not None and exact_param(t) != form.t:
+        raise ValueError(f"the fiber form belongs to t = {form.t}, not t = {t}")
+    return form.t if t is None else t
+
+
+def _zeros_in(zeros, r_inner: float, r_outer: float) -> list:
+    """The zeros x != 0 with r_inner (1 - s) <= |x| <= r_outer (1 + s): the one
+    rule for the polydisc of fiber_zeros and the annulus of an integral."""
+    s = 1e-12   # so that a float root on a bound counts as inside
+    return [z for z in zeros if 0.0 < (ax := abs(z.location_complex()))
+            and r_inner * (1.0 - s) <= ax <= r_outer * (1.0 + s)]
 
 
 def _zero_order(z: FiberZero):
@@ -351,26 +350,26 @@ def fiber_exponent(f, t, p) -> Exponent:
     """
     tt = exact_param(t)
     x0 = p[0] if isinstance(p, (tuple, list)) else p
-    if isinstance(x0, (float, complex)):
-        x0c = complex(x0)
+    numeric = isinstance(x0, (float, complex))
+    x0 = complex(x0) if numeric else exact_param(x0)
+    if x0 == 0:
+        raise ValueError("fiber points have x != 0")
+    if numeric:
         try:
             zeros = fiber_zeros(f, tt, delta=math.inf)
         except IdenticallyZeroError:
             return Exponent.zero()
         for z in zeros:
-            if abs(z.location_complex() - x0c) <= 1e-9 * max(1.0, abs(x0c)):
+            if abs(z.location_complex() - x0) <= 1e-9 * max(1.0, abs(x0)):
                 return Exponent.reciprocal_order(z.multiplicity)
         return Exponent.infinite()
 
-    x0g = exact_param(x0)
-    if x0g.is_zero():
-        raise ValueError("fiber points have x != 0")
     if isinstance(p, (tuple, list)) and len(p) > 1 and not isinstance(
             p[1], (float, complex)):
-        if x0g * exact_param(p[1]) != tt:
+        if x0 * exact_param(p[1]) != tt:
             raise ValueError("point does not lie on the fiber xy = t")
     try:
-        order = vanishing_order(substitute_fiber(f, tt), x0g)
+        order = vanishing_order(substitute_fiber(f, tt), x0)
     except IdenticallyZeroError:
         return Exponent.zero()
     return Exponent.infinite() if order == 0 else Exponent.reciprocal_order(order)
@@ -504,8 +503,16 @@ def builtin_catalog():
     return entries
 
 
+def _json_typed(value, *kinds):
+    """value when its JSON type is one of kinds (a boolean is no int here)."""
+    if type(value) not in kinds:
+        raise TypeError(f"{json.dumps(value)} is not {'/'.join(k.__name__ for k in kinds)}")
+    return value
+
+
 def load_catalog(path):
-    """Read a catalog file: JSON list of {name, divisors: [{k, a, through}]}.
+    """Read a catalog file: JSON list of {name: string, divisors: [{k: int, a: int,
+    through: bool = true}], log_resolution: bool = false, curve: string | null}.
 
     Raises ValueError, naming the file and the entry, for any other shape."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -516,12 +523,13 @@ def load_catalog(path):
     for i, item in enumerate(raw):
         try:
             divisors = tuple(
-                Divisor(int(d["k"]), int(d["a"]), bool(d.get("through", True)))
+                Divisor(_json_typed(d["k"], int), _json_typed(d["a"], int),
+                        _json_typed(d.get("through", True), bool))
                 for d in item["divisors"])
-            entries[item["name"]] = CatalogEntry(
-                item["name"], divisors,
-                bool(item.get("log_resolution", False)),
-                item.get("curve"))
+            name = _json_typed(item["name"], str)
+            entries[name] = CatalogEntry(
+                name, divisors, _json_typed(item.get("log_resolution", False), bool),
+                _json_typed(item.get("curve"), str, type(None)))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"catalog {path}: entry {i} {json.dumps(item)} is "
                              f"malformed ({type(e).__name__}: {e})") from None
@@ -598,26 +606,20 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> Semicont
 
     rows = []
     witness = None
-    largest_holding = None
-    excluded = 0
     for t in samples:
         try:
             zs = fiber_zeros(f, t, delta=delta)
         except IdenticallyZeroError:
             rows.append(FiberRow(t, (), None, "fiber function identically zero"))
-            excluded += 1
             continue
         pairs = tuple((z, Exponent.reciprocal_order(z.multiplicity)) for z in zs)
         row_holds = all(cmax <= e for _, e in pairs)
         rows.append(FiberRow(t, pairs, row_holds))
-        if row_holds:
-            if largest_holding is None or param_modulus(t) > param_modulus(largest_holding):
-                largest_holding = t
-        elif witness is None:
+        if not row_holds and witness is None:
             bad = min(pairs, key=lambda pe: pe[1])
             witness = (t, bad[0], cmax, bad[1])
 
-    if excluded == len(samples):
+    if all(r.holds is None for r in rows):
         raise IdenticallyZeroError("F vanishes on the family")
     verdict = "holds" if witness is None else "violated"
     return SemicontinuityReport(
@@ -630,5 +632,6 @@ def semicontinuity_check(f, t_samples, delta: float = DEFAULT_DELTA) -> Semicont
         rows=tuple(rows),
         verdict=verdict,
         witness=witness,
-        largest_t_holding=largest_holding,
+        # the samples run down in |t|, so the first that holds is the largest
+        largest_t_holding=next((r.t for r in rows if r.holds), None),
     )

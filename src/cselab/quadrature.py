@@ -44,8 +44,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import newton
-from .degeneration import (FiberZero, _exact_fiber_zero_list, central_exponent,
-                           fiber_zeros)
+from .degeneration import (FiberZero, _exact_fiber_zero_list, _form_t, _zeros_in,
+                           central_exponent, fiber_zeros)
 from .polynomials import LaurentForm, UnivariatePoly, as_mixed, substitute_fiber
 from .rationals import exact_param, param_float, param_modulus
 
@@ -456,13 +456,6 @@ def _check_radius(radius):
         raise ValueError(f"the radius R must be finite and > 0; got R={radius}")
 
 
-def _interior_zeros(zeros, domain: Annulus):
-    slack = 1e-12
-    return [z for z in zeros
-            if domain.r_inner * (1 - slack) <= abs(z.location_complex())
-            <= domain.r_outer * (1 + slack)]
-
-
 def _mass_report(value, error, cells, flags, converged, domain, chart, c, meta):
     """The report of a convergent integral; a value past the float range is
     flagged float-overflow, never returned as a converged infinity."""
@@ -598,13 +591,13 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
     chart : 'x' or 'y'
         'y' integrates the same fiber function against dV_y, evaluating it
         at x = t/y for a nonzero t; t defaults to the t of a LaurentForm
-        fiber.
+        fiber, and an explicit t that differs from it raises ValueError.
     zeros : optional list of FiberZero
         Known zeros (in the x coordinate); detected automatically when
         omitted.  Used for pre-refinement and the divergence test.
     """
-    if t is None and isinstance(fiber, LaurentForm):
-        t = fiber.t
+    if isinstance(fiber, LaurentForm):
+        t = _form_t(fiber, t)
     return _annulus_reports([(fiber, domain, zeros)], c, chart, config, t)[0]
 
 
@@ -626,7 +619,7 @@ def _annulus_reports(jobs, c, chart, config, t):
             moduli = _chart_moduli(fiber, chart, t)
             v = min(moduli)
             if Fraction(c) * v >= 1:       # 2 - 2cv <= 0: divergent at the centre
-                reports.append(_divergent_report([FiberZero(0j, v, False)], c, domain, chart))
+                reports.append(_divergent_report([FiberZero(0j, v)], c, domain, chart))
                 continue
             rho, *tail = _disc_tail(moduli, v, c, domain.r_outer, cfg.target_rel_tolerance)
             if rho == domain.r_outer:
@@ -639,9 +632,9 @@ def _annulus_reports(jobs, c, chart, config, t):
         zeros = list(zeros or ())
         if chart == "y":
             tc = exact_param(t).to_complex()
-            zeros = [FiberZero(tc / z.location_complex(), z.multiplicity, False)
+            zeros = [FiberZero(tc / z.location_complex(), z.multiplicity)
                      for z in zeros if z.location_complex() != 0]
-        interior = _interior_zeros(zeros, work)
+        interior = _zeros_in(zeros, work.r_inner, work.r_outer)
         reports.append(_divergent_report(interior, c, domain, chart))
         if reports[-1] is None:
             todo.append((len(reports) - 1, tail, (_base_fn(fiber, c, chart=chart, t=t), work,
@@ -689,8 +682,8 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
         t_abs = param_modulus(tt)
         domain = Annulus(t_abs / radius, radius)
         fib = substitute_fiber(f, t)
-        zeros = fiber_zeros(fib, tt, delta=radius)
-        div = _divergent_report(_interior_zeros(zeros, domain), c, domain, "x")
+        zeros = fiber_zeros(fib, tt, delta=radius)  # its polydisc is the domain
+        div = _divergent_report(zeros, c, domain, "x")
         reports.append(div and KReport(t=t, k_report=div, i_report=div, j_report=div))
         if div is None:
             todo.append((len(reports) - 1, t, (_base_fn(fib, c), domain,

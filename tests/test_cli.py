@@ -103,6 +103,12 @@ class TestLctCommand:
         [{"name": "a"}],
         {"a": 1},
         [{"name": "a", "divisors": [{"k": None, "a": 1}]}],
+        [{"name": "a", "divisors": [{"k": 1.5, "a": 1}]}],
+        [{"name": "a", "divisors": [{"k": 0, "a": True}]}],
+        [{"name": "a", "divisors": [{"k": 0, "a": 1, "through": "false"}]}],
+        [{"name": "a", "divisors": [{"k": 0, "a": 1}], "log_resolution": "no"}],
+        [{"name": 7, "divisors": [{"k": 0, "a": 1}]}],
+        [{"name": "a", "divisors": [{"k": 0, "a": 1}], "curve": 3}],
     ])
     def test_malformed_catalog_is_one_error_line(self, content, tmp_path, capsys):
         path = tmp_path / "cat.json"

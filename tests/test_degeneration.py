@@ -14,6 +14,7 @@ from cselab import (
     BivariatePoly,
     Divisor,
     Exponent,
+    FiberZero,
     GaussianRational,
     IdenticallyZeroError,
     MixedFunction,
@@ -26,6 +27,7 @@ from cselab import (
     load_catalog,
     parse_expression,
     semicontinuity_check,
+    substitute_fiber,
 )
 from cselab import degeneration, polynomials
 from cselab.degeneration import _nearest_fraction, _roots_of_unipoly
@@ -75,6 +77,21 @@ class TestFiberZeros:
         f = Y * Y - X ** 5
         assert fiber_zeros(f, Fraction(1, 100), delta=0.1) == []
         assert len(fiber_zeros(f, Fraction(1, 10 ** 5), delta=0.1)) == 7
+
+    def test_a_form_of_another_t_is_rejected(self):
+        # the form of y - 1/10 at t = 1/100 has its zero at 1/10; the fiber
+        # at t = 1/1000 has it at 1/100, so the pair is refused
+        form = substitute_fiber(parse_expression("y - 1/10"), Fraction(1, 100))
+        assert [str(z.location) for z in fiber_zeros(form, Fraction(1, 100))] == ["1/10"]
+        with pytest.raises(ValueError, match="belongs to t = 1/100"):
+            fiber_zeros(form, Fraction(1, 1000))
+
+    def test_exact_location_follows_the_location(self):
+        exact = FiberZero(GaussianRational(Fraction(1, 2)), 2)
+        numeric = FiberZero(0.5 + 0j, 2)
+        assert exact.exact_location and not numeric.exact_location
+        assert (exact.exactness, numeric.exactness) == ("exact", "numeric")
+        assert exact == numeric and hash(exact) == hash(numeric)
 
     def test_identically_zero_fiber(self):
         # y^2 + x*y^3 restricted to xy = -1 vanishes identically
@@ -383,6 +400,11 @@ class TestFiberExponent:
         f = Y * Y - X ** 3
         assert central_exponent(f, "min-over-components") == \
             central_exponent(f, "min")
+
+    @pytest.mark.parametrize("x0", [Fraction(0), 0, 0.0, 0j])
+    def test_point_at_x_zero_rejected(self, x0):
+        with pytest.raises(ValueError, match="x != 0"):
+            fiber_exponent(X + Y, Fraction(1, 100), x0)
 
     def test_point_off_fiber_rejected(self):
         with pytest.raises(ValueError):

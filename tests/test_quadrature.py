@@ -20,6 +20,7 @@ from cselab import (
     decompose_I,
     exponent_probe_1d,
     fiber_integral_K,
+    fiber_zeros,
     parse_expression,
     substitute_fiber,
     uniform_bound_check,
@@ -127,6 +128,17 @@ class TestAnnulusIntegral:
         # x = t/y is 0 everywhere at t = 0: that is no chart of the fiber
         with pytest.raises(ValueError, match="nonzero fiber parameter t"):
             annulus_integral(z_poly(0, 1), 0.3, Annulus(r_inner, 1.0), chart="y", t=0)
+
+    def test_a_form_of_another_t_is_rejected(self):
+        # evaluated at x = t/y with t = 1/1000, the t = 1/100 form would
+        # integrate neither fiber
+        fib = substitute_fiber(X + Y, Fraction(1, 100))
+        dom = Annulus(0.2, 0.5)
+        own = annulus_integral(fib, 0.5, dom, chart="y", config=CFG)
+        assert own.value == annulus_integral(fib, 0.5, dom, chart="y", config=CFG,
+                                             t=Fraction(1, 100)).value
+        with pytest.raises(ValueError, match="belongs to t = 1/100"):
+            annulus_integral(fib, 0.5, dom, chart="y", config=CFG, t=Fraction(1, 1000))
 
     def test_divergent_configuration_flagged(self):
         # double zero at x=1 with c = 0.6: local exponent 2.4 >= 2
@@ -317,6 +329,33 @@ class TestDiscTail:
         for r in (rep, kr.i_report, kr.j_report, kr.k_report):
             assert r.value == math.inf and not r.converged
             assert r.refinement_flags == ("float-overflow",)
+
+
+class TestMembershipRule:
+    """fiber_zeros' polydisc and an integral's divergence test take a zero by
+    one rule: |t|/delta (1 - s) <= |x| <= delta (1 + s), s = 1e-12."""
+
+    T, DELTA = Fraction(1, 1000), 0.1
+
+    @pytest.mark.parametrize("text, kept", [
+        ("x - 1/10", ["1/10"]),                  # on |x| = delta
+        ("y - 1/10", ["1/100"]),                 # on |x| = |t|/delta
+        ("x - 10000000001/100000000000", []),    # 1e-10 past |x| = delta
+        ("y - 10000000001/100000000000", []),    # 1e-10 inside |x| = |t|/delta
+    ])
+    def test_zeros_on_and_past_the_bounds(self, text, kept):
+        f = parse_expression(text)
+        assert [str(z.location) for z in fiber_zeros(f, self.T, delta=self.DELTA)] == kept
+        rep = annulus_integral(substitute_fiber(f, self.T), 1.0,
+                               Annulus(float(self.T) / self.DELTA, self.DELTA), config=CFG)
+        assert rep.divergent == bool(kept)
+
+    def test_a_double_zero_on_the_radius_makes_K_divergent(self):
+        f = parse_expression("(x - 1/2)^2")
+        k = fiber_integral_K(f, Fraction(1, 100), 0.5, 0.5, CFG).k_report
+        assert k.divergent and k.value == math.inf
+        k = fiber_integral_K(f, Fraction(1, 100), 0.49, 0.5, CFG).k_report
+        assert not k.divergent and math.isfinite(k.value)
 
 
 class TestRadiusValidation:
