@@ -56,7 +56,7 @@ print("three-annulus split of I_t for x + y (c = 0.5, R = 1, R1 = 5):")
 for t in [Fraction(1, 100), Fraction(1, 6400)]:
     i1, i2, i3 = decompose_I(x + y, t, 0.5, 1.0, 5.0, cfg)
     fib = substitute_fiber(x + y, t)
-    whole = annulus_integral(fib, 0.5, Annulus(float(t), 1.0), config=cfg, t=t)
+    whole = annulus_integral(fib, 0.5, Annulus(float(t), 1.0), config=cfg)
     print(f"  t = {float(t):8.2e}: I1 = {i1.value:.4f}  I2 = {i2.value:.4f}  "
           f"I3 = {i3.value:.6f}  (sum {i1.value + i2.value + i3.value:.4f}, "
           f"direct {whole.value:.4f})")

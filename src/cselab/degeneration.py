@@ -47,7 +47,7 @@ class FiberZero:
 
     location is a GaussianRational when the zero was verified exactly
     (exact_location), otherwise a complex float root of a squarefree factor;
-    _exact_fiber_zero_list finds and snaps the roots.  Multiplicities come
+    _form_zeros finds and snaps the roots.  Multiplicities come
     from squarefree decomposition and are exact even when the location is not.
     """
 
@@ -105,7 +105,7 @@ def _nearest_fraction(x: float, max_den: int = SNAP_MAX_DEN):
 def _snap_gaussian(z: complex, den: int):
     """The Gaussian rational whose parts are _nearest_fraction of z's, or
     None unless both reduced denominators divide den, the denominator of a
-    monic factor (this drops no root; see _exact_fiber_zero_list), and it
+    monic factor (this drops no root; see _form_zeros), and it
     lies within 1e-8 max(1, |z|) of z."""
     pr, qr = _nearest_fraction(z.real)
     pi, qi = _nearest_fraction(z.imag)
@@ -248,25 +248,28 @@ def _conjugate_closed(roots) -> list:
     return out
 
 
-def _exact_fiber_zero_list(num: UnivariatePoly):
-    """Zeros of num with exact multiplicities.
+def _form_zeros(form: LaurentForm) -> tuple:
+    """Zeros of the form's numerator with exact multiplicities, in _zero_order.
 
-    Each root of a squarefree factor is simple, so it carries the factor's
-    multiplicity.  Each float root is snapped on ints by _snap_gaussian,
-    which drops, before any Fraction or exact test is made, every candidate
-    whose part denominators do not divide the factor's denominator den.
-    That filter is exact: the factor is monic, so den * factor lies in
-    Z[i][z] with leading coefficient den, and Gauss's lemma puts den * r in
-    Z[i] for every Gaussian-rational root r; a dropped candidate would have
-    failed divides_power.  A candidate that passes and divides the factor
-    is exact, and each such candidate is used once: when a second root snaps
+    They are found once per form and kept on it.  Each root of a squarefree
+    factor is simple, so it carries the factor's multiplicity.  Each float
+    root is snapped on ints by _snap_gaussian, which drops, before any
+    Fraction or exact test is made, every candidate whose part denominators
+    do not divide the factor's denominator den.  That filter is exact: the
+    factor is monic, so den * factor lies in Z[i][z] with leading
+    coefficient den, and Gauss's lemma puts den * r in Z[i] for every
+    Gaussian-rational root r; a dropped candidate would have failed
+    divides_power.  A candidate that passes and divides the factor is
+    exact, and each such candidate is used once: when a second root snaps
     to a used one, the numeric roots are taken from the factor with the
-    exact roots divided out.  Raises IdenticallyZeroError for num = 0.
+    exact roots divided out.  Raises IdenticallyZeroError for a zero form.
     """
-    if num.is_zero():
+    if form._zeros is not None:
+        return form._zeros
+    if form.is_zero():
         raise IdenticallyZeroError("fiber function is identically zero")
     zeros = []
-    for factor, mult in squarefree_decomposition(num):
+    for factor, mult in squarefree_decomposition(form.numerator):
         claimed, found, collided = set(), [], False
         for root in _roots_of_unipoly(factor):
             cand = _snap_gaussian(root, factor.den)
@@ -284,7 +287,22 @@ def _exact_fiber_zero_list(num: UnivariatePoly):
             found = [z for z in found if z.exact_location] + [
                 FiberZero(complex(r), mult) for r in _roots_of_unipoly(rest)]
         zeros += found
-    return zeros
+    object.__setattr__(form, "_zeros", tuple(sorted(zeros, key=_zero_order)))
+    return form._zeros
+
+
+def _fiber_form(f, t) -> LaurentForm:
+    """The fiber form of (f, t): f itself when it is a LaurentForm, else
+    substitute_fiber(f, t).  ValueError for t = 0 and for a form of another
+    t (a form of no fiber, t None, takes any t)."""
+    tt = exact_param(t)
+    if tt.is_zero():
+        raise ValueError("t = 0 is the central fiber; use the axis restrictions")
+    if not isinstance(f, LaurentForm):
+        return substitute_fiber(f, t)
+    if f.t is not None and f.t != tt:
+        raise ValueError(f"the fiber form belongs to t = {f.t}, not t = {t}")
+    return f
 
 
 def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
@@ -296,7 +314,7 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     its binary value) and the fiber function goes through squarefree
     decomposition, which gives exact multiplicities and, where a root snaps
     to a verified Gaussian rational, exact locations.  f may be the fiber
-    form substitute_fiber(f, t) itself, so the fiber is substituted once.
+    form substitute_fiber(f, t) itself, whose zeros are found once.
 
     Raises IdenticallyZeroError when the fiber function vanishes
     identically (its exponent is 0 by convention), and ValueError unless
@@ -304,20 +322,8 @@ def fiber_zeros(f, t, delta: float = DEFAULT_DELTA):
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, not {delta!r}")
-    tt = exact_param(t)
-    if tt.is_zero():
-        raise ValueError("t = 0 is the central fiber; use the axis restrictions")
-    fib = f if isinstance(f, LaurentForm) else substitute_fiber(f, t)
-    _form_t(fib, tt)
-    zeros = _exact_fiber_zero_list(fib.numerator)
-    return sorted(_zeros_in(zeros, param_modulus(tt) / delta, delta), key=_zero_order)
-
-
-def _form_t(form: LaurentForm, t=None):
-    """form's own t, or t; ValueError if t is another fiber's."""
-    if t is not None and form.t is not None and exact_param(t) != form.t:
-        raise ValueError(f"the fiber form belongs to t = {form.t}, not t = {t}")
-    return form.t if t is None else t
+    zeros = _form_zeros(_fiber_form(f, t))
+    return _zeros_in(zeros, param_modulus(t) / delta, delta)
 
 
 def _zeros_in(zeros, r_inner: float, r_outer: float) -> list:
@@ -354,24 +360,18 @@ def fiber_exponent(f, t, p) -> Exponent:
     x0 = complex(x0) if numeric else exact_param(x0)
     if x0 == 0:
         raise ValueError("fiber points have x != 0")
+    if (not numeric and isinstance(p, (tuple, list)) and len(p) > 1
+            and not isinstance(p[1], (float, complex)) and x0 * exact_param(p[1]) != tt):
+        raise ValueError("point does not lie on the fiber xy = t")
+    fib = _fiber_form(f, tt)
+    if fib.is_zero():
+        return Exponent.zero()
     if numeric:
-        try:
-            zeros = fiber_zeros(f, tt, delta=math.inf)
-        except IdenticallyZeroError:
-            return Exponent.zero()
-        for z in zeros:
+        for z in fiber_zeros(fib, tt, delta=math.inf):
             if abs(z.location_complex() - x0) <= 1e-9 * max(1.0, abs(x0)):
                 return Exponent.reciprocal_order(z.multiplicity)
         return Exponent.infinite()
-
-    if isinstance(p, (tuple, list)) and len(p) > 1 and not isinstance(
-            p[1], (float, complex)):
-        if x0 * exact_param(p[1]) != tt:
-            raise ValueError("point does not lie on the fiber xy = t")
-    try:
-        order = vanishing_order(substitute_fiber(f, tt), x0)
-    except IdenticallyZeroError:
-        return Exponent.zero()
+    order = vanishing_order(fib, x0)
     return Exponent.infinite() if order == 0 else Exponent.reciprocal_order(order)
 
 
@@ -479,12 +479,13 @@ def builtin_catalog():
 
     The x^a + y^b entries list the strict transform and the quasi-
     homogeneous exceptional divisor of the (b/g, a/g)-weighted blowup,
-    whose ratio (a+b)/(ab) realizes the threshold.
+    whose ratio (a+b)/(ab) realizes the threshold.  Every entry is a log
+    resolution.
     """
     entries = {}
 
-    def add(name, divisors, curve, log_res=True):
-        entries[name] = CatalogEntry(name, tuple(divisors), log_res, curve)
+    def add(name, divisors, curve):
+        entries[name] = CatalogEntry(name, tuple(divisors), True, curve)
 
     add("smooth", [Divisor(0, 1)], "x + y")
     for m in range(2, 6):

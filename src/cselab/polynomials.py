@@ -669,10 +669,12 @@ class LaurentForm:
 
     Normalized so x does not divide N when N is nonzero and d > 0; d = 0
     means the restriction is a polynomial.  The radial term of a
-    MixedFunction is a constant on the fiber, so N holds it too.
+    MixedFunction is a constant on the fiber, so N holds it too.  t is the
+    fiber's parameter through exact_param (None for a form of no fiber), and
+    _zeros holds N's zeros once degeneration._form_zeros has found them.
     """
 
-    __slots__ = ("numerator", "pole_order", "t")
+    __slots__ = ("numerator", "pole_order", "t", "_zeros")
 
     def __init__(self, numerator: UnivariatePoly, pole_order: int, t=None):
         if pole_order < 0:
@@ -688,7 +690,8 @@ class LaurentForm:
             pole_order = 0
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "pole_order", int(pole_order))
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", None if t is None else exact_param(t))
+        object.__setattr__(self, "_zeros", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentForm is immutable")

@@ -44,8 +44,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import newton
-from .degeneration import (FiberZero, _exact_fiber_zero_list, _form_t, _zeros_in,
-                           central_exponent, fiber_zeros)
+from .degeneration import FiberZero, _form_zeros, _zeros_in, central_exponent, fiber_zeros
 from .polynomials import LaurentForm, UnivariatePoly, as_mixed, substitute_fiber
 from .rationals import exact_param, param_float, param_modulus
 
@@ -219,24 +218,25 @@ class ProbeResult:
 # fiber evaluation plumbing
 # ---------------------------------------------------------------------------
 
-def _fiber_parts(fiber):
-    """(numerator, pole order) of a LaurentForm or UnivariatePoly."""
+def _as_form(fiber) -> LaurentForm:
+    """A LaurentForm as it is, a UnivariatePoly p as LaurentForm(p, 0)."""
     if isinstance(fiber, LaurentForm):
-        return fiber.numerator, fiber.pole_order
+        return fiber
     if isinstance(fiber, UnivariatePoly):
-        return fiber, 0
+        return LaurentForm(fiber, 0)
     raise TypeError("expected LaurentForm or UnivariatePoly")
 
 
-def _base_fn(fiber, c: float, chart: str = "x", t=None):
+def _base_fn(fiber, c: float, chart: str = "x"):
     """|f|^(-2c) as a vectorized function of the chart coordinate.
 
     This is the one float evaluator of fiber functions.  The y chart
-    evaluates the fiber function at x = t/y for the given t."""
+    evaluates the fiber function at x = t/y for the form's own t."""
     import numpy as np
-    num, d = _fiber_parts(fiber)
+    form = _as_form(fiber)
+    num, d = form.numerator, form.pole_order
     coeffs = np.array([complex(cr / num.den, ci / num.den) for cr, ci in num.nums])
-    tc = exact_param(t).to_complex() if chart == "y" else None
+    tc = form.t.to_complex() if chart == "y" else None
 
     def evaluate(z):
         x = tc / z if chart == "y" else z
@@ -466,10 +466,10 @@ def _mass_report(value, error, cells, flags, converged, domain, chart, c, meta):
                           converged=converged, meta=meta)
 
 
-def _chart_moduli(fiber, chart: str, t):
-    """{exponent: |coefficient|^2} of the fiber as a Laurent polynomial in the
-    chart coordinate w, exactly; the y chart substitutes x = t/w."""
-    num, d = _fiber_parts(fiber)
+def _chart_moduli(form: LaurentForm, chart: str):
+    """{exponent: |coefficient|^2} of the form as a Laurent polynomial in the
+    chart coordinate w, exactly; the y chart substitutes x = t/w, t the form's."""
+    num, d = form.numerator, form.pole_order
     den2 = num.den * num.den
     terms = [(j, Fraction(cr * cr + ci * ci, den2)) for j, (cr, ci) in enumerate(num.nums)
              if cr or ci]
@@ -477,7 +477,7 @@ def _chart_moduli(fiber, chart: str, t):
         raise ValueError("the fiber function vanishes identically")
     if chart == "x":
         return {j - d: m for j, m in terms}
-    t2 = exact_param(t).norm2()
+    t2 = form.t.norm2()
     return {d - j: m * t2 ** (j - d) for j, m in terms}
 
 
@@ -569,15 +569,16 @@ def _divergent_report(interior, c: float, domain: Annulus, chart: str):
 # ---------------------------------------------------------------------------
 
 def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
-                     config: QuadratureConfig | None = None, t=None,
-                     zeros=None) -> IntegralReport:
+                     config: QuadratureConfig | None = None) -> IntegralReport:
     """Integral of |f|^(-2c) over an annulus against the chart area form.
 
     Parameters
     ----------
     fiber : LaurentForm or UnivariatePoly
-        The fiber function x -> F(x, t/x) (or any one-variable function),
-        with exact coefficients.
+        The fiber function x -> F(x, t/x), substitute_fiber(F, t), or any
+        one-variable function (a UnivariatePoly p is LaurentForm(p, 0)), with
+        exact coefficients.  Its zeros, found once per form, are used for
+        pre-refinement and the divergence test.
     c : float
         Exponent parameter, c >= 0.
     domain : Annulus
@@ -590,33 +591,28 @@ def annulus_integral(fiber, c: float, domain: Annulus, chart: str = "x",
         meta["tail_interval"] on the mass of |w| < rho.
     chart : 'x' or 'y'
         'y' integrates the same fiber function against dV_y, evaluating it
-        at x = t/y for a nonzero t; t defaults to the t of a LaurentForm
-        fiber, and an explicit t that differs from it raises ValueError.
-    zeros : optional list of FiberZero
-        Known zeros (in the x coordinate); detected automatically when
-        omitted.  Used for pre-refinement and the divergence test.
+        at x = t/y for the form's own t, which must be nonzero.
     """
-    if isinstance(fiber, LaurentForm):
-        t = _form_t(fiber, t)
-    return _annulus_reports([(fiber, domain, zeros)], c, chart, config, t)[0]
+    return _annulus_reports([(fiber, domain)], c, chart, config)[0]
 
 
-def _annulus_reports(jobs, c, chart, config, t):
-    """annulus_integral of each (fiber, domain, zeros) job; every part that
-    needs the engine is a part of one run."""
+def _annulus_reports(jobs, c, chart, config):
+    """annulus_integral of each (fiber, domain) job; every part that needs
+    the engine is a part of one run."""
     cfg = config or QuadratureConfig()
     if not 0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0; got c={c}")
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
-    if chart == "y" and (t is None or exact_param(t).is_zero()):
+    jobs = [(_as_form(fiber), domain) for fiber, domain in jobs]
+    if chart == "y" and any(form.t is None or form.t.is_zero() for form, _ in jobs):
         raise ValueError("y-chart integration needs a nonzero fiber parameter t")
 
     reports, todo = [], []
-    for fiber, domain, zeros in jobs:
+    for form, domain in jobs:
         work, tail = domain, (0.0, 0.0, {})
         if domain.r_inner == 0:
-            moduli = _chart_moduli(fiber, chart, t)
+            moduli = _chart_moduli(form, chart)
             v = min(moduli)
             if Fraction(c) * v >= 1:       # 2 - 2cv <= 0: divergent at the centre
                 reports.append(_divergent_report([FiberZero(0j, v)], c, domain, chart))
@@ -627,17 +623,15 @@ def _annulus_reports(jobs, c, chart, config, t):
                 reports.append(_mass_report(mass, err, 0, (), True, domain, chart, c, meta))
                 continue
             work = Annulus(rho, domain.r_outer)
-        if zeros is None and c > 0:
-            zeros = _exact_fiber_zero_list(_fiber_parts(fiber)[0])
-        zeros = list(zeros or ())
+        zeros = _form_zeros(form) if c > 0 else ()
         if chart == "y":
-            tc = exact_param(t).to_complex()
+            tc = form.t.to_complex()
             zeros = [FiberZero(tc / z.location_complex(), z.multiplicity)
                      for z in zeros if z.location_complex() != 0]
         interior = _zeros_in(zeros, work.r_inner, work.r_outer)
         reports.append(_divergent_report(interior, c, domain, chart))
         if reports[-1] is None:
-            todo.append((len(reports) - 1, tail, (_base_fn(fiber, c, chart=chart, t=t), work,
+            todo.append((len(reports) - 1, tail, (_base_fn(form, c, chart=chart), work,
                                                   [z.location_complex() for z in interior],
                                                   None, 0j)))
 
@@ -707,10 +701,10 @@ def _central_k(f, c: float, radius: float, cfg: QuadratureConfig) -> KReport:
     share one run."""
     # 0 < c < c_0 keeps both axis restrictions nonzero, each of order below 1/c
     disc = Annulus(0.0, radius)
-    i_rep, j_rep = _annulus_reports([(f.holo.restrict_x_axis(), disc, None),
-                                     (f.holo.restrict_y_axis(), disc, None)], c, "x", cfg, None)
+    i_rep, j_rep = _annulus_reports([(f.holo.restrict_x_axis(), disc),
+                                     (f.holo.restrict_y_axis(), disc)], c, "x", cfg)
     # the y axis is integrated in its own coordinate, so label it as the
-    # y chart (chart="y" would evaluate at x = t/y with t = 0)
+    # y chart (chart="y" would evaluate at x = t/y, and an axis has no t)
     j_rep.chart = "y"
     # sum the counts per kind; the kinds sort alphabetically in the
     # order _adaptive_polar emits them, after a bare 'divergent'
@@ -753,6 +747,8 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
     holo = as_mixed(f).holo
     polygon = newton.compute_polygon(holo)
     k, l = newton.endpoints(polygon)
+    if k + l == 0:
+        raise ValueError("the decomposition needs F(0, 0) = 0")
     s = t_f ** (1.0 / (k + l))
     a0 = t_f / radius
     a1 = s ** l / r1
@@ -764,10 +760,9 @@ def decompose_I(f, t, c: float, radius: float, r1: float,
             f"{a3:.3g}); R1 is incompatible with this t and R")
 
     fib = substitute_fiber(f, tt)
-    zeros = fiber_zeros(fib, tt, delta=radius)
     z_domains = [(1.0 / r1, r1), (r1, radius / s ** l), (s ** k / radius, 1.0 / r1)]
     x_domains = [Annulus(a1, a2), Annulus(a2, a3), Annulus(a0, a1)]
-    reports = _annulus_reports([(fib, d, zeros) for d in x_domains], c, "x", cfg, t)
+    reports = _annulus_reports([(fib, d) for d in x_domains], c, "x", cfg)
     for rep, zd in zip(reports, z_domains):
         rep.meta.update({"s": s, "endpoints": (k, l),
                          "z_annulus": f"A({zd[0]:.6g}, {zd[1]:.6g})"})
@@ -932,7 +927,7 @@ def exponent_probe_1d(fiber, zeros, c: float,
     if not 0 < r0 < math.inf:
         raise ValueError(f"the probe radius r0 must be finite and > 0; got r0={r0}")
     base = _base_fn(fiber, c)
-    pole = _fiber_parts(fiber)[1] > 0
+    pole = _as_form(fiber).pole_order > 0
     centers = [exact_param(z).to_complex() for z in zeros]
     parts = []
     for z in centers:

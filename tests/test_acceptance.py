@@ -185,8 +185,7 @@ def test_criterion_06_volume_splitting_identity_and_decomposition():
             t = Fraction(1, 100) * Fraction(1, 4) ** j
             i1, i2, i3 = decompose_I(X + Y, t, 0.5, 1.0, 5.0, cfg)
             fib = substitute_fiber(X + Y, t)
-            whole = annulus_integral(fib, 0.5, Annulus(float(t), 1.0),
-                                     config=cfg, t=t)
+            whole = annulus_integral(fib, 0.5, Annulus(float(t), 1.0), config=cfg)
             budget = whole.error_estimate + i1.error_estimate \
                 + i2.error_estimate + i3.error_estimate
             total = i1.value + i2.value + i3.value

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cselab import (
     Annulus,
     GaussianRational,
+    LaurentForm,
     QuadratureConfig,
     UnivariatePoly,
     convergence_sweep,
@@ -78,8 +79,8 @@ def build_part(spec):
     zs = [complex(re, im) / 8 for re, im in roots]
     if chart == "y":
         zs = [float(Y_CHART_T) / z for z in zs if z]
-    return (_base_fn(fiber, c, chart=chart, t=Y_CHART_T), Annulus(r_in, r_out), zs, None,
-            center)
+    return (_base_fn(LaurentForm(fiber, 0, Y_CHART_T), c, chart=chart), Annulus(r_in, r_out),
+            zs, None, center)
 
 
 k_specs = st.tuples(st.just("K"), st.integers(0, len(GERMS) - 1), st.integers(20, 10 ** 6),

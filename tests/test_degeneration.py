@@ -17,6 +17,7 @@ from cselab import (
     FiberZero,
     GaussianRational,
     IdenticallyZeroError,
+    LaurentForm,
     MixedFunction,
     builtin_catalog,
     central_exponent,
@@ -329,7 +330,7 @@ class TestRootSnap:
         p = UnivariatePoly([lead])
         for r, m in zip(roots, mults):
             p = p * UnivariatePoly([-r, 1]) ** m
-        zs = degeneration._exact_fiber_zero_list(p)
+        zs = degeneration._form_zeros(LaurentForm(p, 0))
         assert all(z.exact_location for z in zs)
         assert sorted((str(z.location), z.multiplicity) for z in zs) == \
             sorted((str(r), m) for r, m in zip(roots, mults))
@@ -409,6 +410,14 @@ class TestFiberExponent:
     def test_point_off_fiber_rejected(self):
         with pytest.raises(ValueError):
             fiber_exponent(X + Y, Fraction(1, 100), (Fraction(1, 2), Fraction(1, 2)))
+
+    @pytest.mark.parametrize("x0", [GaussianRational(0, Fraction(1, 10)), 0.1j],
+                             ids=["exact", "float"])
+    def test_both_paths_take_the_fiber_form(self, x0):
+        fib = substitute_fiber(X + Y, Fraction(1, 100))
+        assert fiber_exponent(fib, Fraction(1, 100), x0) == Exponent(1)
+        with pytest.raises(ValueError, match="belongs to t = 1/100"):
+            fiber_exponent(fib, Fraction(1, 1000), x0)
 
 
 class TestCentralExponent:

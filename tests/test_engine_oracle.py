@@ -25,7 +25,7 @@ from cselab import (
     parse_expression,
     substitute_fiber,
 )
-from cselab.quadrature import _G2, _G3, _adaptive_polar, _base_fn, _cell_rule, _fiber_parts
+from cselab.quadrature import _G2, _G3, _adaptive_polar, _as_form, _base_fn, _cell_rule
 from cselab.rationals import exact_param, param_modulus
 
 # the corpus germs with their central exponents c_0
@@ -47,7 +47,8 @@ GAUSS_PAIR = tuple((gu, gt, wu * wt) for g in (_G2, _G3)
 # ---------------------------------------------------------------------------
 
 def frozen_base_fn(fiber, c):
-    num, d = _fiber_parts(fiber)
+    form = _as_form(fiber)
+    num, d = form.numerator, form.pole_order
     coeffs = np.array([complex(cr / num.den, ci / num.den) for cr, ci in num.nums],
                       dtype=np.complex128)
 

@@ -1,6 +1,7 @@
 """Every name a cselab module imports is used in that module, every name a
 module defines at its top level is read by some cselab module or exported
-by the package, and every module the traced benchmark names exists."""
+by the package, every optional parameter of a cselab function is passed by
+some call, and every module the traced benchmark names exists."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ import pytest
 import cselab
 
 SRC = Path(cselab.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def unused_imports(source: str):
@@ -92,6 +94,69 @@ def test_a_dead_name_is_found():
                "b": "import a\nused = attr = 1\ndef exported():\n    pass\n"}
     assert dead_names(sources, {"exported"}) == [("a", 2, "KEPT"), ("a", 3, "DEAD"),
                                                   ("a", 3, "PAIR"), ("a", 4, "f")]
+
+
+def call_sites(trees):
+    """{callee name: [(positional count, keywords, passes every parameter)]} of
+    the calls in trees.  A callee is named by its last attribute, so a call
+    of a method counts for every function of that name; a *args or
+    **kwargs call passes every parameter."""
+    calls = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            every = (any(isinstance(a, ast.Starred) for a in node.args)
+                     or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, every))
+    return calls
+
+
+def unpassed_parameters(sources, calling):
+    """(module, line, function, parameter) of each parameter with a default,
+    of a function in sources (module name -> source), that no call in the
+    calling sources passes, by keyword or by position.  A method's positions
+    skip self or cls, and a call of a class counts for its __init__ and
+    __new__."""
+    calls = call_sites(ast.parse(src) for src in calling)
+    found = []
+    for module, tree in ((m, ast.parse(src)) for m, src in sources.items()):
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            cls = owner.get(id(fn))
+            callee = cls.name if cls and fn.name in ("__init__", "__new__") else fn.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if cls and not static else 0
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            optional = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+            optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                         if d is not None]
+            for index, param in optional:
+                if not any(every or param in kws or (index is not None and n > index)
+                           for n, kws, every in calls.get(callee, ())):
+                    found.append((module, fn.lineno, fn.name, param))
+    return sorted(found)
+
+
+def test_no_unpassed_optional_parameters():
+    calling = [p.read_text() for d in ("src", "tests", "bench", "demos")
+               for p in (ROOT / d).rglob("*.py")]
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unpassed_parameters(sources, calling) == []
+
+
+def test_an_unpassed_parameter_is_found():
+    source = ("class C:\n"
+              "    def __init__(self, a, b=1):\n        pass\n"
+              "    def m(self, x=0, *, y=2):\n        pass\n"
+              "    @staticmethod\n    def s(u=0):\n        pass\n"
+              "def f(p, q=1, r=2):\n    pass\n"
+              "def g(w=1):\n    pass\n")
+    calls = "C(1, 2)\nC(0).m(y=3)\nC.s(0)\nf(1, r=3)\ng(*args)\n"
+    assert unpassed_parameters({"a": source}, [source, calls]) == [
+        ("a", 4, "m", "x"), ("a", 9, "f", "q")]
 
 
 def traced_modules():

@@ -19,6 +19,7 @@ from cselab import (
     counterexample_record,
     decompose_I,
     exponent_probe_1d,
+    fiber_exponent,
     fiber_integral_K,
     fiber_zeros,
     parse_expression,
@@ -26,6 +27,8 @@ from cselab import (
     uniform_bound_check,
     young_combine,
 )
+from cselab import degeneration
+from cselab.polynomials import squarefree_decomposition
 from cselab.quadrature import _AXIS, _G2, _G3, _NODE_T, _NODE_U
 
 X = BivariatePoly.variable("x")
@@ -119,26 +122,15 @@ class TestAnnulusIntegral:
         t = Fraction(1, 10 ** 4)
         fib = substitute_fiber(X + Y, t)
         dom = Annulus(float(t), 1.0)
-        rep_x = annulus_integral(fib, 0.5, dom, chart="x", config=CFG, t=t)
-        rep_y = annulus_integral(fib, 0.5, dom, chart="y", config=CFG, t=t)
+        rep_x = annulus_integral(fib, 0.5, dom, chart="x", config=CFG)
+        rep_y = annulus_integral(fib, 0.5, dom, chart="y", config=CFG)
         assert rep_x.value == pytest.approx(rep_y.value, rel=1e-6)
 
     @pytest.mark.parametrize("r_inner", [0.0, 0.5])
     def test_the_y_chart_needs_a_nonzero_t(self, r_inner):
         # x = t/y is 0 everywhere at t = 0: that is no chart of the fiber
         with pytest.raises(ValueError, match="nonzero fiber parameter t"):
-            annulus_integral(z_poly(0, 1), 0.3, Annulus(r_inner, 1.0), chart="y", t=0)
-
-    def test_a_form_of_another_t_is_rejected(self):
-        # evaluated at x = t/y with t = 1/1000, the t = 1/100 form would
-        # integrate neither fiber
-        fib = substitute_fiber(X + Y, Fraction(1, 100))
-        dom = Annulus(0.2, 0.5)
-        own = annulus_integral(fib, 0.5, dom, chart="y", config=CFG)
-        assert own.value == annulus_integral(fib, 0.5, dom, chart="y", config=CFG,
-                                             t=Fraction(1, 100)).value
-        with pytest.raises(ValueError, match="belongs to t = 1/100"):
-            annulus_integral(fib, 0.5, dom, chart="y", config=CFG, t=Fraction(1, 1000))
+            annulus_integral(z_poly(0, 1), 0.3, Annulus(r_inner, 1.0), chart="y")
 
     def test_divergent_configuration_flagged(self):
         # double zero at x=1 with c = 0.6: local exponent 2.4 >= 2
@@ -292,20 +284,20 @@ class TestDiscTail:
         assert k.converged and k.cells_used == 0 and k.refinement_flags == ()
         assert kr.i_report.meta == kr.j_report.meta == {"disc": "exact"}
 
-    @pytest.mark.parametrize("fiber, chart, t, a_abs, v, b_abs, c, radius", [
+    @pytest.mark.parametrize("fiber, chart, a_abs, v, b_abs, c, radius", [
         # 3 x^2 (1 + x/2) on the unit disc
-        (z_poly(0, 0, 3, Fraction(3, 2)), "x", None, 3.0, 2, 0.5, 0.4, 1.0),
+        (z_poly(0, 0, 3, Fraction(3, 2)), "x", 3.0, 2, 0.5, 0.4, 1.0),
         # a pole: (2 + 2i x/3)/x = 2 x^-1 (1 + i x/3), d = 1
         (LaurentForm(z_poly(2, GaussianRational(0, Fraction(2, 3))), 1, Fraction(1, 4)),
-         "x", None, 2.0, -1, 1 / 3, 0.3, 2.0),
+         "x", 2.0, -1, 1 / 3, 0.3, 2.0),
         # the y chart: (1 + 4x)/x^3 at x = t/y, t = 1/2, is 16 y^2 (1 + y/2)
-        (LaurentForm(z_poly(1, 4), 3), "y", Fraction(1, 2), 16.0, 2, 0.5, 0.3, 1.0),
+        (LaurentForm(z_poly(1, 4), 3, Fraction(1, 2)), "y", 16.0, 2, 0.5, 0.3, 1.0),
         # S(R) = 1e-6 is below the tolerance's share: the whole disc is tail
-        (z_poly(0, 1, Fraction(1, 10 ** 6)), "x", None, 1.0, 1, 1e-6, 0.3, 1.0),
+        (z_poly(0, 1, Fraction(1, 10 ** 6)), "x", 1.0, 1, 1e-6, 0.3, 1.0),
     ], ids=["x-chart", "pole", "y-chart", "all-tail"])
-    def test_a_binomial_disc_matches_its_series(self, fiber, chart, t, a_abs, v, b_abs, c,
+    def test_a_binomial_disc_matches_its_series(self, fiber, chart, a_abs, v, b_abs, c,
                                                 radius):
-        rep = annulus_integral(fiber, c, Annulus(0.0, radius), chart=chart, config=CFG, t=t)
+        rep = annulus_integral(fiber, c, Annulus(0.0, radius), chart=chart, config=CFG)
         oracle = series_mass(a_abs, v, b_abs, c, radius)
         assert abs(rep.value - oracle) <= rep.error_estimate <= CFG.target_rel_tolerance * rep.value
         assert rep.converged and rep.meta["disc"] == "tail"
@@ -402,8 +394,7 @@ class TestDecomposeI:
         t = Fraction(1, 10 ** 4)
         parts = decompose_I(X + Y, t, 0.5, 1.0, 10.0, CFG)
         fib = substitute_fiber(X + Y, t)
-        whole = annulus_integral(fib, 0.5, Annulus(float(t), 1.0),
-                                 config=CFG, t=t)
+        whole = annulus_integral(fib, 0.5, Annulus(float(t), 1.0), config=CFG)
         total = sum(p.value for p in parts)
         budget = whole.error_estimate + sum(p.error_estimate for p in parts)
         assert abs(total - whole.value) <= max(budget, 1e-4 * whole.value)
@@ -426,6 +417,39 @@ class TestDecomposeI:
             decompose_I(X + Y, Fraction(1, 100), 0.5, 1.0, 0.5, CFG)
         with pytest.raises(ValueError, match="positive real"):
             decompose_I(X + Y, Fraction(-1, 100), 0.5, 1.0, 5.0, CFG)
+
+    @pytest.mark.parametrize("text", ["1 + x + y", "x + 1", "2 + x*y"])
+    def test_a_germ_off_the_origin_is_rejected(self, text):
+        # F(0, 0) != 0 puts (0, 0) on the polygon: k + l = 0 leaves no scale s
+        with pytest.raises(ValueError, match=r"needs F\(0, 0\) = 0"):
+            decompose_I(parse_expression(text), Fraction(1, 100), 0.5, 1.0, 5.0, CFG)
+
+    def test_a_conjugate_pair_names_one_divergent_zero(self):
+        # x + y at t = 1/100 vanishes simply at +-i/10, inside A(1/50, 1/2),
+        # so at c = 1 both zeros diverge; each path names -i/10, the first in
+        # (modulus, phase) order
+        t = Fraction(1, 100)
+        i1, _, _ = decompose_I(X + Y, t, 1.0, 1.0, 5.0, CFG)
+        whole = annulus_integral(substitute_fiber(X + Y, t), 1.0, i1.domain, config=CFG)
+        assert i1.divergent and whole.divergent
+        assert i1.meta["divergent_zero"] == whole.meta["divergent_zero"] == "-0.1j"
+
+    def test_each_form_finds_its_zeros_once(self, monkeypatch):
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            return squarefree_decomposition(p)
+
+        monkeypatch.setattr(degeneration, "squarefree_decomposition", spy)
+        t = Fraction(1, 100)
+        decompose_I(X + Y, t, 0.5, 1.0, 5.0, CFG)
+        fib = substitute_fiber(X + Y, t)
+        for chart in ("x", "y"):
+            annulus_integral(fib, 0.5, Annulus(0.05, 0.5), chart=chart, config=CFG)
+        for x0 in (0.1j, -0.1j, 0.5):
+            fiber_exponent(fib, t, x0)
+        assert len(calls) == 2
 
 
 class TestConvergenceSweep:
