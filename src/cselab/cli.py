@@ -5,7 +5,7 @@ Exit codes: 0 when verdicts match the theorem expectations, 2 when a
 holomorphic input produces a violated (or failed-stability) verdict or a
 bound, sweep or probe rests on a flagged integral, 1 on a rejected input
 (one "error:" line on stderr).  Each subcommand imports only the modules it runs: exponent,
-lct, polygon and counterexample load neither numpy nor the quadrature.
+lct, polygon, counterexample and probe --kind holder load neither numpy nor the quadrature.
 """
 
 from __future__ import annotations

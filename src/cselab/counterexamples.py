@@ -56,10 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .exact_linalg import wn_weights
-from .exponents import Exponent
+from .exponents import Exponent, _log_log_fit
 from .polynomials import (
     BivariatePoly,
     MixedFunction,
@@ -293,38 +293,35 @@ def holder_probe(n: int, sample_scale: float = 1.0, profile=None) -> HolderProbe
     building block the slope is 1/2.  A custom profile can be passed for
     smooth controls, whose estimate saturates at 1.
     """
-    import numpy as np  # here, so the exact families load no numpy
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not (sample_scale > 0) or not np.isfinite(sample_scale):
+    if not 0 <= n < 128:      # the stencil r(1 + (k - n/2)/64), k = 0..n, stays in r > 0
+        raise ValueError(f"n must lie in 0..127; got n={n}")
+    if not 0 < sample_scale < inf:
         raise ValueError(f"sample_scale must be finite and positive; got {sample_scale}")
     if profile is None:
         exponent = (2 * n + 1) / 2.0
         profile = lambda r: r ** exponent
 
-    radii = sample_scale * 2.0 ** -np.arange(2, 15)
-    derivs = np.array([_nth_derivative(profile, n, r) for r in radii])
-    diffs = np.abs(np.diff(derivs))
-    keep = diffs > 0
-    if keep.sum() < 4:
+    radii = [sample_scale * 2.0 ** -k for k in range(2, 15)]
+    try:
+        derivs = [_nth_derivative(profile, n, r) for r in radii]
+    except (OverflowError, ZeroDivisionError):    # a sample or h^n past the float range
+        raise ValueError(f"the probe at n={n}, scale {sample_scale} leaves the float range") from None
+    usable = [(r, abs(b - a)) for r, a, b in zip(radii, derivs, derivs[1:]) if abs(b - a) > 0]
+    if len(usable) < 4:
         raise ValueError("degenerate sample range: fewer than 4 usable differences")
-    logs_r = np.log(radii[:-1][keep])
-    logs_d = np.log(diffs[keep])
-    slope, intercept = np.polyfit(logs_r, logs_d, 1)
-    residual = float(np.max(np.abs(logs_d - (slope * logs_r + intercept))))
+    slope, residual = _log_log_fit(*zip(*usable))
     return HolderProbeResult(
-        estimate=float(min(slope, 1.0)),
-        raw_slope=float(slope),
+        estimate=min(slope, 1.0),
+        raw_slope=slope,
         fit_residual=residual,
-        points_used=int(keep.sum()),
+        points_used=len(usable),
     )
 
 
 def _nth_derivative(profile, n: int, r: float) -> float:
-    if n == 0:
-        return float(profile(r))
-    import numpy as np
+    """The n-th central difference of profile at r with step h = r/64, over h^n."""
     h = r / 64.0
-    offsets = (np.arange(n + 1) - n / 2.0) * h
-    samples = np.array([profile(r + o) for o in offsets], dtype=float)
-    return float(np.diff(samples, n=n)[0] / h ** n)
+    samples = [float(profile(r + (k - n / 2.0) * h)) for k in range(n + 1)]
+    for _ in range(n):
+        samples = [b - a for a, b in zip(samples, samples[1:])]
+    return samples[0] / h ** n

@@ -517,7 +517,10 @@ def load_catalog(path):
 
     Raises ValueError, naming the file and the entry, for any other shape."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValueError(f"catalog {path}: not JSON ({e})") from None
     if not isinstance(raw, list):
         raise ValueError(f"catalog {path}: expected a JSON list of entries")
     entries = {}

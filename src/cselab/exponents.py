@@ -2,11 +2,13 @@
 
 By convention 0 is reserved for functions identically zero on the region of
 interest and +infinity for functions with no zero there; at a point of the
-zero set the value of a singularity exponent lies in [0, 1].
+zero set the value of a singularity exponent lies in [0, 1].  The numeric
+probes estimate exponents as slopes of _log_log_fit, made without numpy.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import total_ordering
 
@@ -83,3 +85,13 @@ def _coerce(v):
     if isinstance(v, (int, Fraction)):
         return Exponent(v)
     return NotImplemented
+
+
+def _log_log_fit(xs, ys):
+    """The least-squares line through the points (log x, log y): its slope
+    and the largest absolute residual of the log values."""
+    from statistics import linear_regression   # here: importing cselab stays light
+
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    slope, intercept = linear_regression(lx, ly)
+    return slope, max(abs(b - (slope * a + intercept)) for a, b in zip(lx, ly))

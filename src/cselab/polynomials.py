@@ -839,7 +839,4 @@ def divides_power(p: UnivariatePoly, root, m: int) -> bool:
         return True
     if p.is_zero():
         return True
-    try:
-        return vanishing_order(p, root) >= m
-    except IdenticallyZeroError:
-        return True
+    return vanishing_order(p, root) >= m

@@ -32,7 +32,7 @@ configuration reproduces bit-identical results.
 
 numpy is imported inside the functions that run cells, not at module level,
 so importing this module (and cselab) does not load it: only an integral or
-a probe does.
+a multiplicity probe does.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from itertools import accumulate
 
 from . import newton
 from .degeneration import FiberZero, _form_zeros, _zeros_in, central_exponent, fiber_zeros
+from .exponents import _log_log_fit
 from .polynomials import LaurentForm, UnivariatePoly, as_mixed, substitute_fiber
 from .rationals import exact_param, param_float, param_modulus
 
@@ -626,7 +627,8 @@ def _annulus_reports(jobs, c, chart, config):
         zeros = _form_zeros(form) if c > 0 else ()
         if chart == "y":
             tc = form.t.to_complex()
-            zeros = [FiberZero(tc / z.location_complex(), z.multiplicity)
+            zeros = [FiberZero(form.t / z.location if z.exact_location
+                               else tc / z.location_complex(), z.multiplicity)
                      for z in zeros if z.location_complex() != 0]
         interior = _zeros_in(zeros, work.r_inner, work.r_outer)
         reports.append(_divergent_report(interior, c, domain, chart))
@@ -686,12 +688,10 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
 
     runs = _adaptive_polar([part for _, _, part in todo], cfg) if todo else []
     for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
-        mk = dict(cells_used=cells, refinement_flags=flags, domain=part[1],
-                  c=c, converged=converged)
-        reports[i] = KReport(
-            t=t, k_report=IntegralReport(masses[2], errs[2], chart="density", **mk),
-            i_report=IntegralReport(masses[0], errs[0], chart="x", **mk),
-            j_report=IntegralReport(masses[1], errs[1], chart="y-via-x", **mk))
+        k_rep, i_rep, j_rep = (
+            _mass_report(masses[w], errs[w], cells, flags, converged, part[1], chart, c, {})
+            for w, chart in ((2, "density"), (0, "x"), (1, "y-via-x")))
+        reports[i] = KReport(t=t, k_report=k_rep, i_report=i_rep, j_report=j_rep)
     return reports
 
 
@@ -712,15 +712,13 @@ def _central_k(f, c: float, radius: float, cfg: QuadratureConfig) -> KReport:
     for flag in sorted(i_rep.refinement_flags + j_rep.refinement_flags):
         kind, _, n = flag.partition(":")
         counts[kind] = counts.get(kind, 0) + int(n or 0)
-    k_rep = IntegralReport(
-        value=i_rep.value + j_rep.value,
-        error_estimate=i_rep.error_estimate + j_rep.error_estimate,
-        cells_used=i_rep.cells_used + j_rep.cells_used,
-        refinement_flags=tuple(f"{k}:{n}" if n else k for k, n in counts.items()),
-        domain=disc, chart="central", c=c,
-        converged=i_rep.converged and j_rep.converged,
-        divergent=i_rep.divergent or j_rep.divergent,
-        meta={"note": "central fiber: sum over the two axis components"})
+    k_rep = _mass_report(
+        i_rep.value + j_rep.value, i_rep.error_estimate + j_rep.error_estimate,
+        i_rep.cells_used + j_rep.cells_used,
+        tuple(f"{k}:{n}" if n else k for k, n in counts.items()),
+        i_rep.converged and j_rep.converged, disc, "central", c,
+        {"note": "central fiber: sum over the two axis components"})
+    k_rep.divergent = i_rep.divergent or j_rep.divergent
     return KReport(t=0, k_report=k_rep, i_report=i_rep, j_report=j_rep)
 
 
@@ -914,29 +912,29 @@ def exponent_probe_1d(fiber, zeros, c: float,
 
     Integrates |f|^(-2c) over the PROBE_ANNULI annuli A(r, 2r) centered at a
     zero z for r = r_z * 2^-j, r_z = min(r0, a quarter of the distance to the
-    nearest other zero, |z|/2 when the fiber has a pole at x = 0), and fits
-    the slope alpha of log mass against log r; the local model mass ~
-    r^(2 - 2cm) gives m = (2 - alpha)/(2c).  All the annuli share one adaptive
-    run.  flags holds the refinement flags of each annulus used in the fit, in
-    the order of radii.  Needs c * multiplicity < 1 so the masses stay
-    finite, and at least 4 usable annuli per zero.
+    nearest other zero of the fiber, probed or not, |z|/2 when the fiber has
+    a pole at x = 0), and fits the slope alpha of log mass against log r; the
+    local model mass ~ r^(2 - 2cm) gives m = (2 - alpha)/(2c).  All the
+    annuli share one adaptive run.  flags holds the refinement flags of each
+    annulus used in the fit, in the order of radii.  Needs c * multiplicity
+    < 1 so the masses stay finite, and at least 4 usable annuli per zero.
     """
     cfg = config or QuadratureConfig()
     if not 0 < c < math.inf:
         raise ValueError(f"the probe needs a finite c > 0; got c={c}")
     if not 0 < r0 < math.inf:
         raise ValueError(f"the probe radius r0 must be finite and > 0; got r0={r0}")
-    base = _base_fn(fiber, c)
-    pole = _as_form(fiber).pole_order > 0
+    form = _as_form(fiber)
+    base = _base_fn(form, c)
+    others = [z.location_complex() for z in _form_zeros(form)]
     centers = [exact_param(z).to_complex() for z in zeros]
     parts = []
     for z in centers:
-        sep = min((abs(z - o) for o in centers if o != z), default=math.inf)
-        r_z = min(r0, sep / 4.0, abs(z) / 2.0 if pole else math.inf)
+        sep = min((abs(z - o) for o in others if o != z), default=math.inf)
+        r_z = min(r0, sep / 4.0, abs(z) / 2.0 if form.pole_order else math.inf)
         parts += [(base, Annulus(r, 2.0 * r), (), None, z)
                   for r in (r_z * 2.0 ** (-j) for j in range(PROBE_ANNULI))]
     runs = list(zip(parts, _adaptive_polar(parts, cfg)))
-    import numpy as np
     results = []
     for k in range(0, len(runs), PROBE_ANNULI):
         usable = [(part[1].r_inner, m[0], flags) for part, (m, _, _, flags, _)
@@ -944,10 +942,8 @@ def exponent_probe_1d(fiber, zeros, c: float,
         if len(usable) < 4:
             raise ValueError("fewer than 4 usable annuli")
         radii, masses, flags = zip(*usable)
-        lr, lm = np.log(radii), np.log(masses)
-        slope, intercept = np.polyfit(lr, lm, 1)
-        residual = float(np.max(np.abs(lm - (slope * lr + intercept))))
-        results.append(ProbeResult(multiplicity_estimate=float((2.0 - slope) / (2.0 * c)),
-                                   slope=float(slope), fit_residual=residual,
+        slope, residual = _log_log_fit(radii, masses)
+        results.append(ProbeResult(multiplicity_estimate=(2.0 - slope) / (2.0 * c),
+                                   slope=slope, fit_residual=residual,
                                    radii=radii, masses=masses, flags=flags))
     return results

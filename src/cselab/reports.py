@@ -74,27 +74,20 @@ def render_json(obj) -> str:
 def render_csv(report) -> str:
     from .quadrature import SweepReport
 
-    if isinstance(report, SweepReport):
-        lines = [SWEEP_CSV_HEADER]
-        for (t, k, err, i, j, ratio) in report.csv_rows():
-            lines.append(",".join(f"{float(v):.12g}" for v in
-                                  (t, k, err, i, j, ratio)))
-        return "\n".join(lines) + "\n"
-    raise TypeError("CSV output is defined for sweep reports")
+    if not isinstance(report, SweepReport):
+        raise TypeError("CSV output is defined for sweep reports")
+    rows = [",".join(f"{float(v):.12g}" for v in row) for row in report.csv_rows()]
+    return "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n"
 
 
 def render_plot_data(report) -> str:
-    """Two whitespace-separated columns for external plotting."""
-    from .quadrature import ProbeResult, SweepReport
+    """Two whitespace-separated columns, t and K_t/K_0, for external plotting."""
+    from .quadrature import SweepReport
 
-    if isinstance(report, SweepReport):
-        pairs = [(param_float(r.t), r.ratio) for r in report.rows]
-    elif isinstance(report, ProbeResult):
-        pairs = list(zip(report.radii, report.masses))
-    else:
-        raise TypeError("plot-data output is defined for sweep and probe reports")
-    return "\n".join(f"{float(a):.12g} {float(b):.12g}"
-                     for a, b in pairs) + "\n"
+    if not isinstance(report, SweepReport):
+        raise TypeError("plot-data output is defined for sweep reports")
+    return "\n".join(f"{param_float(r.t):.12g} {r.ratio:.12g}"
+                     for r in report.rows) + "\n"
 
 
 def emit_report(report, fmt: str = "json", path=None) -> str:

@@ -118,6 +118,14 @@ class TestLctCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b'[{"name": "a", "divisors": }]', b"\xff[]"])
+    def test_a_catalog_that_is_not_json_names_the_file(self, content, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(["lct", "--catalog", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: catalog {path}: not JSON (") and err.count("\n") == 1
+
 
 class TestPolygonCommand:
     def test_dump(self, capsys):
@@ -215,6 +223,18 @@ class TestProbeCommand:
         assert [f for f in flags if f] == [["max-depth-reached:2"]] * 2
         assert code == 2
 
+    def test_radii_keep_clear_of_a_zero_outside_the_polydisc(self, capsys):
+        # 51/100 lies outside --delta 0.5 but 1/50 from the probed 49/100,
+        # so the largest radius is a quarter of that distance
+        code, out, _ = run_cli(["probe", "--kind", "multiplicity", "--f",
+                                "(x - 49/100)*(x - 51/100)", "--t", "1/1000",
+                                "--c", "0.3", "--delta", "0.5"], capsys)
+        [probe] = json.loads(out)["probes"]
+        assert probe["zero"]["location"] == "49/100"
+        assert probe["probe"]["radii"][0] == 0.005
+        assert probe["probe"]["multiplicity_estimate"] == pytest.approx(0.99653, abs=1e-5)
+        assert code == 0
+
 
 class TestBoundCommand:
     def test_central_fiber_among_three_samples(self, capsys):
@@ -224,6 +244,14 @@ class TestBoundCommand:
         data = json.loads(out)["bound"]
         assert [r["t"] for r in data["rows"]] == ["1/100", "1/400", 0]
         assert data["growth_flag"] is False
+
+    def test_an_overflowing_k_is_a_flagged_bound(self, capsys):
+        code, out, _ = run_cli(["bound", "--f", "x + y", "--c", "1e-6", "--R", "1e154",
+                                "--t", "1/100"], capsys)
+        data = json.loads(out)["bound"]
+        assert data["bound"] == "infinity"
+        assert data["rows"][0]["flags"] == ["float-overflow"]
+        assert code == 2
 
 
 class TestUsageErrors:
@@ -252,6 +280,10 @@ class TestUsageErrors:
         "polygon-z": ["polygon", "--f", "z^2"],
         "polygon-zero": ["polygon", "--f", "0"],
         "probe-holder-negative-n": ["probe", "--kind", "holder", "--n", "-1"],
+        # the stencil reaches r <= 0; h^n underflows; r^(n+1/2) overflows
+        "probe-holder-large-n": ["probe", "--kind", "holder", "--n", "128"],
+        "probe-holder-underflow": ["probe", "--kind", "holder", "--n", "60"],
+        "probe-holder-overflow": ["probe", "--kind", "holder", "--n", "1", "--scale", "1e300"],
         "probe-holder-zero-scale": ["probe", "--kind", "holder", "--scale", "0"],
         "probe-holder-infinite-scale": ["probe", "--kind", "holder", "--scale", "inf"],
         "probe-holder-nan-scale": ["probe", "--kind", "holder", "--scale", "nan"],
@@ -398,9 +430,10 @@ class TestNoNumpyOnTheExactPath:
         assert_unloaded(main_code(argv), {"cselab.counterexamples"})
 
     def test_holder_probe_leaves_quadrature_unloaded(self):
-        # the Hoelder probe integrates nothing, so it builds no QuadratureConfig
+        # the Hoelder probe integrates nothing, so it builds no QuadratureConfig,
+        # and it fits its slope with the standard library
         assert_unloaded(main_code(["probe", "--kind", "holder", "--n", "0"]),
-                        {"cselab.quadrature"})
+                        {"numpy", "cselab.quadrature"})
 
     def test_bare_import_loads_no_submodule(self):
         package = Path(__file__).resolve().parent.parent / "src" / "cselab"

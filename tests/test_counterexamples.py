@@ -597,3 +597,10 @@ class TestHolderProbe:
             holder_probe(0, 0.0)
         with pytest.raises(ValueError):
             holder_probe(-1, 1.0)
+
+    @pytest.mark.parametrize("n, scale", [(128, 1.0), (60, 1.0), (9, 1e-30), (1, 1e300)])
+    def test_a_probe_past_the_float_range_is_rejected(self, n, scale):
+        # from n = 128 the stencil reaches r <= 0; h^n underflows at n = 60 and
+        # at the scale 1e-30, and r^(n+1/2) overflows at the scale 1e300
+        with pytest.raises(ValueError):
+            holder_probe(n, scale)

@@ -1,7 +1,8 @@
 """Every name a cselab module imports is used in that module, every name a
 module defines at its top level is read by some cselab module or exported
 by the package, every optional parameter of a cselab function is passed by
-some call, and every module the traced benchmark names exists."""
+some call, only the quadrature's cell engine imports numpy, and every
+module the traced benchmark names exists."""
 
 import ast
 import importlib
@@ -157,6 +158,42 @@ def test_an_unpassed_parameter_is_found():
     calls = "C(1, 2)\nC(0).m(y=3)\nC.s(0)\nf(1, r=3)\ng(*args)\n"
     assert unpassed_parameters({"a": source}, [source, calls]) == [
         ("a", 4, "m", "x"), ("a", 9, "f", "q")]
+
+
+# the functions of cselab.quadrature that run cells, the only numpy users
+CELL_ENGINE = {"_base_fn", "_axis_arrays", "_cell_rule", "_initial_grid",
+               "_adaptive_polar", "_split_cells"}
+
+
+def numpy_imports(source):
+    """(line, top-level definition or None) of each import of numpy in source."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append((node.lineno, owner))
+    return found
+
+
+def test_only_the_cell_engine_imports_numpy():
+    found = [(p.stem, line, owner) for p in SRC.glob("*.py")
+             for line, owner in numpy_imports(p.read_text())
+             if not (p.stem == "quadrature" and owner in CELL_ENGINE)]
+    assert found == []
+
+
+def test_a_numpy_import_is_found():
+    source = ("import numpy as np\n"
+              "def f():\n    from numpy.linalg import norm\n"
+              "class C:\n    def m(self):\n        import math, numpy\n")
+    assert numpy_imports(source) == [(1, None), (3, "f"), (6, "C")]
 
 
 def traced_modules():

@@ -126,6 +126,12 @@ class TestAnnulusIntegral:
         rep_y = annulus_integral(fib, 0.5, dom, chart="y", config=CFG)
         assert rep_x.value == pytest.approx(rep_y.value, rel=1e-6)
 
+    def test_an_exact_zero_stays_exact_in_the_y_chart(self):
+        # x + y at t = 1/100 vanishes at x = +-i/10, so at y = t/x = -+i/10
+        fib = substitute_fiber(X + Y, Fraction(1, 100))
+        rep = annulus_integral(fib, 1.0, Annulus(0.02, 0.5), chart="y", config=CFG)
+        assert rep.divergent and rep.meta["divergent_zero"] == "0.1j"
+
     @pytest.mark.parametrize("r_inner", [0.0, 0.5])
     def test_the_y_chart_needs_a_nonzero_t(self, r_inner):
         # x = t/y is 0 everywhere at t = 0: that is no chart of the fiber
@@ -319,6 +325,16 @@ class TestDiscTail:
         rep = annulus_integral(z_poly(0, 1), 0.25, Annulus(0.0, 1e300), config=CFG)
         kr = fiber_integral_K(X + Y, 0, 0.25, 1e300, CFG)
         for r in (rep, kr.i_report, kr.j_report, kr.k_report):
+            assert r.value == math.inf and not r.converged
+            assert r.refinement_flags == ("float-overflow",)
+
+    def test_a_k_past_the_float_range_is_flagged(self):
+        # K_0 of x + y at R = 7e153 sums two finite axes of 1.54e308 each; at
+        # t = 1/100 and R = 1e154 the engine's K, I and J all pass the range
+        k0 = fiber_integral_K(X + Y, 0, 1e-6, 7e153, CFG)
+        assert all(math.isfinite(r.value) for r in (k0.i_report, k0.j_report))
+        kt = fiber_integral_K(X + Y, Fraction(1, 100), 1e-6, 1e154, CFG)
+        for r in (k0.k_report, kt.k_report, kt.i_report, kt.j_report):
             assert r.value == math.inf and not r.converged
             assert r.refinement_flags == ("float-overflow",)
 
