@@ -28,6 +28,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value that begins with "-" (--t -1/100,
+        # --f "-x^2+y^3") as an option name, so each such value is joined to
+        # its option as --t=-1/100 unless it names an option of this parser
+        # (exactly, or as the abbreviation of a long option); a subcommand's
+        # parser gets the tokens after the subcommand's name
+        args = list(sys.argv[1:] if args is None else args)
+        options = self._option_string_actions
+        i = 0
+        while i < len(args) - 1 and args[i] != "--":
+            action, value = options.get(args[i]), args[i + 1]
+            name = value.split("=", 1)[0]
+            if (action is not None and action.nargs is None and value.startswith("-")
+                    and not any(o.startswith(name) if name.startswith("--") else o == name
+                                for o in options)):
+                args[i:i + 2] = [f"{args[i]}={value}"]
+            i += 1
+        return super().parse_known_args(args, namespace)
+
 
 _QUAD_OPTS = (   # option, type, help, QuadratureConfig field
     ("--radial-cells", int, "radial cells per decade", "radial_cells_per_decade"),

@@ -185,9 +185,11 @@ class UnivariatePoly:
 # Z[i] is a Euclidean domain, so Gauss's lemma holds: a primitive
 # polynomial that divides an integral one over Q(i) divides it over Z[i].
 # Every gcd goes through _gcd_cofactors: the heuristic gcd
-# GCDHEU (Char, Geddes & Gonnet 1989) when all imaginary parts are zero, and
-# the primitive pseudo-remainder sequence (Collins 1967; Brown & Traub 1971)
-# when some coefficient is non-real or every heuristic try fails.
+# GCDHEU (Char, Geddes & Gonnet 1989) when all imaginary parts are zero,
+# evaluated at a power of two by shifts and checked by long division on
+# plain ints, and the primitive pseudo-remainder sequence (Collins 1967;
+# Brown & Traub 1971) when some coefficient is non-real or every heuristic
+# try fails.
 
 def _monic_poly(p) -> UnivariatePoly:
     """The monic UnivariatePoly p * conj(lc) / |lc|^2 for a nonzero int polynomial p."""
@@ -312,52 +314,80 @@ def _quotient(a, b):
 _HEURISTIC_TRIES = 6
 
 
-def _xi_adic_digits(h: int, xi: int):
-    """The digits of h in base xi, ascending, each in the symmetric range
-    -xi/2 < d <= xi/2."""
+def _pack(p, k: int) -> int:
+    """p(2^k) for an int polynomial p (plain ints, ascending): Horner's rule
+    by shifts."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k) + c
+    return v
+
+
+def _lift(h: int, k: int):
+    """The int polynomial, ascending with no trailing zero, whose value at
+    2^k is h and whose coefficients lie in -2^(k-1) < d <= 2^(k-1): the
+    base-2^k digits of h in the symmetric range, by mask and shift."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
     digits = []
     while h:
-        d = h % xi
-        if 2 * d > xi:
-            d -= xi
+        d = h & mask
+        h >>= k
+        if d > half:
+            # d - 2^k is the digit, and the 2^k it lends is carried up
+            d -= mask + 1
+            h += 1
         digits.append(d)
-        h = (h - d) // xi
     return digits
+
+
+def _int_quotient(a, b):
+    """a / b for int polynomials (plain ints, ascending) when b divides a
+    over Z; None otherwise."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, rem = divmod(r[k + db], lead)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            r[k:k + db] = [x - c * y for x, y in zip(r[k:k + db], b)]
+    return None if any(r[:db]) else q
 
 
 def _heuristic_gcd(a, b):
     """(g, a/g, b/g) for nonzero int polynomials with zero imaginary parts,
     g primitive with a positive leading coefficient; None if every try fails.
 
-    GCDHEU (Char, Geddes & Gonnet 1989): gamma = gcd(a(xi), b(xi)) over Z,
-    with the common integer content of a and b divided out, is lifted back
-    to the polynomial whose xi-adic digits in the symmetric range are those
-    of gamma.  For xi >= 2*min(|a|_inf, |b|_inf) + 2 their theorem makes the
-    primitive part of that polynomial the gcd whenever it divides both a and
-    b, so a result is returned only after both exact divisions, whose
-    quotients are the cofactors.  A failed try grows xi by 73794/27011.
-    gamma is never 0: the roots of the input of smaller norm N have modulus
-    below N + 1 < xi.
+    GCDHEU (Char, Geddes & Gonnet 1989) at a power of two xi = 2^k:
+    gamma = gcd(a(xi), b(xi)) over Z, with the common integer content of a
+    and b divided out, is lifted back to the polynomial whose base-xi digits
+    in the symmetric range are those of gamma.  For xi >= 2*min(|a|_inf,
+    |b|_inf) + 2 their theorem makes the primitive part of that polynomial
+    the gcd whenever it divides both a and b, so a result is returned only
+    after both exact divisions over Z, whose quotients are the cofactors.
+    The first xi is the smallest such power of two; a failed try multiplies
+    it by 4.  gamma is never 0: the roots of the input of smaller norm N
+    have modulus below N + 1 < xi.
     """
     ra = [c for c, _ in a]
     rb = [c for c, _ in b]
     content = gcd(*ra, *rb)
-    xi = 2 * min(max(map(abs, ra)), max(map(abs, rb))) + 2
+    # the smallest 2^k >= 2*min(|a|_inf, |b|_inf) + 2
+    k = (2 * min(max(map(abs, ra)), max(map(abs, rb))) + 1).bit_length()
     for _ in range(_HEURISTIC_TRIES):
-        va = vb = 0
-        for c in reversed(ra):
-            va = va * xi + c
-        for c in reversed(rb):
-            vb = vb * xi + c
-        digits = _xi_adic_digits(gcd(va, vb) // content, xi)
+        digits = _lift(gcd(_pack(ra, k), _pack(rb, k)) // content, k)
         g = gcd(*digits)
         if digits[-1] < 0:
             g = -g
-        g = [(d // g, 0) for d in digits]
-        try:
-            return g, _quotient(a, g), _quotient(b, g)
-        except ValueError:
-            xi = xi * 73794 // 27011
+        g = [d // g for d in digits]
+        ca = _int_quotient(ra, g)
+        cb = None if ca is None else _int_quotient(rb, g)
+        if cb is not None:
+            return [(c, 0) for c in g], [(c, 0) for c in ca], [(c, 0) for c in cb]
+        k += 2
     return None
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cselab
@@ -587,11 +587,39 @@ big_coeff = st.builds(lambda m, s: s * m,
                       st.integers(2 ** 256, 2 ** 264), st.sampled_from((1, -1)))
 
 
+def fiber_factor(a, b, j, k):
+    """997^j times the fiber numerator of a*y^j - b*x^k + x*y on xy = 1/997:
+    a + 997^(j-1) z^j - b*997^j z^(j+k), ascending."""
+    p = [0] * (j + k + 1)
+    p[0], p[j], p[j + k] = a, 997 ** (j - 1), -b * 997 ** j
+    return p
+
+
+# 32-bit germ coefficients, as in the degree and coefficient-size table
+FIBER_FACTORS = [fiber_factor(*c) for c in [
+    (2654435761, 1779033703, 1, 2), (3144134277, 1013904242, 2, 1),
+    (2773480762, 1359893119, 2, 3), (2600822924, 528734635, 3, 2),
+    (1541459225, 3432918353, 3, 3), (3141592653, 2718281828, 1, 3)]]
+
+
+def fiber_product(*exponents):
+    out = [1]
+    for factor, e in zip(FIBER_FACTORS, exponents):
+        for _ in range(e):
+            out = int_product(out, factor)
+    return out
+
+
 class TestHeuristicGcd:
     @given(g=st.lists(big_coeff, min_size=1, max_size=5),
            p=st.lists(big_coeff, min_size=1, max_size=5),
            q=st.lists(big_coeff, min_size=1, max_size=5))
     @settings(max_examples=40, derandomize=True, deadline=None)
+    # fiber numerators a = g*p of degree 91 and 136
+    @example(g=fiber_product(2, 0, 1, 0, 3, 0), p=fiber_product(3, 3, 2, 2, 2, 3),
+             q=fiber_product(0, 2, 3, 3, 1, 4))
+    @example(g=fiber_product(2, 1, 2, 0, 3, 2), p=fiber_product(4, 3, 3, 3, 4, 4),
+             q=fiber_product(2, 3, 3, 3, 4, 5))
     def test_matches_the_pseudo_remainder_gcd(self, g, p, q):
         a, b = pairs(int_product(g, p)), pairs(int_product(g, q))
         h, ca, cb = _heuristic_gcd(a, b)
@@ -604,14 +632,28 @@ class TestHeuristicGcd:
     def test_second_evaluation_point(self, monkeypatch):
         # gcd((z-1)^2, (z-1)^2 (z+1)): at xi = 2*1 + 2 = 4 the values are 9
         # and 45, whose gcd 9 = 2*4 + 1 lifts to 2z + 1, which divides
-        # neither; at xi = 4 * 73794 // 27011 = 10 it is 81 = 100 - 2*10 + 1
+        # neither; at xi = 4 * 4 = 16 it is 225 = 256 - 2*16 + 1
         a, b = pairs([1, -2, 1]), pairs([1, -1, -1, 1])
-        points = []
-        lift = polynomials._xi_adic_digits
-        monkeypatch.setattr(polynomials, "_xi_adic_digits",
-                            lambda h, xi: points.append(xi) or lift(h, xi))
+        lifts = []
+        lift = polynomials._lift
+        monkeypatch.setattr(polynomials, "_lift",
+                            lambda h, k: lifts.append((1 << k, lift(h, k))) or lift(h, k))
         assert _heuristic_gcd(a, b) == (a, pairs([1]), pairs([1, 1]))
-        assert points == [4, 10]
+        assert lifts == [(4, [1, 2]), (16, [1, -2, 1])]
+
+    @given(case=st.integers(2, 80).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(1 - (1 << k - 1), 1 << k - 1), max_size=8))))
+    @example(case=(2, [2, -1, 0, 0]))
+    @example(case=(5, [16, -15, 0, 16, -15]))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_lift_inverts_pack(self, case):
+        # digits in the symmetric range -2^(k-1) < d <= 2^(k-1) come back,
+        # less their trailing zeros
+        k, digits = case
+        stripped = list(digits)
+        while stripped and stripped[-1] == 0:
+            stripped.pop()
+        assert polynomials._lift(polynomials._pack(digits, k), k) == stripped
 
     def test_squarefree_falls_back_to_prs(self, monkeypatch):
         prs_calls = []

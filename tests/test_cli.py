@@ -326,6 +326,41 @@ class TestUsageErrors:
         assert "sample_scale must be finite and positive" in err
 
 
+class TestValuesBeginningWithAMinus:
+    # each argv ends in an option and a value that argparse alone reads as
+    # an option name ("argument --t: expected one argument")
+    ARGV = {
+        "exponent-t": ["exponent", "--f", "x^2*y", "--t", "-1/100"],
+        "sweep-t-start": ["sweep", "--f", "x+y", "--c", "0.2", "--R", "0.5",
+                          "--t-count", "1", "--t-start", "-1/100"],
+        "sweep-t-ratio": ["sweep", "--f", "x+y", "--c", "0.2", "--R", "0.5",
+                          "--t-count", "2", "--t-ratio", "-1/4"],
+        "bound-t": ["bound", "--f", "x+y", "--c", "0.2", "--R", "0.5", "--t", "-1/100"],
+        "bound-factor": ["bound", "--f", "x^2-y^2", "--c", "0.2", "--R", "0.5",
+                         "--t", "1/100", "--factor", "x+y", "--factor", "-x+y"],
+        "probe-t": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2", "--t", "-1/1000"],
+        "counterexample-s": ["counterexample", "--n", "0", "--s", "-1/2"],
+        "polygon-f": ["polygon", "--f", "-x^2+y^3"],
+    }
+
+    @pytest.mark.parametrize("name", ARGV)
+    def test_same_as_the_equals_form(self, name, capsys):
+        argv = self.ARGV[name]
+        spaced = run_cli(argv, capsys)
+        assert "error: argument" not in spaced[2]
+        assert spaced == run_cli(argv[:-2] + [f"{argv[-2]}={argv[-1]}"], capsys)
+
+    def test_a_negative_s_reaches_the_library(self, capsys):
+        code, out, err = run_cli(self.ARGV["counterexample-s"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: s samples must be positive rationals; got s=Fraction(-1, 2)\n"
+
+    def test_an_option_is_not_taken_as_a_value(self, capsys):
+        code, _, err = run_cli(["exponent", "--f", "x", "--t", "--delta", "0.1"], capsys)
+        assert code == 1
+        assert err == "error: argument --t: expected one argument\n"
+
+
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_probe_rejects_a_non_finite_c(c, capsys):
     code, out, err = run_cli(["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
