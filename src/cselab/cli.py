@@ -29,16 +29,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reads a value that begins with "-" (--t -1/100,
-        # --f "-x^2+y^3") as an option name, so each such value is joined to
-        # its option as --t=-1/100 unless it names an option of this parser
-        # (exactly, or as the abbreviation of a long option); a subcommand's
-        # parser gets the tokens after the subcommand's name
+        # argparse reads a value that begins with "-" (--t -1/100, --f
+        # "-x^2+y^3") as an option name, so each such value is joined to its
+        # option (in full or as the unique prefix of a long option) as
+        # --t=-1/100 unless it names an option of this parser (exactly, or as a
+        # long option's prefix); a subcommand's parser gets its own tokens
         args = list(sys.argv[1:] if args is None else args)
         options = self._option_string_actions
         i = 0
         while i < len(args) - 1 and args[i] != "--":
-            action, value = options.get(args[i]), args[i + 1]
+            prefixed = [o for o in options if o.startswith(args[i])] if args[i][:2] == "--" else []
+            action = options.get(args[i], options[prefixed[0]] if len(prefixed) == 1 else None)
+            value = args[i + 1]
             name = value.split("=", 1)[0]
             if (action is not None and action.nargs is None and value.startswith("-")
                     and not any(o.startswith(name) if name.startswith("--") else o == name
@@ -50,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 _QUAD_OPTS = (   # option, type, help, QuadratureConfig field
     ("--radial-cells", int, "radial cells per decade", "radial_cells_per_decade"),
-    ("--angular-cells", int, "angular cells", "angular_cells"),
+    ("--angular-cells", int, "angular cells (real fiber: ceil(n/2), half-plane)", "angular_cells"),
     ("--max-depth", int, "max dyadic refinement depth", "max_refinement_depth"),
     ("--tolerance", float, "per-cell relative tolerance", "target_rel_tolerance"),
 )

@@ -22,6 +22,11 @@ chart coordinate, and otherwise over |w| < rho with a bounded tail, the
 engine taking only A(rho, R).  A disc whose centre makes 2 - 2cv <= 0 is
 reported divergent.
 
+A real fiber about a real centre (on the y chart, at a real t) is symmetric
+under x -> conj(x): it is integrated over the upper half-plane from ceil(n/2)
+initial angular cells and doubled, with meta["angle"] set; cells_used and the
+flag counts count the cells evaluated.  Any other input takes the full circle.
+
 An operation is one run of the engine: the rows of a sweep, the t != 0
 samples of a bound, every probed zero's annuli, the annuli of the I_t
 decomposition or the axes of K_0 that are not monomials are its parts,
@@ -59,6 +64,7 @@ PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
 # 128 KiB mmap threshold, so the temporaries come from the heap (on a 2-CPU
 # x86-64 host 0.7 us a cell, against 1.0-1.2 us in blocks of 2048-4096)
 CHUNK_CELLS = 512
+HALF_PLANE = {"angle": "upper half, doubled"}   # meta of a report from the half grid
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +75,8 @@ CHUNK_CELLS = 512
 class QuadratureConfig:
     """The four knobs of the adaptive scheme.
 
-    radial_cells_per_decade and angular_cells size the initial grid;
+    radial_cells_per_decade and angular_cells size the initial grid, a real
+    fiber taking ceil(angular_cells/2) over the upper half-plane;
     max_refinement_depth caps dyadic splitting; target_rel_tolerance is the
     per-cell threshold on the disagreement of the 2x2 and 3x3 Gauss rules.
     """
@@ -328,24 +335,35 @@ def _cell_rule(cells, segments):
 def _segments(parts, spans, lo, hi):
     """The _cell_rule segments of rows lo to hi, counted from lo; spans are
     (part index, first row, end row) in row order."""
-    return [(max(a, lo) - lo, min(b, hi) - lo, parts[p][0], *parts[p][3:])
+    return [(max(a, lo) - lo, min(b, hi) - lo, parts[p][0], *parts[p][3:5])
             for p, a, b in spans if a < hi and b > lo]
 
 
-def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center):
+def _upper_half(form: LaurentForm, center, chart: str) -> bool:
+    """Whether |f|^(-2c) about center is symmetric under x -> conj(x): a real
+    numerator, a real centre and, on the y chart (x = t/y), a real t."""
+    return (not any(ci for _, ci in form.numerator.nums) and center.imag == 0
+            and (chart == "x" or form.t.is_real()))
+
+
+def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, half):
     """The cells (u0, u1, theta0, theta1) and depths of an annulus's initial
     grid, with the cells that contain a detected zero split twice, so
-    singular regions are refined before the tolerance test sees them."""
+    singular regions are refined before the tolerance test sees them.  A
+    half grid spans theta in [0, pi] with ceil(n/2) angular cells; a real
+    numerator's zeros below the axis are the exact conjugates of those above."""
     import numpy as np
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
-    n_th = max(4, cfg.angular_cells)
+    n_th, span = max(4, cfg.angular_cells), 2.0 * math.pi
+    if half:
+        n_th, span = -(-n_th // 2), math.pi
     # np.linspace's own arithmetic, without its overhead
     ue = np.arange(n_u + 1.0) * ((u_hi - u_lo) / n_u) + u_lo
-    te = np.arange(n_th + 1.0) * (2.0 * math.pi / n_th)
-    ue[-1], te[-1] = u_hi, 2.0 * math.pi
+    te = np.arange(n_th + 1.0) * (span / n_th)
+    ue[-1], te[-1] = u_hi, span
     cells = np.empty((n_u, n_th, 4))
     cells[..., 0], cells[..., 1] = ue[:-1, None], ue[1:, None]
     cells[..., 2], cells[..., 3] = te[:-1], te[1:]
@@ -370,8 +388,10 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center):
 def _adaptive_polar(parts, cfg: QuadratureConfig):
     """(masses, errors, cells_used, flags, converged) of each part.
 
-    A part is (base_fn, annulus, zero_points, t2, center), weighted as in
-    _cell_rule; a run's parts all carry a t2, or none does.  Each round
+    A part is (base_fn, annulus, zero_points, t2, center, half), weighted as
+    in _cell_rule; a run's parts all carry a t2, or none does.  A half part
+    (_upper_half) runs on the half grid, and its masses and errors come back
+    doubled; its cells and flag counts are the cells it evaluated.  Each round
     evaluates every unfinished cell, CHUNK_CELLS at a time, then accepts and
     splits them.  A part's cells stay contiguous, so its sums, floor and
     counts are its own.  The last weight drives refinement; a part's weights
@@ -379,7 +399,7 @@ def _adaptive_polar(parts, cfg: QuadratureConfig):
     import numpy as np
     if not parts:
         return []
-    grids = [_initial_grid(ann, cfg, zp, center) for _, ann, zp, _, center in parts]
+    grids = [_initial_grid(ann, cfg, zp, center, half) for _, ann, zp, _, center, half in parts]
     cells = np.concatenate([g[0] for g in grids])
     depth = np.concatenate([g[1] for g in grids])
     live = [(p, len(g[0])) for p, g in enumerate(grids)]   # (part, rows) in row order
@@ -439,9 +459,10 @@ def _adaptive_polar(parts, cfg: QuadratureConfig):
             cells, depth = _split_cells(cells[keep], depth[keep])
 
     kinds = ("max-depth-reached", "unresolved-singular-cell")
-    return [(masses.tolist(), errs.tolist(), n_used,
-             tuple(f"{kind}:{n}" for kind, n in zip(kinds, counts) if n), not any(counts))
-            for (errs, masses), n_used, counts in zip(sums, used, flag_counts.tolist())]
+    return [([m * (1 + half) for m in masses.tolist()], [e * (1 + half) for e in errs.tolist()],
+             n_used, tuple(f"{kind}:{n}" for kind, n in zip(kinds, counts) if n), not any(counts))
+            for (errs, masses), n_used, counts, (*_, half)
+            in zip(sums, used, flag_counts.tolist(), parts)]
 
 
 def _split_cells(cells, depth):
@@ -635,12 +656,12 @@ def _annulus_reports(jobs, c, chart, config):
         if reports[-1] is None:
             todo.append((len(reports) - 1, tail, (_base_fn(form, c, chart=chart), work,
                                                   [z.location_complex() for z in interior],
-                                                  None, 0j)))
+                                                  None, 0j, _upper_half(form, 0j, chart))))
 
     runs = _adaptive_polar([part for *_, part in todo], cfg) if todo else []
-    for (i, (mass, err, meta), _), (masses, errs, cells, flags, converged) in zip(todo, runs):
+    for (i, (mass, err, meta), part), (masses, errs, cells, flags, converged) in zip(todo, runs):
         reports[i] = _mass_report(mass + masses[0], err + errs[0], cells, flags, converged,
-                                  jobs[i][1], chart, c, meta)
+                                  jobs[i][1], chart, c, {**meta, **HALF_PLANE} if part[5] else meta)
     return reports
 
 
@@ -684,12 +705,13 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
         if div is None:
             todo.append((len(reports) - 1, t, (_base_fn(fib, c), domain,
                                                [z.location_complex() for z in zeros],
-                                               t_abs * t_abs, 0j)))
+                                               t_abs * t_abs, 0j, _upper_half(fib, 0j, "x"))))
 
     runs = _adaptive_polar([part for _, _, part in todo], cfg) if todo else []
     for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
         k_rep, i_rep, j_rep = (
-            _mass_report(masses[w], errs[w], cells, flags, converged, part[1], chart, c, {})
+            _mass_report(masses[w], errs[w], cells, flags, converged, part[1], chart, c,
+                         dict(HALF_PLANE) if part[5] else {})
             for w, chart in ((2, "density"), (0, "x"), (1, "y-via-x")))
         reports[i] = KReport(t=t, k_report=k_rep, i_report=i_rep, j_report=j_rep)
     return reports
@@ -932,7 +954,7 @@ def exponent_probe_1d(fiber, zeros, c: float,
     for z in centers:
         sep = min((abs(z - o) for o in others if o != z), default=math.inf)
         r_z = min(r0, sep / 4.0, abs(z) / 2.0 if form.pole_order else math.inf)
-        parts += [(base, Annulus(r, 2.0 * r), (), None, z)
+        parts += [(base, Annulus(r, 2.0 * r), (), None, z, _upper_half(form, z, "x"))
                   for r in (r_z * 2.0 ** (-j) for j in range(PROBE_ANNULI))]
     runs = list(zip(parts, _adaptive_polar(parts, cfg)))
     results = []

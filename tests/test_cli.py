@@ -333,6 +333,9 @@ class TestValuesBeginningWithAMinus:
         "exponent-t": ["exponent", "--f", "x^2*y", "--t", "-1/100"],
         "sweep-t-start": ["sweep", "--f", "x+y", "--c", "0.2", "--R", "0.5",
                           "--t-count", "1", "--t-start", "-1/100"],
+        # the unique prefix of --t-start, which argparse accepts as it
+        "sweep-t-st": ["sweep", "--f", "x+y", "--c", "0.2", "--R", "0.5",
+                       "--t-count", "1", "--t-st", "-1/100"],
         "sweep-t-ratio": ["sweep", "--f", "x+y", "--c", "0.2", "--R", "0.5",
                           "--t-count", "2", "--t-ratio", "-1/4"],
         "bound-t": ["bound", "--f", "x+y", "--c", "0.2", "--R", "0.5", "--t", "-1/100"],
@@ -354,6 +357,13 @@ class TestValuesBeginningWithAMinus:
         code, out, err = run_cli(self.ARGV["counterexample-s"], capsys)
         assert code == 1 and out == ""
         assert err == "error: s samples must be positive rationals; got s=Fraction(-1, 2)\n"
+
+    def test_an_ambiguous_prefix_is_still_an_error(self, capsys):
+        # --t- could be --t-start, --t-ratio or --t-count
+        code, out, err = run_cli(["sweep", "--f", "x+y", "--c", "0.2", "--R", "0.5",
+                                  "--t-", "-1/100"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ambiguous option: --t- could match ")
 
     def test_an_option_is_not_taken_as_a_value(self, capsys):
         code, _, err = run_cli(["exponent", "--f", "x", "--t", "--delta", "0.1"], capsys)

@@ -3,8 +3,12 @@
 The frozen_* functions below are the engine as it was before cells were evaluated on
 their tensor axes: 13 independent nodes per cell, each with its own complex
 exp, and every weight applied as a function of the node.  It is kept here,
-unchanged, as an oracle: the tensor-axis engine must take the same
-refinement decisions and give the same masses to rounding.
+unchanged but for the span and cell count of its angular grid, as an oracle:
+the tensor-axis engine must take the same refinement decisions and give the
+same masses to rounding.  A part whose integrand is symmetric under
+x -> conj(x) runs on the engine's half grid, theta in [0, pi] from
+ceil(n/2) angular cells, with its masses and errors doubled; the frozen
+engine lays the same grid and its sums are doubled for the comparison.
 """
 
 import math
@@ -12,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cselab import (
@@ -90,16 +94,37 @@ def frozen_split_cells(u0, u1, t0, t1, depth, mask, keep_only_split=False):
             np.concatenate([depth[keep], cd]))
 
 
-def frozen_adaptive_polar(base_fn, annulus, cfg, weight_fns=(frozen_unit_weight,),
+def grid_angle(cfg, half):
+    """(span, cells) of the angular grid: the full circle from n cells, or
+    for a half part [0, pi] from ceil(n/2)."""
+    n_th = max(4, cfg.angular_cells)
+    return (math.pi, -(-n_th // 2)) if half else (2.0 * math.pi, n_th)
+
+
+def doubled(run, half):
+    """A frozen run on the half grid as the engine reports it: masses and
+    errors doubled."""
+    masses, errs, *rest = run
+    k = 2 if half else 1
+    return ([k * m for m in masses], [k * e for e in errs], *rest)
+
+
+def real_numerator(fiber):
+    """Whether the fiber's numerator has real coefficients (about a real
+    centre the engine then takes the half grid)."""
+    return all(ci == 0 for _, ci in _as_form(fiber).numerator.nums)
+
+
+def frozen_adaptive_polar(base_fn, annulus, cfg, angle, weight_fns=(frozen_unit_weight,),
                           zero_points=(), center=0j):
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
-    n_th = max(4, cfg.angular_cells)
+    span, n_th = angle
 
     ue = np.linspace(u_lo, u_hi, n_u + 1, dtype=np.float64)
-    te = np.linspace(0.0, 2.0 * math.pi, n_th + 1, dtype=np.float64)
+    te = np.linspace(0.0, span, n_th + 1, dtype=np.float64)
     u0 = np.repeat(ue[:-1], n_th)
     u1 = np.repeat(ue[1:], n_th)
     t0 = np.tile(te[:-1], n_u)
@@ -184,7 +209,8 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, weight_fns=(frozen_unit_weight,
 
 
 def frozen_K(f, t, c, radius, cfg):
-    """(masses, errors, cells, flags, converged) of I, J and K at t != 0."""
+    """(masses, errors, cells, flags, converged) of I, J and K at t != 0,
+    and whether the fiber's numerator is real."""
     tt = exact_param(t)
     t_abs = param_modulus(tt)
     fib = substitute_fiber(f, t)
@@ -199,11 +225,13 @@ def frozen_K(f, t, c, radius, cfg):
         ax2 = np.abs(x) ** 2
         return (ax2 + t2 / ax2) / ax2
 
+    half = real_numerator(fib)
     with np.errstate(all="ignore"):
-        return frozen_adaptive_polar(
+        run = frozen_adaptive_polar(
             frozen_base_fn(fib, c), Annulus(t_abs / radius, radius), cfg,
-            weight_fns=(frozen_unit_weight, w_j, w_k),
+            grid_angle(cfg, half), weight_fns=(frozen_unit_weight, w_j, w_k),
             zero_points=[z.location_complex() for z in zeros])
+    return doubled(run, half), half
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +300,20 @@ def test_K_takes_the_frozen_engines_decisions(germ, q, kind, c_share, radius, to
     k = kr.k_report
     new = ([r.value for r in reports], [r.error_estimate for r in reports],
            k.cells_used, k.refinement_flags, k.converged)
-    assert_same_run(new, frozen_K(f, t, c, radius, cfg))
+    old, half = frozen_K(f, t, c, radius, cfg)
+    assert_same_run(new, old)
+    for r in reports:
+        assert r.meta.get("angle") == ("upper half, doubled" if half else None)
+
+
+@pytest.mark.parametrize("text, real", [("y^2 - x^3", True), ("x^2 - y^2", True),
+                                        ("(x + y)^2", False), ("x + y", False),
+                                        ("y^3 - x^5", False)])
+def test_an_imaginary_t_keeps_both_paths_live(text, real):
+    # at t = i/q the numerators of the cusp and the node stay real (t^2 is
+    # real), so the oracle cases above exercise the half and the full grid
+    fib = substitute_fiber(parse_expression(text), t_value(1000, "imaginary"))
+    assert real_numerator(fib) == real
 
 
 gaussian_roots = st.builds(
@@ -284,6 +325,9 @@ gaussian_roots = st.builds(
 @given(roots=st.lists(gaussian_roots, min_size=1, max_size=3), which=st.integers(0, 2),
        c=st.floats(0.05, 0.45), r=st.floats(1e-4, 0.05),
        tol=st.sampled_from([1e-3, 1e-5]))
+# real roots about a real centre: the half grid
+@example(roots=[GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-3, 8))],
+         which=0, c=0.3, r=0.01, tol=1e-5)
 def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c, r,
                                                                  tol):
     # a multiplicity probe's annulus A(r, 2r) about one root of prod (z - a_k)
@@ -291,27 +335,30 @@ def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c
     for a in roots:
         fiber = fiber * UnivariatePoly([-a, 1])
     center = roots[which % len(roots)].to_complex()
+    half = real_numerator(fiber) and center.imag == 0
     cfg = QuadratureConfig(target_rel_tolerance=tol)
     ann = Annulus(r, 2.0 * r)
-    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None, center)], cfg)[0]
+    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None, center, half)], cfg)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, c), ann, cfg,
-                                    center=center)
-    assert_same_run(new, old)
+                                    grid_angle(cfg, half), center=center)
+    assert_same_run(new, doubled(old, half))
 
 
 def triple_zero_runs():
-    """(engine, frozen engine) about a triple zero at the centre.
+    """(engine, frozen engine) about a triple zero at the centre, on the half
+    grid since z^3 is real.
 
     The integrand is radial there, so a cell's 2x2 and 3x3 sums agree to
     5e-11 of its mass and the error estimate is mostly cancellation."""
     fiber = UnivariatePoly([0, 0, 0, 1])
     cfg = QuadratureConfig(target_rel_tolerance=1e-3)
     ann = Annulus(0.03125, 0.0625)
-    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None, 0j)], cfg)[0]
+    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None, 0j, True)], cfg)[0]
     with np.errstate(all="ignore"):
-        old = frozen_adaptive_polar(frozen_base_fn(fiber, 0.3125), ann, cfg)
-    return new, old
+        old = frozen_adaptive_polar(frozen_base_fn(fiber, 0.3125), ann, cfg,
+                                    grid_angle(cfg, True))
+    return new, doubled(old, True)
 
 
 def test_a_triple_zero_at_the_centre_takes_the_frozen_engines_decisions():
@@ -321,9 +368,9 @@ def test_a_triple_zero_at_the_centre_takes_the_frozen_engines_decisions():
 
 
 def test_a_triple_zero_at_the_centre_has_the_frozen_error_estimate():
-    # the two engines round the cell sums apart: their estimates here are
-    # 1.5032230e-10 and 1.5032199e-10, 2e-6 relative and 3.1e-16 absolute
-    # apart, against a rounding floor of 4.2e-14 on a mass of 2.95
+    # the two engines round the cell sums apart: their (doubled) estimates
+    # here are 1.5032228e-10 and 1.5032198e-10, 2e-6 relative and 3.1e-16
+    # absolute apart, against a rounding floor of 4.2e-14 on a mass of 2.95
     new, old = triple_zero_runs()
     assert_same_errors(new[1], old[0], old[1])
 
@@ -356,10 +403,11 @@ def pinned_base(node):
 
 @pytest.mark.parametrize("k", [0, 3, 4, 8, 12])   # coarse 0 and 3, fine 4, 8, 12
 def test_one_infinite_node_takes_the_frozen_engines_decisions(k):
+    # the pinned node has no mirror image, so the part takes the full circle
     base = pinned_base(first_cell_node(k))
-    new = _adaptive_polar([(base, PIN_ANNULUS, (), None, 0j)], PIN_CFG)[0]
+    new = _adaptive_polar([(base, PIN_ANNULUS, (), None, 0j, False)], PIN_CFG)[0]
     with np.errstate(all="ignore"):
-        old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG)
+        old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG, grid_angle(PIN_CFG, False))
     assert_same_run(new, old)
     assert new[4] and math.isfinite(new[0][0])
 

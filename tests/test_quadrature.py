@@ -27,7 +27,7 @@ from cselab import (
     uniform_bound_check,
     young_combine,
 )
-from cselab import degeneration
+from cselab import degeneration, quadrature
 from cselab.polynomials import squarefree_decomposition
 from cselab.quadrature import _AXIS, _G2, _G3, _NODE_T, _NODE_U
 
@@ -589,3 +589,71 @@ class TestExponentProbe:
     def test_guards(self):
         with pytest.raises(ValueError):
             exponent_probe_1d(z_poly(0, 1), [0.0], 0.0, CFG)
+
+
+class TestUpperHalfPlane:
+    """A part symmetric under x -> conj(x) is integrated over theta in [0, pi]
+    and doubled; every other part runs on the full circle."""
+
+    T_IMAG = GaussianRational(0, Fraction(1, 1000))
+
+    @pytest.mark.parametrize("text, t, center, chart, half", [
+        ("y^2 - x^3", Fraction(1, 1000), 0j, "x", True),
+        ("y^2 - x^3", Fraction(-1, 1000), 0j, "y", True),
+        ("y^2 - x^3", Fraction(1, 1000), 0.5j, "x", False),   # a centre off the axis
+        ("y^2 - x^3", T_IMAG, 0j, "x", True),                 # t^2 is real
+        ("y^2 - x^3", T_IMAG, 0j, "y", False),                # x = t/y is not
+        ("(x + y)^2", T_IMAG, 0j, "x", False),
+        ("x + y", Fraction(1, 100), 0.25 + 0j, "x", True),
+    ])
+    def test_the_condition(self, text, t, center, chart, half):
+        form = substitute_fiber(parse_expression(text), t)
+        assert quadrature._upper_half(form, center, chart) is half
+
+    @pytest.mark.parametrize("text, c, values, cells", [
+        # the full-circle engine's reports (I, J, K) before the half-plane path
+        ("(x + y)^2", 0.3, [(4.2734606681587195, 0.0006743106699558291),
+                            (4.2734606681587195, 0.000674310669956192),
+                            (8.546921336317444, 0.0011790097271592945)], 344),
+        ("y^3 - x^5", 0.15, [(6.042736633434045, 0.0013806241886340997),
+                             (2.6309555699669422, 0.00012257218868846705),
+                             (8.673692203400984, 0.0014644483384679205)], 152),
+    ])
+    def test_a_non_real_numerator_runs_as_before(self, text, c, values, cells):
+        kr = fiber_integral_K(parse_expression(text), self.T_IMAG, c, 0.5)
+        reports = (kr.i_report, kr.j_report, kr.k_report)
+        assert [(r.value, r.error_estimate) for r in reports] == values
+        for r in reports:
+            assert (r.cells_used, r.refinement_flags, r.meta) == (cells, (), {})
+
+    def test_a_real_fiber_reports_the_half_plane(self):
+        kr = fiber_integral_K(parse_expression("y^2 - x^3"), Fraction(1, 1000), 0.2, 0.5)
+        for r in (kr.i_report, kr.j_report, kr.k_report):
+            assert r.meta == {"angle": "upper half, doubled"}
+        rep = annulus_integral(substitute_fiber(X + Y, Fraction(1, 100)), 0.3,
+                               Annulus(0.05, 0.5), chart="y")
+        assert rep.meta == {"angle": "upper half, doubled"}
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_an_even_half_grid_is_the_upper_full_grid(self, n):
+        cfg = QuadratureConfig(angular_cells=n)
+        ann = Annulus(0.01, 0.5)
+        half, _ = quadrature._initial_grid(ann, cfg, (), 0j, True)
+        full, _ = quadrature._initial_grid(ann, cfg, (), 0j, False)
+        full = full.reshape(-1, n, 4)[:, :n // 2].reshape(-1, 4)
+        assert half.tolist() == full.tolist()
+
+    def test_an_odd_cell_count_rounds_up(self):
+        cfg = QuadratureConfig(angular_cells=5)
+        cells, _ = quadrature._initial_grid(Annulus(0.01, 0.5), cfg, (), 0j, True)
+        edges = sorted(set(cells[:, 2].tolist() + cells[:, 3].tolist()))
+        assert edges == pytest.approx([0, math.pi / 3, 2 * math.pi / 3, math.pi], abs=1e-15)
+        assert edges[-1] == math.pi
+
+    def test_a_doubled_mass_past_the_float_range_is_flagged(self):
+        # |1e-300|^(-1) over A(1, 8920): the half plane holds 1.25e308, the
+        # circle 2.5e308; the doubling raises no RuntimeWarning (an error here)
+        rep = annulus_integral(z_poly(Fraction(1, 10 ** 300)), 0.5, Annulus(1.0, 8920.0))
+        assert rep.meta == {"angle": "upper half, doubled"}
+        assert (rep.value, rep.converged) == (math.inf, False)
+        assert rep.refinement_flags == ("float-overflow",)
