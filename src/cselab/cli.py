@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 _QUAD_OPTS = (   # option, type, help, QuadratureConfig field
     ("--radial-cells", int, "radial cells per decade", "radial_cells_per_decade"),
-    ("--angular-cells", int, "angular cells (real fiber: ceil(n/2), half-plane)", "angular_cells"),
+    ("--angular-cells", int, "angular cells (ceil(n/m) on a sector of 2pi/m)", "angular_cells"),
     ("--max-depth", int, "max dyadic refinement depth", "max_refinement_depth"),
     ("--tolerance", float, "per-cell relative tolerance", "target_rel_tolerance"),
 )

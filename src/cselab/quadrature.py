@@ -22,10 +22,13 @@ chart coordinate, and otherwise over |w| < rho with a bounded tail, the
 engine taking only A(rho, R).  A disc whose centre makes 2 - 2cv <= 0 is
 reported divergent.
 
-A real fiber about a real centre (on the y chart, at a real t) is symmetric
-under x -> conj(x): it is integrated over the upper half-plane from ceil(n/2)
-initial angular cells and doubled, with meta["angle"] set; cells_used and the
-flag counts count the cells evaluated.  Any other input takes the full circle.
+A part is integrated over one sector of its symmetry group (_symmetry), of
+order m: about 0, a numerator x^j P(x^k) is invariant under x -> wx with
+w^k = 1, and a real fiber about a real centre (on the y chart, at a real t)
+under x -> conj(x) as well, which doubles m.  The sector theta in [0, 2pi/m]
+gets ceil(n/m) initial angular cells and its masses are multiplied by m, with
+meta["angle"] set; cells_used and the flag counts count the cells evaluated.
+A part with m = 1 takes the full circle.
 
 An operation is one run of the engine: the rows of a sweep, the t != 0
 samples of a bound, every probed zero's annuli, the annuli of the I_t
@@ -64,7 +67,6 @@ PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
 # 128 KiB mmap threshold, so the temporaries come from the heap (on a 2-CPU
 # x86-64 host 0.7 us a cell, against 1.0-1.2 us in blocks of 2048-4096)
 CHUNK_CELLS = 512
-HALF_PLANE = {"angle": "upper half, doubled"}   # meta of a report from the half grid
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +77,9 @@ HALF_PLANE = {"angle": "upper half, doubled"}   # meta of a report from the half
 class QuadratureConfig:
     """The four knobs of the adaptive scheme.
 
-    radial_cells_per_decade and angular_cells size the initial grid, a real
-    fiber taking ceil(angular_cells/2) over the upper half-plane;
+    radial_cells_per_decade and angular_cells size the initial grid, a part
+    with a symmetry group of order m taking ceil(angular_cells/m) over its
+    sector of 2pi/m;
     max_refinement_depth caps dyadic splitting; target_rel_tolerance is the
     per-cell threshold on the disagreement of the 2x2 and 3x3 Gauss rules.
     """
@@ -339,27 +342,41 @@ def _segments(parts, spans, lo, hi):
             for p, a, b in spans if a < hi and b > lo]
 
 
-def _upper_half(form: LaurentForm, center, chart: str) -> bool:
-    """Whether |f|^(-2c) about center is symmetric under x -> conj(x): a real
-    numerator, a real centre and, on the y chart (x = t/y), a real t."""
-    return (not any(ci for _, ci in form.numerator.nums) and center.imag == 0
-            and (chart == "x" or form.t.is_real()))
+def _symmetry(form: LaurentForm, center, chart: str):
+    """(k, m) of |f|^(-2c) and its radial weights about center.  About 0
+    they are invariant under x -> wx for w^k = 1, k the gcd of the gaps
+    between the exponents of the numerator's nonzero terms (on the y chart,
+    x = t/y, the map y -> conj(w) y is the same); k is 1 for a monomial and
+    about any other centre.  m, the order of their symmetry group, is 2k when
+    x -> conj(x) keeps them too (a real numerator, a real centre and, on the
+    y chart, a real t), else k."""
+    exps = [j for j, (cr, ci) in enumerate(form.numerator.nums) if cr or ci]
+    k = (math.gcd(*(j - exps[0] for j in exps)) or 1) if center == 0 else 1
+    mirror = (not any(ci for _, ci in form.numerator.nums) and center.imag == 0
+              and (chart == "x" or form.t.is_real()))
+    return k, k * (1 + mirror)
 
 
-def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, half):
+def _sector_meta(m):
+    """The meta of a report from the sector grid of a group of order m."""
+    return {"angle": f"1/{m} of the circle, times {m}"} if m > 1 else {}
+
+
+def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, k, m):
     """The cells (u0, u1, theta0, theta1) and depths of an annulus's initial
     grid, with the cells that contain a detected zero split twice, so
-    singular regions are refined before the tolerance test sees them.  A
-    half grid spans theta in [0, pi] with ceil(n/2) angular cells; a real
-    numerator's zeros below the axis are the exact conjugates of those above."""
+    singular regions are refined before the tolerance test sees them.  The
+    grid spans the sector theta in [0, 2pi/m] of a symmetry group (k, m)
+    (_symmetry) with ceil(n/m) angular cells, and each zero's angle is folded
+    into it: mod 2pi/k, then into [0, pi/k] when m = 2k, so that every orbit
+    of zeros marks the sector even where atan2 puts its member an ulp past
+    the far edge."""
     import numpy as np
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
-    n_th, span = max(4, cfg.angular_cells), 2.0 * math.pi
-    if half:
-        n_th, span = -(-n_th // 2), math.pi
+    n_th, span, turn = -(-max(4, cfg.angular_cells) // m), 2.0 * math.pi / m, 2.0 * math.pi / k
     # np.linspace's own arithmetic, without its overhead
     ue = np.arange(n_u + 1.0) * ((u_hi - u_lo) / n_u) + u_lo
     te = np.arange(n_th + 1.0) * (span / n_th)
@@ -371,9 +388,11 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, 
     depth = np.zeros(len(cells), dtype=np.int32)
 
     zs = [complex(z) - complex(center) for z in zero_points]
-    zs = np.array([(math.log(abs(z)), math.atan2(z.imag, z.real) % (2.0 * math.pi))
+    zs = np.array([(math.log(abs(z)), math.atan2(z.imag, z.real) % turn)
                    for z in zs if abs(z) > 0]).reshape(-1, 2)
     uz, tz = zs[:, :1], zs[:, 1:]
+    if m > k:   # x -> conj(x) maps theta in [pi/k, 2pi/k] onto [0, pi/k]
+        tz = np.minimum(tz, turn - tz)
     for _ in range(2 if len(zs) else 0):
         u0, u1, t0, t1 = cells.T
         hit = ((u0 <= uz) & (uz <= u1) & (t0 <= tz) & (tz <= t1)).any(axis=0)
@@ -388,18 +407,18 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, 
 def _adaptive_polar(parts, cfg: QuadratureConfig):
     """(masses, errors, cells_used, flags, converged) of each part.
 
-    A part is (base_fn, annulus, zero_points, t2, center, half), weighted as
-    in _cell_rule; a run's parts all carry a t2, or none does.  A half part
-    (_upper_half) runs on the half grid, and its masses and errors come back
-    doubled; its cells and flag counts are the cells it evaluated.  Each round
-    evaluates every unfinished cell, CHUNK_CELLS at a time, then accepts and
-    splits them.  A part's cells stay contiguous, so its sums, floor and
+    A part is (base_fn, annulus, zero_points, t2, center, k, m), weighted as
+    in _cell_rule; a run's parts all carry a t2, or none does.  A part runs on
+    the sector grid of its symmetry group (k, m) (_symmetry), and its masses
+    and errors come back times m; its cells and flag counts are the cells it
+    evaluated.  Each round evaluates every unfinished cell, CHUNK_CELLS at a
+    time, then accepts and splits them.  A part's cells stay contiguous, so its sums, floor and
     counts are its own.  The last weight drives refinement; a part's weights
     share its grid, so linear identities between them hold to rounding."""
     import numpy as np
     if not parts:
         return []
-    grids = [_initial_grid(ann, cfg, zp, center, half) for _, ann, zp, _, center, half in parts]
+    grids = [_initial_grid(ann, cfg, zp, center, k, m) for _, ann, zp, _, center, k, m in parts]
     cells = np.concatenate([g[0] for g in grids])
     depth = np.concatenate([g[1] for g in grids])
     live = [(p, len(g[0])) for p, g in enumerate(grids)]   # (part, rows) in row order
@@ -459,9 +478,9 @@ def _adaptive_polar(parts, cfg: QuadratureConfig):
             cells, depth = _split_cells(cells[keep], depth[keep])
 
     kinds = ("max-depth-reached", "unresolved-singular-cell")
-    return [([m * (1 + half) for m in masses.tolist()], [e * (1 + half) for e in errs.tolist()],
+    return [([m * v for v in masses.tolist()], [m * e for e in errs.tolist()],
              n_used, tuple(f"{kind}:{n}" for kind, n in zip(kinds, counts) if n), not any(counts))
-            for (errs, masses), n_used, counts, (*_, half)
+            for (errs, masses), n_used, counts, (*_, m)
             in zip(sums, used, flag_counts.tolist(), parts)]
 
 
@@ -656,12 +675,12 @@ def _annulus_reports(jobs, c, chart, config):
         if reports[-1] is None:
             todo.append((len(reports) - 1, tail, (_base_fn(form, c, chart=chart), work,
                                                   [z.location_complex() for z in interior],
-                                                  None, 0j, _upper_half(form, 0j, chart))))
+                                                  None, 0j, *_symmetry(form, 0j, chart))))
 
     runs = _adaptive_polar([part for *_, part in todo], cfg) if todo else []
     for (i, (mass, err, meta), part), (masses, errs, cells, flags, converged) in zip(todo, runs):
         reports[i] = _mass_report(mass + masses[0], err + errs[0], cells, flags, converged,
-                                  jobs[i][1], chart, c, {**meta, **HALF_PLANE} if part[5] else meta)
+                                  jobs[i][1], chart, c, {**meta, **_sector_meta(part[6])})
     return reports
 
 
@@ -705,13 +724,13 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
         if div is None:
             todo.append((len(reports) - 1, t, (_base_fn(fib, c), domain,
                                                [z.location_complex() for z in zeros],
-                                               t_abs * t_abs, 0j, _upper_half(fib, 0j, "x"))))
+                                               t_abs * t_abs, 0j, *_symmetry(fib, 0j, "x"))))
 
     runs = _adaptive_polar([part for _, _, part in todo], cfg) if todo else []
     for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
         k_rep, i_rep, j_rep = (
             _mass_report(masses[w], errs[w], cells, flags, converged, part[1], chart, c,
-                         dict(HALF_PLANE) if part[5] else {})
+                         _sector_meta(part[6]))
             for w, chart in ((2, "density"), (0, "x"), (1, "y-via-x")))
         reports[i] = KReport(t=t, k_report=k_rep, i_report=i_rep, j_report=j_rep)
     return reports
@@ -890,9 +909,14 @@ def growth_trend(rows) -> bool:
     slopes that persist or grow as t shrinks (log or power blowup), while a
     bounded approach has geometrically decaying slopes.  rows are SweepRow
     records sorted by decreasing |t|; a t = 0 row has no log |t| and is
-    left out of the tail.
+    left out of the tail, and rows of one |t| count once, by their largest K_t.
     """
-    tail = [r for r in rows if param_modulus(r.t) > 0][-4:]
+    at = {}
+    for r in rows:
+        a = param_modulus(r.t)
+        if a > 0 and (a not in at or r.k_t > at[a].k_t):
+            at[a] = r
+    tail = list(at.values())[-4:]
     if len(tail) < 3:
         return False
     slopes = []
@@ -954,7 +978,7 @@ def exponent_probe_1d(fiber, zeros, c: float,
     for z in centers:
         sep = min((abs(z - o) for o in others if o != z), default=math.inf)
         r_z = min(r0, sep / 4.0, abs(z) / 2.0 if form.pole_order else math.inf)
-        parts += [(base, Annulus(r, 2.0 * r), (), None, z, _upper_half(form, z, "x"))
+        parts += [(base, Annulus(r, 2.0 * r), (), None, z, *_symmetry(form, z, "x"))
                   for r in (r_z * 2.0 ** (-j) for j in range(PROBE_ANNULI))]
     runs = list(zip(parts, _adaptive_polar(parts, cfg)))
     results = []

@@ -31,7 +31,7 @@ from cselab import (
 )
 from cselab import quadrature
 from cselab.cli import main
-from cselab.quadrature import PROBE_ANNULI, _adaptive_polar, _base_fn, _upper_half
+from cselab.quadrature import PROBE_ANNULI, _adaptive_polar, _base_fn, _symmetry
 from cselab.rationals import exact_param, param_modulus
 
 # the corpus germs with their central exponents c_0
@@ -61,8 +61,8 @@ def build_part(spec):
     A(|t|/R, R) of the germ's fiber with the weight t^2, at c = c_share * c_0.
     ("A", roots, c, r_in, r_out, chart, center) is prod (z - a) over
     A(r_in, r_out) about center with no weight, in the y chart evaluated at
-    x = t/y.  A part with a real numerator about a real centre runs on the half
-    grid (_upper_half), so a run may mix half and full parts."""
+    x = t/y.  A part runs on the sector grid of its symmetry group
+    (_symmetry), so a run may mix sectors of different orders."""
     if spec[0] == "K":
         _, germ, q, kind, c_share, radius = spec
         text, c0 = GERMS[germ]
@@ -73,7 +73,7 @@ def build_part(spec):
         zeros = fiber_zeros(fib, tt, delta=radius)
         return (_base_fn(fib, float(c0) * c_share), Annulus(t_abs / radius, radius),
                 [z.location_complex() for z in zeros], t_abs * t_abs, 0j,
-                _upper_half(fib, 0j, "x"))
+                *_symmetry(fib, 0j, "x"))
     _, roots, c, r_in, r_out, chart, center = spec
     fiber = UnivariatePoly([1])
     for re, im in roots:
@@ -83,7 +83,7 @@ def build_part(spec):
         zs = [float(Y_CHART_T) / z for z in zs if z]
     form = LaurentForm(fiber, 0, Y_CHART_T)
     return (_base_fn(form, c, chart=chart), Annulus(r_in, r_out), zs, None, center,
-            _upper_half(form, center, chart))
+            *_symmetry(form, center, chart))
 
 
 k_specs = st.tuples(st.just("K"), st.integers(0, len(GERMS) - 1), st.integers(20, 10 ** 6),

@@ -245,6 +245,15 @@ class TestBoundCommand:
         assert [r["t"] for r in data["rows"]] == ["1/100", "1/400", 0]
         assert data["growth_flag"] is False
 
+    def test_samples_of_equal_modulus(self, capsys):
+        code, out, _ = run_cli(["bound", "--f", "x^2-y^2", "--c", "0.2", "--R", "0.5",
+                                "--t", "1/100", "--t", "-1/100", "--t", "1/400",
+                                "--t", "1/1600"], capsys)
+        assert code == 0
+        data = json.loads(out)["bound"]
+        assert [r["t"] for r in data["rows"]] == ["1/100", "-1/100", "1/400", "1/1600"]
+        assert data["growth_flag"] is False
+
     def test_an_overflowing_k_is_a_flagged_bound(self, capsys):
         code, out, _ = run_cli(["bound", "--f", "x + y", "--c", "1e-6", "--R", "1e154",
                                 "--t", "1/100"], capsys)

@@ -3,12 +3,14 @@
 The frozen_* functions below are the engine as it was before cells were evaluated on
 their tensor axes: 13 independent nodes per cell, each with its own complex
 exp, and every weight applied as a function of the node.  It is kept here,
-unchanged but for the span and cell count of its angular grid, as an oracle:
-the tensor-axis engine must take the same refinement decisions and give the
-same masses to rounding.  A part whose integrand is symmetric under
-x -> conj(x) runs on the engine's half grid, theta in [0, pi] from
-ceil(n/2) angular cells, with its masses and errors doubled; the frozen
-engine lays the same grid and its sums are doubled for the comparison.
+unchanged but for its angular grid, as an oracle: the tensor-axis engine
+must take the same refinement decisions and give the same masses to
+rounding.  A part whose integrand has a symmetry group (k, m) (rotations by
+2pi/k, and x -> conj(x) as well when m = 2k) runs on the engine's sector
+grid, theta in [0, 2pi/m] from ceil(n/m) angular cells, with each zero's
+angle folded into the sector and its masses and errors times m; the frozen
+engine lays the same grid, folds the zeros the same way, and its sums are
+multiplied by m for the comparison.
 """
 
 import math
@@ -94,25 +96,48 @@ def frozen_split_cells(u0, u1, t0, t1, depth, mask, keep_only_split=False):
             np.concatenate([depth[keep], cd]))
 
 
-def grid_angle(cfg, half):
-    """(span, cells) of the angular grid: the full circle from n cells, or
-    for a half part [0, pi] from ceil(n/2)."""
+def grid_angle(cfg, k, m):
+    """(span, cells, fold) of the angular grid of a symmetry group (k, m):
+    the sector [0, 2pi/m] from ceil(n/m) cells (the full circle from n when
+    m = 1), and the fold of a zero's angle into it, mod 2pi/k and then, when
+    m = 2k, into [0, pi/k]."""
     n_th = max(4, cfg.angular_cells)
-    return (math.pi, -(-n_th // 2)) if half else (2.0 * math.pi, n_th)
+    turn = 2.0 * math.pi / k
+
+    def fold(theta):
+        theta %= turn
+        return min(theta, turn - theta) if m == 2 * k else theta
+    return 2.0 * math.pi / m, -(-n_th // m), fold
 
 
-def doubled(run, half):
-    """A frozen run on the half grid as the engine reports it: masses and
-    errors doubled."""
+def scaled(run, m):
+    """A frozen run on a sector grid as the engine reports it: masses and
+    errors times m."""
     masses, errs, *rest = run
-    k = 2 if half else 1
-    return ([k * m for m in masses], [k * e for e in errs], *rest)
+    return ([m * v for v in masses], [m * e for e in errs], *rest)
 
 
 def real_numerator(fiber):
     """Whether the fiber's numerator has real coefficients (about a real
-    centre the engine then takes the half grid)."""
+    centre the engine then folds x -> conj(x) as well)."""
     return all(ci == 0 for _, ci in _as_form(fiber).numerator.nums)
+
+
+def symmetry(fiber, center=0j):
+    """(k, m) of the fiber's integrand about center, read off its numerator:
+    k is the gcd of the gaps between the exponents of its nonzero terms about
+    0 (1 for a monomial, and about any other centre), and m is 2k when the
+    numerator and the centre are real, else k."""
+    nums = _as_form(fiber).numerator.nums
+    exps = [j for j, (re, im) in enumerate(nums) if re or im]
+    k = math.gcd(*(b - a for a, b in zip(exps, exps[1:]))) if center == 0 else 0
+    k = max(k, 1)
+    return k, 2 * k if real_numerator(fiber) and complex(center).imag == 0 else k
+
+
+def sector_meta(m):
+    """The "angle" meta the engine gives a report from a sector of order m."""
+    return None if m == 1 else f"1/{m} of the circle, times {m}"
 
 
 def frozen_adaptive_polar(base_fn, annulus, cfg, angle, weight_fns=(frozen_unit_weight,),
@@ -121,7 +146,7 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, angle, weight_fns=(frozen_unit_
     u_hi = math.log(annulus.r_outer)
     decades = (u_hi - u_lo) / math.log(10.0)
     n_u = max(4, int(math.ceil(decades * cfg.radial_cells_per_decade)))
-    span, n_th = angle
+    span, n_th, fold = angle
 
     ue = np.linspace(u_lo, u_hi, n_u + 1, dtype=np.float64)
     te = np.linspace(0.0, span, n_th + 1, dtype=np.float64)
@@ -132,8 +157,7 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, angle, weight_fns=(frozen_unit_
     depth = np.zeros(u0.size, dtype=np.int32)
 
     zs = [complex(z) - complex(center) for z in zero_points]
-    zs = [(math.log(abs(z)), math.atan2(z.imag, z.real) % (2.0 * math.pi))
-          for z in zs if abs(z) > 0]
+    zs = [(math.log(abs(z)), fold(math.atan2(z.imag, z.real))) for z in zs if abs(z) > 0]
     for _ in range(2):
         if not zs:
             break
@@ -210,7 +234,7 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, angle, weight_fns=(frozen_unit_
 
 def frozen_K(f, t, c, radius, cfg):
     """(masses, errors, cells, flags, converged) of I, J and K at t != 0,
-    and whether the fiber's numerator is real."""
+    and the symmetry group (k, m) of the fiber's integrand."""
     tt = exact_param(t)
     t_abs = param_modulus(tt)
     fib = substitute_fiber(f, t)
@@ -225,13 +249,13 @@ def frozen_K(f, t, c, radius, cfg):
         ax2 = np.abs(x) ** 2
         return (ax2 + t2 / ax2) / ax2
 
-    half = real_numerator(fib)
+    k, m = symmetry(fib)
     with np.errstate(all="ignore"):
         run = frozen_adaptive_polar(
             frozen_base_fn(fib, c), Annulus(t_abs / radius, radius), cfg,
-            grid_angle(cfg, half), weight_fns=(frozen_unit_weight, w_j, w_k),
+            grid_angle(cfg, k, m), weight_fns=(frozen_unit_weight, w_j, w_k),
             zero_points=[z.location_complex() for z in zeros])
-    return doubled(run, half), half
+    return scaled(run, m), (k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +324,10 @@ def test_K_takes_the_frozen_engines_decisions(germ, q, kind, c_share, radius, to
     k = kr.k_report
     new = ([r.value for r in reports], [r.error_estimate for r in reports],
            k.cells_used, k.refinement_flags, k.converged)
-    old, half = frozen_K(f, t, c, radius, cfg)
+    old, (_, m) = frozen_K(f, t, c, radius, cfg)
     assert_same_run(new, old)
     for r in reports:
-        assert r.meta.get("angle") == ("upper half, doubled" if half else None)
+        assert r.meta.get("angle") == sector_meta(m)
 
 
 @pytest.mark.parametrize("text, real", [("y^2 - x^3", True), ("x^2 - y^2", True),
@@ -311,7 +335,8 @@ def test_K_takes_the_frozen_engines_decisions(germ, q, kind, c_share, radius, to
                                         ("y^3 - x^5", False)])
 def test_an_imaginary_t_keeps_both_paths_live(text, real):
     # at t = i/q the numerators of the cusp and the node stay real (t^2 is
-    # real), so the oracle cases above exercise the half and the full grid
+    # real), so the oracle cases above exercise dihedral sectors (m = 2k) and
+    # cyclic ones (m = k) at every kind of t
     fib = substitute_fiber(parse_expression(text), t_value(1000, "imaginary"))
     assert real_numerator(fib) == real
 
@@ -325,7 +350,7 @@ gaussian_roots = st.builds(
 @given(roots=st.lists(gaussian_roots, min_size=1, max_size=3), which=st.integers(0, 2),
        c=st.floats(0.05, 0.45), r=st.floats(1e-4, 0.05),
        tol=st.sampled_from([1e-3, 1e-5]))
-# real roots about a real centre: the half grid
+# real roots about a real centre: x -> conj(x) is folded
 @example(roots=[GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-3, 8))],
          which=0, c=0.3, r=0.01, tol=1e-5)
 def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c, r,
@@ -335,30 +360,30 @@ def test_probe_about_a_centre_takes_the_frozen_engines_decisions(roots, which, c
     for a in roots:
         fiber = fiber * UnivariatePoly([-a, 1])
     center = roots[which % len(roots)].to_complex()
-    half = real_numerator(fiber) and center.imag == 0
+    k, m = symmetry(fiber, center)
     cfg = QuadratureConfig(target_rel_tolerance=tol)
     ann = Annulus(r, 2.0 * r)
-    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None, center, half)], cfg)[0]
+    new = _adaptive_polar([(_base_fn(fiber, c), ann, (), None, center, k, m)], cfg)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, c), ann, cfg,
-                                    grid_angle(cfg, half), center=center)
-    assert_same_run(new, doubled(old, half))
+                                    grid_angle(cfg, k, m), center=center)
+    assert_same_run(new, scaled(old, m))
 
 
 def triple_zero_runs():
     """(engine, frozen engine) about a triple zero at the centre, on the half
-    grid since z^3 is real.
+    plane since z^3 is real (a monomial takes k = 1).
 
     The integrand is radial there, so a cell's 2x2 and 3x3 sums agree to
     5e-11 of its mass and the error estimate is mostly cancellation."""
     fiber = UnivariatePoly([0, 0, 0, 1])
     cfg = QuadratureConfig(target_rel_tolerance=1e-3)
     ann = Annulus(0.03125, 0.0625)
-    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None, 0j, True)], cfg)[0]
+    new = _adaptive_polar([(_base_fn(fiber, 0.3125), ann, (), None, 0j, 1, 2)], cfg)[0]
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(frozen_base_fn(fiber, 0.3125), ann, cfg,
-                                    grid_angle(cfg, True))
-    return new, doubled(old, True)
+                                    grid_angle(cfg, 1, 2))
+    return new, scaled(old, 2)
 
 
 def test_a_triple_zero_at_the_centre_takes_the_frozen_engines_decisions():
@@ -405,9 +430,9 @@ def pinned_base(node):
 def test_one_infinite_node_takes_the_frozen_engines_decisions(k):
     # the pinned node has no mirror image, so the part takes the full circle
     base = pinned_base(first_cell_node(k))
-    new = _adaptive_polar([(base, PIN_ANNULUS, (), None, 0j, False)], PIN_CFG)[0]
+    new = _adaptive_polar([(base, PIN_ANNULUS, (), None, 0j, 1, 1)], PIN_CFG)[0]
     with np.errstate(all="ignore"):
-        old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG, grid_angle(PIN_CFG, False))
+        old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG, grid_angle(PIN_CFG, 1, 1))
     assert_same_run(new, old)
     assert new[4] and math.isfinite(new[0][0])
 

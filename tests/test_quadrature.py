@@ -515,6 +515,17 @@ class TestUniformBound:
         with pytest.raises(ValueError):
             uniform_bound_check(X + Y, 0.5, 1.0, [], CFG)
 
+    def test_samples_of_equal_modulus(self):
+        # t and -t share a log |t|: the bound takes every sample, the trend
+        # one row per |t|
+        ts = [Fraction(1, 100), Fraction(-1, 100), Fraction(1, 400)]
+        rep = uniform_bound_check(X * X - Y * Y, 0.2, 0.5, ts, CFG)
+        assert [r.t for r in rep.rows] == ts
+        assert rep.bound == max(r.k_t + r.err for r in rep.rows)
+        assert not rep.growth_flag
+        ts += [Fraction(1, 1600), GaussianRational(0, Fraction(1, 1600))]
+        assert not uniform_bound_check(X * X - Y * Y, 0.2, 0.5, ts, CFG).growth_flag
+
     def test_central_fiber_among_three_samples(self):
         # t = 0 has no log |t|: it is a bound sample but not a trend point
         ts = [Fraction(1, 100), Fraction(1, 400), 0]
@@ -544,6 +555,11 @@ class TestUniformBound:
         central = SweepRow(t=0, k_t=20.0, err=1e-6, i_t=0, j_t=0, ratio=1)
         assert growth_trend(rows(log_growth) + [central])
         assert not growth_trend(rows(bounded) + [central])
+        # rows of one |t| count once, by their largest K_t
+        twin = SweepRow(t=-1e-3, k_t=0.0, err=1e-6, i_t=0, j_t=0, ratio=1)
+        logs = rows(log_growth)
+        assert growth_trend(logs[:2] + [twin] + logs[2:])
+        assert growth_trend(logs[:2] + [logs[1]] + logs[2:])
 
 
 class TestYoungCombine:
@@ -591,9 +607,15 @@ class TestExponentProbe:
             exponent_probe_1d(z_poly(0, 1), [0.0], 0.0, CFG)
 
 
+def sector_meta(m):
+    return {"angle": f"1/{m} of the circle, times {m}"}
+
+
 class TestUpperHalfPlane:
-    """A part symmetric under x -> conj(x) is integrated over theta in [0, pi]
-    and doubled; every other part runs on the full circle."""
+    """A part symmetric under x -> conj(x) (m = 2k, _symmetry) folds the
+    reflection as well as its rotations; with no rotation (k = 1) it is
+    integrated over theta in [0, pi] and doubled, and a part with no symmetry
+    at all (m = 1) runs on the full circle as before."""
 
     T_IMAG = GaussianRational(0, Fraction(1, 1000))
 
@@ -608,10 +630,13 @@ class TestUpperHalfPlane:
     ])
     def test_the_condition(self, text, t, center, chart, half):
         form = substitute_fiber(parse_expression(text), t)
-        assert quadrature._upper_half(form, center, chart) is half
+        k, m = quadrature._symmetry(form, center, chart)
+        assert (m == 2 * k) is half
 
     @pytest.mark.parametrize("text, c, values, cells", [
-        # the full-circle engine's reports (I, J, K) before the half-plane path
+        # the full-circle engine's reports (I, J, K) before the half-plane
+        # path; both fibers fold rotations now ((x + y)^2 by 2, y^3 - x^5 by
+        # 8), so _symmetry is held at (1, 1) to pin the m = 1 path
         ("(x + y)^2", 0.3, [(4.2734606681587195, 0.0006743106699558291),
                             (4.2734606681587195, 0.000674310669956192),
                             (8.546921336317444, 0.0011790097271592945)], 344),
@@ -619,33 +644,52 @@ class TestUpperHalfPlane:
                              (2.6309555699669422, 0.00012257218868846705),
                              (8.673692203400984, 0.0014644483384679205)], 152),
     ])
-    def test_a_non_real_numerator_runs_as_before(self, text, c, values, cells):
+    def test_a_non_real_numerator_runs_as_before(self, text, c, values, cells, monkeypatch):
+        monkeypatch.setattr(quadrature, "_symmetry", lambda *_: (1, 1))
         kr = fiber_integral_K(parse_expression(text), self.T_IMAG, c, 0.5)
         reports = (kr.i_report, kr.j_report, kr.k_report)
         assert [(r.value, r.error_estimate) for r in reports] == values
         for r in reports:
             assert (r.cells_used, r.refinement_flags, r.meta) == (cells, (), {})
 
+    def test_a_fiber_with_no_symmetry_runs_as_before(self):
+        # the full-circle engine's reports (I, J, K) before the sector fold:
+        # at t = (3+4i)/5000 the numerator t^2 + t^2 x - x^5 has exponent
+        # gaps 1 and 4 and non-real coefficients, so m = 1
+        f = parse_expression("y^2 - x^3 + x*y^2")
+        t = GaussianRational(Fraction(3, 5000), Fraction(4, 5000))
+        assert quadrature._symmetry(substitute_fiber(f, t), 0j, "x") == (1, 1)
+        kr = fiber_integral_K(f, t, 0.2, 0.5)
+        reports = (kr.i_report, kr.j_report, kr.k_report)
+        assert [(r.value, r.error_estimate) for r in reports] == [
+            (3.902691324326717, 0.0006900717143004197),
+            (2.256885638508899, 0.00013769890593256294),
+            (6.159576962835616, 0.0008161349661888827)]
+        for r in reports:
+            assert (r.cells_used, r.refinement_flags, r.meta) == (224, (), {})
+
     def test_a_real_fiber_reports_the_half_plane(self):
-        kr = fiber_integral_K(parse_expression("y^2 - x^3"), Fraction(1, 1000), 0.2, 0.5)
+        # y^2 - x^3 + x*y^2 has no rotation (its fiber's gaps are 1 and 4)
+        f = parse_expression("y^2 - x^3 + x*y^2")
+        kr = fiber_integral_K(f, Fraction(1, 1000), 0.2, 0.5)
         for r in (kr.i_report, kr.j_report, kr.k_report):
-            assert r.meta == {"angle": "upper half, doubled"}
-        rep = annulus_integral(substitute_fiber(X + Y, Fraction(1, 100)), 0.3,
+            assert r.meta == sector_meta(2)
+        rep = annulus_integral(substitute_fiber(f, Fraction(1, 100)), 0.3,
                                Annulus(0.05, 0.5), chart="y")
-        assert rep.meta == {"angle": "upper half, doubled"}
+        assert rep.meta == sector_meta(2)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_an_even_half_grid_is_the_upper_full_grid(self, n):
         cfg = QuadratureConfig(angular_cells=n)
         ann = Annulus(0.01, 0.5)
-        half, _ = quadrature._initial_grid(ann, cfg, (), 0j, True)
-        full, _ = quadrature._initial_grid(ann, cfg, (), 0j, False)
+        half, _ = quadrature._initial_grid(ann, cfg, (), 0j, 1, 2)
+        full, _ = quadrature._initial_grid(ann, cfg, (), 0j, 1, 1)
         full = full.reshape(-1, n, 4)[:, :n // 2].reshape(-1, 4)
         assert half.tolist() == full.tolist()
 
     def test_an_odd_cell_count_rounds_up(self):
         cfg = QuadratureConfig(angular_cells=5)
-        cells, _ = quadrature._initial_grid(Annulus(0.01, 0.5), cfg, (), 0j, True)
+        cells, _ = quadrature._initial_grid(Annulus(0.01, 0.5), cfg, (), 0j, 1, 2)
         edges = sorted(set(cells[:, 2].tolist() + cells[:, 3].tolist()))
         assert edges == pytest.approx([0, math.pi / 3, 2 * math.pi / 3, math.pi], abs=1e-15)
         assert edges[-1] == math.pi
@@ -654,6 +698,88 @@ class TestUpperHalfPlane:
         # |1e-300|^(-1) over A(1, 8920): the half plane holds 1.25e308, the
         # circle 2.5e308; the doubling raises no RuntimeWarning (an error here)
         rep = annulus_integral(z_poly(Fraction(1, 10 ** 300)), 0.5, Annulus(1.0, 8920.0))
-        assert rep.meta == {"angle": "upper half, doubled"}
+        assert rep.meta == sector_meta(2)
         assert (rep.value, rep.converged) == (math.inf, False)
         assert rep.refinement_flags == ("float-overflow",)
+
+
+class TestSymmetrySector:
+    """A part about 0 whose numerator is x^j P(x^k) is invariant under
+    x -> exp(2 pi i/k) x, and integrated over one sector of its symmetry
+    group, of order m = k or 2k (with x -> conj(x)), times m."""
+
+    T_IMAG = GaussianRational(0, Fraction(1, 1000))
+
+    @pytest.mark.parametrize("text, orders", [
+        # (k, m) at t = 1/1000, -1/1000 and i/1000, in the x chart
+        ("y^2 - x^3", [(5, 10), (5, 10), (5, 10)]),
+        ("x^2 - y^2", [(4, 8), (4, 8), (4, 8)]),
+        ("(x + y)^2", [(2, 4), (2, 4), (2, 2)]),
+        ("y^3 - x^5", [(8, 16), (8, 16), (8, 8)]),
+        ("x + y", [(2, 4), (2, 4), (2, 2)]),
+        ("y^2 - x^3 + x*y^2", [(1, 2), (1, 2), (1, 2)]),
+    ])
+    def test_the_order_about_0(self, text, orders):
+        ts = (Fraction(1, 1000), Fraction(-1, 1000), self.T_IMAG)
+        got = [quadrature._symmetry(substitute_fiber(parse_expression(text), t), 0j, "x")
+               for t in ts]
+        assert got == orders
+
+    @pytest.mark.parametrize("text, t, center, chart, order", [
+        ("y^2 - x^3", T_IMAG, 0j, "y", (5, 5)),           # x = t/y is not real
+        ("y^3 - x^5", Fraction(1, 1000), 0j, "y", (8, 16)),
+        ("y^2 - x^3", Fraction(1, 1000), 0.25 + 0j, "x", (1, 2)),
+        ("y^2 - x^3", Fraction(1, 1000), 0.5j, "x", (1, 1)),
+        ("y^3 - x^5", T_IMAG, 0.25 + 0j, "x", (1, 1)),
+    ])
+    def test_the_order_on_the_y_chart_and_off_0(self, text, t, center, chart, order):
+        form = substitute_fiber(parse_expression(text), t)
+        assert quadrature._symmetry(form, center, chart) == order
+
+    def test_a_monomial_takes_no_rotation(self):
+        assert quadrature._symmetry(LaurentForm(z_poly(0, 0, 0, 1), 0), 0j, "x") == (1, 2)
+
+    @pytest.mark.parametrize("n, m", [(8, 10), (8, 16), (12, 5), (16, 4), (5, 3)])
+    def test_the_sector_grid(self, n, m):
+        cfg = QuadratureConfig(angular_cells=n)
+        cells, _ = quadrature._initial_grid(Annulus(0.01, 0.5), cfg, (), 0j, m, m)
+        edges = sorted(set(cells[:, 2].tolist() + cells[:, 3].tolist()))
+        cut = -(-n // m)
+        assert edges == pytest.approx([2 * math.pi / m * j / cut for j in range(cut + 1)],
+                                      abs=1e-15)
+        assert edges[-1] == 2 * math.pi / m
+
+    def test_each_zero_orbit_presplits_its_folded_point(self):
+        # the cusp at t = i/100: x^5 = t^2 < 0, zeros at angles pi/5 + 2pi j/5,
+        # so the sector [0, pi/5] of (5, 10) holds its one on the far edge
+        t = GaussianRational(0, Fraction(1, 100))
+        fib = substitute_fiber(parse_expression("y^2 - x^3"), t)
+        k, m = quadrature._symmetry(fib, 0j, "x")
+        assert (k, m) == (5, 10)
+        zeros = [z.location_complex() for z in degeneration._form_zeros(fib)]
+        assert len(zeros) == 5
+        cells, depth = quadrature._initial_grid(Annulus(0.02, 0.5), CFG, zeros, 0j, k, m)
+        for z in zeros:
+            theta = math.atan2(z.imag, z.real) % (2 * math.pi / k)
+            theta = min(theta, 2 * math.pi / k - theta)
+            assert theta == pytest.approx(math.pi / 5, rel=1e-15)
+            inside = ((cells[:, 0] <= math.log(abs(z))) & (math.log(abs(z)) <= cells[:, 1])
+                      & (cells[:, 2] <= theta) & (theta <= cells[:, 3]))
+            assert inside.any() and (depth[inside] == 2).all()
+
+    def test_a_reflected_zero_near_the_axis_is_presplit(self):
+        # a zero an angle of 1e-9 below the axis, about a real centre: its
+        # mirror above the axis is in the half plane's first cell
+        z = complex(math.cos(-1e-9), math.sin(-1e-9)) * 0.1
+        cells, depth = quadrature._initial_grid(Annulus(0.02, 0.5), CFG, [z], 0j, 1, 2)
+        inside = ((cells[:, 0] <= math.log(0.1)) & (math.log(0.1) <= cells[:, 1])
+                  & (cells[:, 2] <= 1e-9) & (1e-9 <= cells[:, 3]))
+        assert inside.any() and (depth[inside] == 2).all()
+
+    def test_reports_carry_the_order(self):
+        kr = fiber_integral_K(parse_expression("y^2 - x^3"), Fraction(1, 1000), 0.2, 0.5)
+        for r in (kr.i_report, kr.j_report, kr.k_report):
+            assert r.meta == sector_meta(10)
+        rep = annulus_integral(substitute_fiber(X + Y, Fraction(1, 100)), 0.3,
+                               Annulus(0.05, 0.5), chart="y")
+        assert rep.meta == sector_meta(4)
