@@ -47,9 +47,9 @@ print()
 
 print("regularity of the radial building block |z|^((2n+1)/2):")
 for n in (0, 1, 2):
-    hp = holder_probe(n, 1.0)
+    hp = holder_probe(n)
     print(f"  n = {n}: Hoelder exponent of the {n}-th derivative "
           f"~ {hp.estimate:.3f} (fit residual {hp.fit_residual:.1e})")
-smooth = holder_probe(0, 1.0, profile=lambda r: r ** 3)
+smooth = holder_probe(0, profile=lambda r: r ** 3)
 print(f"  smooth control r^3: estimate saturates at {smooth.estimate:.1f} "
       f"(raw slope {smooth.raw_slope:.2f})")

@@ -169,9 +169,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=0.05, help="largest probe radius (finite, > 0), "
-                   "cut to 1/4 the distance to the nearest other zero and |zero|/2 at a pole")
     _add_quad_opts(p)
     _add_out_opts(p)
 
@@ -326,7 +323,7 @@ def _cmd_probe(ns) -> int:
     if ns.kind == "holder":
         from .counterexamples import holder_probe
 
-        result = holder_probe(ns.n, ns.scale)
+        result = holder_probe(ns.n)
         _emit(result, ns)
         return 0
     from .degeneration import fiber_zeros
@@ -341,7 +338,7 @@ def _cmd_probe(ns) -> int:
     zeros = fiber_zeros(fib, t, delta=ns.delta)
     if not zeros:
         raise UsageError("no fiber zeros inside the polydisc to probe")
-    probes = exponent_probe_1d(fib, [z.location_complex() for z in zeros], ns.c, cfg, r0=ns.r0)
+    probes = exponent_probe_1d(fib, [z.location_complex() for z in zeros], ns.c, cfg)
     _emit({"probes": [{"zero": z, "probe": pr} for z, pr in zip(zeros, probes)]}, ns)
     return 2 if any(any(pr.flags) for pr in probes) else 0
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 
 from .exact_linalg import wn_weights
 from .exponents import Exponent, _log_log_fit
@@ -283,29 +283,27 @@ class HolderProbeResult:
                 "fit_residual": self.fit_residual, "points_used": self.points_used}
 
 
-def holder_probe(n: int, sample_scale: float = 1.0, profile=None) -> HolderProbeResult:
+def holder_probe(n: int, profile=None) -> HolderProbeResult:
     """Sampled Hoelder exponent of the n-th derivative of the radial block.
 
     The non-smooth part of F_n is |xy|^((2n+1)/2), and its regularity
     reduces to the one-variable profile g(r) = r^((2n+1)/2).  The probe
-    differentiates g numerically n times at geometrically shrinking radii
+    differentiates g numerically n times at the radii r = 2^-k, k = 2..14,
     and regresses log |g^(n)(r) - g^(n)(r/2)| against log r; for the
     building block the slope is 1/2.  A custom profile can be passed for
     smooth controls, whose estimate saturates at 1.
     """
     if not 0 <= n < 128:      # the stencil r(1 + (k - n/2)/64), k = 0..n, stays in r > 0
         raise ValueError(f"n must lie in 0..127; got n={n}")
-    if not 0 < sample_scale < inf:
-        raise ValueError(f"sample_scale must be finite and positive; got {sample_scale}")
     if profile is None:
         exponent = (2 * n + 1) / 2.0
         profile = lambda r: r ** exponent
 
-    radii = [sample_scale * 2.0 ** -k for k in range(2, 15)]
+    radii = [2.0 ** -k for k in range(2, 15)]
     try:
         derivs = [_nth_derivative(profile, n, r) for r in radii]
     except (OverflowError, ZeroDivisionError):    # a sample or h^n past the float range
-        raise ValueError(f"the probe at n={n}, scale {sample_scale} leaves the float range") from None
+        raise ValueError(f"the probe at n={n} leaves the float range") from None
     usable = [(r, abs(b - a)) for r, a, b in zip(radii, derivs, derivs[1:]) if abs(b - a) > 0]
     if len(usable) < 4:
         raise ValueError("degenerate sample range: fewer than 4 usable differences")

@@ -137,16 +137,35 @@ def _roots_of_unipoly(p: UnivariatePoly) -> list:
     conjugate pairs, and its real roots an imaginary part of exactly 0.0.
     Raises ArithmeticError if some root has not stopped after
     ABERTH_MAX_PASSES passes.
+
+    When a nonzero coefficient has no normal float image (its modulus
+    underflows or overflows), the roots are those of p(2^s w), s the rounded
+    slope of the coefficients' bit lengths, with the coefficients scaled on
+    ints so the largest is about 1, and are scaled back by 2^s; ValueError
+    if a coefficient of p(2^s w) still has no normal float image.
     """
     low = 0
     while low < p.degree and p.nums[low] == (0, 0):
         low += 1
-    a = [complex(cr / p.den, ci / p.den) for cr, ci in p.nums[low:]]
-    real = not any(ci for _, ci in p.nums)
-    n = len(a) - 1
+    nums, den = p.nums[low:], p.den
+    n = len(nums) - 1
     if n < 1:
-        roots = []
-    elif n == 1:
+        return [0j] * low
+    try:
+        a = [complex(cr / den, ci / den) for cr, ci in nums]
+        s = 0 if _normal_images(a, nums) else None
+    except OverflowError:
+        s = None
+    if s is None:
+        bits = [max(abs(cr), abs(ci)).bit_length() for cr, ci in nums]
+        s = round((bits[0] - bits[-1]) / n)
+        top = max(b + s * k for k, b in enumerate(bits) if b) - den.bit_length()
+        a = [complex(_shifted(cr, s * k - top, den), _shifted(ci, s * k - top, den))
+             for k, (cr, ci) in enumerate(nums)]
+        if not _normal_images(a, nums):
+            raise ValueError("the coefficients of a fiber factor span more than the float range")
+    real = not any(ci for _, ci in p.nums)
+    if n == 1:
         roots = [-a[0] / a[1]]
     elif n == 2:
         roots = _quadratic_roots(*a)
@@ -154,7 +173,22 @@ def _roots_of_unipoly(p: UnivariatePoly) -> list:
         roots = _aberth(a)
     if real:
         roots = _conjugate_closed(roots)
+    if s:
+        roots = [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)) for z in roots]
     return [0j] * low + roots
+
+
+def _normal_images(a, nums) -> bool:
+    """Whether the float a_k of each nonzero exact pair nums[k] has a normal
+    modulus: no more float zeros than exact ones, and the least nonzero
+    modulus at least the least normal float."""
+    zeros = nums.count((0, 0))
+    return a.count(0j) == zeros and sorted(map(abs, a))[zeros] >= sys.float_info.min
+
+
+def _shifted(x: int, e: int, den: int) -> float:
+    """x 2^e / den, rounded once."""
+    return (x << e) / den if e >= 0 else x / (den << -e)
 
 
 def _quadratic_roots(c: complex, b: complex, a: complex) -> list:

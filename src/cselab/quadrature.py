@@ -35,6 +35,11 @@ samples of a bound, every probed zero's annuli, the annuli of the I_t
 decomposition or the axes of K_0 that are not monomials are its parts,
 refined in shared rounds, each with its own centre, cells, floor and counts.
 
+A report is converged when it has no refinement flag, divergent when one
+is "divergent".  An identically zero fiber function is refused, and so is a
+t != 0 whose |t|^2 is not a normal float (|t| < 1.49e-154): its weight
+t^2/r^4 would read 0 and its smallest cells 0/0.
+
 Cell sums are accumulated in a fixed construction order, so a given
 configuration reproduces bit-identical results.
 
@@ -46,6 +51,8 @@ a multiplicity probe does.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +61,8 @@ from itertools import accumulate
 from . import newton
 from .degeneration import FiberZero, _form_zeros, _zeros_in, central_exponent, fiber_zeros
 from .exponents import _log_log_fit
-from .polynomials import LaurentForm, UnivariatePoly, as_mixed, substitute_fiber
+from .polynomials import (IdenticallyZeroError, LaurentForm, UnivariatePoly, as_mixed,
+                          substitute_fiber)
 from .rationals import exact_param, param_float, param_modulus
 
 STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
@@ -63,6 +71,7 @@ STABILITY_HYPOTHESIS = ("the fiber-integral stability theorem requires "
 RATIO_BAND = 0.05          # final |K_t/K_0 - 1| a converged sweep allows
 TREND_SLACK = 0.02         # per-step rise of |K_t/K_0 - 1| a sweep forgives
 PROBE_ANNULI = 8           # dyadic annuli A(r, 2r) per multiplicity probe
+PROBE_RADIUS = 0.05        # largest probe radius, before the cuts of exponent_probe_1d
 # cells evaluated at once: 13 x 512 complex nodes take 104 KiB, under glibc's
 # 128 KiB mmap threshold, so the temporaries come from the heap (on a 2-CPU
 # x86-64 host 0.7 us a cell, against 1.0-1.2 us in blocks of 2048-4096)
@@ -90,6 +99,12 @@ class QuadratureConfig:
     target_rel_tolerance: float = 1e-3
 
     def __post_init__(self):
+        for name in ("radial_cells_per_decade", "angular_cells", "max_refinement_depth"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer; got {value!r}") from None
         if self.radial_cells_per_decade < 4 or self.angular_cells < 4:
             raise ValueError("cell counts must be >= 4")
         if self.max_refinement_depth < 4:
@@ -122,9 +137,15 @@ class IntegralReport:
     domain: Annulus
     chart: str
     c: float
-    converged: bool
-    divergent: bool = False
     meta: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return not self.refinement_flags
+
+    @property
+    def divergent(self) -> bool:
+        return "divergent" in self.refinement_flags
 
     def __post_init__(self):
         if not self.divergent and self.value < 0:
@@ -405,7 +426,7 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, 
 
 
 def _adaptive_polar(parts, cfg: QuadratureConfig):
-    """(masses, errors, cells_used, flags, converged) of each part.
+    """(masses, errors, cells_used, flags) of each part.
 
     A part is (base_fn, annulus, zero_points, t2, center, k, m), weighted as
     in _cell_rule; a run's parts all carry a t2, or none does.  A part runs on
@@ -479,7 +500,7 @@ def _adaptive_polar(parts, cfg: QuadratureConfig):
 
     kinds = ("max-depth-reached", "unresolved-singular-cell")
     return [([m * v for v in masses.tolist()], [m * e for e in errs.tolist()],
-             n_used, tuple(f"{kind}:{n}" for kind, n in zip(kinds, counts) if n), not any(counts))
+             n_used, tuple(f"{kind}:{n}" for kind, n in zip(kinds, counts) if n))
             for (errs, masses), n_used, counts, (*_, m)
             in zip(sums, used, flag_counts.tolist(), parts)]
 
@@ -497,14 +518,13 @@ def _check_radius(radius):
         raise ValueError(f"the radius R must be finite and > 0; got R={radius}")
 
 
-def _mass_report(value, error, cells, flags, converged, domain, chart, c, meta):
-    """The report of a convergent integral; a value past the float range is
-    flagged float-overflow, never returned as a converged infinity."""
-    if converged and not math.isfinite(value):
-        value, error, flags, converged = math.inf, math.inf, flags + ("float-overflow",), False
+def _mass_report(value, error, cells, flags, domain, chart, c, meta):
+    """The one constructor of IntegralReport; an unflagged value past the
+    float range is flagged float-overflow, never a converged infinity."""
+    if not flags and not math.isfinite(value):
+        value, error, flags = math.inf, math.inf, ("float-overflow",)
     return IntegralReport(value=value, error_estimate=error, cells_used=cells,
-                          refinement_flags=flags, domain=domain, chart=chart, c=c,
-                          converged=converged, meta=meta)
+                          refinement_flags=flags, domain=domain, chart=chart, c=c, meta=meta)
 
 
 def _chart_moduli(form: LaurentForm, chart: str):
@@ -514,8 +534,6 @@ def _chart_moduli(form: LaurentForm, chart: str):
     den2 = num.den * num.den
     terms = [(j, Fraction(cr * cr + ci * ci, den2)) for j, (cr, ci) in enumerate(num.nums)
              if cr or ci]
-    if not terms:
-        raise ValueError("the fiber function vanishes identically")
     if chart == "x":
         return {j - d: m for j, m in terms}
     t2 = form.t.norm2()
@@ -595,13 +613,10 @@ def _divergent_report(interior, c: float, domain: Annulus, chart: str):
     """The divergent report for the first interior zero with 2cm >= 2, else None."""
     for z in interior:
         if 2.0 * c * z.multiplicity >= 2.0:
-            return IntegralReport(
-                value=math.inf, error_estimate=math.inf, cells_used=0,
-                refinement_flags=("divergent",), domain=domain, chart=chart,
-                c=c, converged=False, divergent=True,
-                meta={"divergent_zero": str(z.location_complex()),
-                      "multiplicity": z.multiplicity,
-                      "local_exponent": 2.0 * c * z.multiplicity})
+            return _mass_report(math.inf, math.inf, 0, ("divergent",), domain, chart, c,
+                                {"divergent_zero": str(z.location_complex()),
+                                 "multiplicity": z.multiplicity,
+                                 "local_exponent": 2.0 * c * z.multiplicity})
     return None
 
 
@@ -646,6 +661,8 @@ def _annulus_reports(jobs, c, chart, config):
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
     jobs = [(_as_form(fiber), domain) for fiber, domain in jobs]
+    if any(form.is_zero() for form, _ in jobs):
+        raise IdenticallyZeroError("fiber function is identically zero")
     if chart == "y" and any(form.t is None or form.t.is_zero() for form, _ in jobs):
         raise ValueError("y-chart integration needs a nonzero fiber parameter t")
 
@@ -661,7 +678,7 @@ def _annulus_reports(jobs, c, chart, config):
             rho, *tail = _disc_tail(moduli, v, c, domain.r_outer, cfg.target_rel_tolerance)
             if rho == domain.r_outer:
                 mass, err, meta = tail
-                reports.append(_mass_report(mass, err, 0, (), True, domain, chart, c, meta))
+                reports.append(_mass_report(mass, err, 0, (), domain, chart, c, meta))
                 continue
             work = Annulus(rho, domain.r_outer)
         zeros = _form_zeros(form) if c > 0 else ()
@@ -678,8 +695,8 @@ def _annulus_reports(jobs, c, chart, config):
                                                   None, 0j, *_symmetry(form, 0j, chart))))
 
     runs = _adaptive_polar([part for *_, part in todo], cfg) if todo else []
-    for (i, (mass, err, meta), part), (masses, errs, cells, flags, converged) in zip(todo, runs):
-        reports[i] = _mass_report(mass + masses[0], err + errs[0], cells, flags, converged,
+    for (i, (mass, err, meta), part), (masses, errs, cells, flags) in zip(todo, runs):
+        reports[i] = _mass_report(mass + masses[0], err + errs[0], cells, flags,
                                   jobs[i][1], chart, c, {**meta, **_sector_meta(part[6])})
     return reports
 
@@ -716,6 +733,10 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
             reports.append(_central_k(f, c, radius, cfg))
             continue
         t_abs = param_modulus(tt)
+        t2 = t_abs * t_abs
+        if not sys.float_info.min <= t2 < math.inf:
+            raise ValueError("|t|^2 must be a normal float, 1.49e-154 <= |t| < 1.34e154; "
+                             f"got |t| = {t_abs:.3g}")
         domain = Annulus(t_abs / radius, radius)
         fib = substitute_fiber(f, t)
         zeros = fiber_zeros(fib, tt, delta=radius)  # its polydisc is the domain
@@ -724,12 +745,12 @@ def _k_reports(f, ts, c: float, radius: float, cfg: QuadratureConfig):
         if div is None:
             todo.append((len(reports) - 1, t, (_base_fn(fib, c), domain,
                                                [z.location_complex() for z in zeros],
-                                               t_abs * t_abs, 0j, *_symmetry(fib, 0j, "x"))))
+                                               t2, 0j, *_symmetry(fib, 0j, "x"))))
 
     runs = _adaptive_polar([part for _, _, part in todo], cfg) if todo else []
-    for (i, t, part), (masses, errs, cells, flags, converged) in zip(todo, runs):
+    for (i, t, part), (masses, errs, cells, flags) in zip(todo, runs):
         k_rep, i_rep, j_rep = (
-            _mass_report(masses[w], errs[w], cells, flags, converged, part[1], chart, c,
+            _mass_report(masses[w], errs[w], cells, flags, part[1], chart, c,
                          _sector_meta(part[6]))
             for w, chart in ((2, "density"), (0, "x"), (1, "y-via-x")))
         reports[i] = KReport(t=t, k_report=k_rep, i_report=i_rep, j_report=j_rep)
@@ -756,10 +777,8 @@ def _central_k(f, c: float, radius: float, cfg: QuadratureConfig) -> KReport:
     k_rep = _mass_report(
         i_rep.value + j_rep.value, i_rep.error_estimate + j_rep.error_estimate,
         i_rep.cells_used + j_rep.cells_used,
-        tuple(f"{k}:{n}" if n else k for k, n in counts.items()),
-        i_rep.converged and j_rep.converged, disc, "central", c,
+        tuple(f"{k}:{n}" if n else k for k, n in counts.items()), disc, "central", c,
         {"note": "central fiber: sum over the two axis components"})
-    k_rep.divergent = i_rep.divergent or j_rep.divergent
     return KReport(t=0, k_report=k_rep, i_report=i_rep, j_report=j_rep)
 
 
@@ -952,24 +971,22 @@ def young_combine(bounds) -> float:
 
 
 def exponent_probe_1d(fiber, zeros, c: float,
-                      config: QuadratureConfig | None = None,
-                      r0: float = 0.05) -> list:
+                      config: QuadratureConfig | None = None) -> list:
     """A numeric multiplicity estimate at each point of zeros, in order.
 
     Integrates |f|^(-2c) over the PROBE_ANNULI annuli A(r, 2r) centered at a
-    zero z for r = r_z * 2^-j, r_z = min(r0, a quarter of the distance to the
-    nearest other zero of the fiber, probed or not, |z|/2 when the fiber has
-    a pole at x = 0), and fits the slope alpha of log mass against log r; the
-    local model mass ~ r^(2 - 2cm) gives m = (2 - alpha)/(2c).  All the
-    annuli share one adaptive run.  flags holds the refinement flags of each
-    annulus used in the fit, in the order of radii.  Needs c * multiplicity
-    < 1 so the masses stay finite, and at least 4 usable annuli per zero.
+    zero z for r = r_z * 2^-j, r_z = min(PROBE_RADIUS, a quarter of the
+    distance to the nearest other zero of the fiber, probed or not, |z|/2
+    when the fiber has a pole at x = 0), and fits the slope alpha of log
+    mass against log r; the local model mass ~ r^(2 - 2cm) gives
+    m = (2 - alpha)/(2c).  All the annuli share one adaptive run.  flags
+    holds the refinement flags of each annulus used in the fit, in the order
+    of radii.  Needs c * multiplicity < 1 so the masses stay finite, and at
+    least 4 usable annuli per zero.
     """
     cfg = config or QuadratureConfig()
     if not 0 < c < math.inf:
         raise ValueError(f"the probe needs a finite c > 0; got c={c}")
-    if not 0 < r0 < math.inf:
-        raise ValueError(f"the probe radius r0 must be finite and > 0; got r0={r0}")
     form = _as_form(fiber)
     base = _base_fn(form, c)
     others = [z.location_complex() for z in _form_zeros(form)]
@@ -977,13 +994,13 @@ def exponent_probe_1d(fiber, zeros, c: float,
     parts = []
     for z in centers:
         sep = min((abs(z - o) for o in others if o != z), default=math.inf)
-        r_z = min(r0, sep / 4.0, abs(z) / 2.0 if form.pole_order else math.inf)
+        r_z = min(PROBE_RADIUS, sep / 4.0, abs(z) / 2.0 if form.pole_order else math.inf)
         parts += [(base, Annulus(r, 2.0 * r), (), None, z, *_symmetry(form, z, "x"))
                   for r in (r_z * 2.0 ** (-j) for j in range(PROBE_ANNULI))]
     runs = list(zip(parts, _adaptive_polar(parts, cfg)))
     results = []
     for k in range(0, len(runs), PROBE_ANNULI):
-        usable = [(part[1].r_inner, m[0], flags) for part, (m, _, _, flags, _)
+        usable = [(part[1].r_inner, m[0], flags) for part, (m, _, _, flags)
                   in runs[k:k + PROBE_ANNULI] if math.isfinite(m[0]) and m[0] > 0]
         if len(usable) < 4:
             raise ValueError("fewer than 4 usable annuli")

@@ -262,7 +262,7 @@ def test_criterion_09_numeric_probes():
             mult_ok &= abs(res.multiplicity_estimate - m) <= 0.05 * m
         holder_ok = True
         for n in (0, 1):
-            hp = holder_probe(n, 1.0)
+            hp = holder_probe(n)
             holder_ok &= abs(hp.estimate - 0.5) <= 0.05
     ok = mult_ok and holder_ok and tm.elapsed < 30.0
     assert report(9, ok, f"{tm.elapsed:.2f}s")

@@ -105,8 +105,8 @@ runs = st.one_of(st.lists(k_specs, min_size=1, max_size=4),
 
 
 def assert_part_matches_solo(batched, solo):
-    masses, errs, cells, flags, converged = batched
-    assert (cells, flags, converged) == solo[2:]
+    masses, errs, cells, flags = batched
+    assert (cells, flags) == solo[2:]
     assert masses == pytest.approx(solo[0], rel=MASS_REL, abs=0)
     assert errs == pytest.approx(solo[1], rel=ERROR_REL, abs=0)
 
@@ -149,7 +149,7 @@ def test_an_unresolved_region_stays_with_its_own_part():
              build_part(("K", 4, 100, "positive", 0.5, 0.5))]
     huge, small = _adaptive_polar(parts, CFG)
     assert any(f.startswith("unresolved-singular-cell:") for f in huge[3])
-    assert small[3] == () and small[4]
+    assert small[3] == ()
 
 
 def assert_row_is(row, old):

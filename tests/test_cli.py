@@ -33,6 +33,17 @@ class TestExponentCommand:
         assert len(zeros) == 5
         assert all(z["exponent"] == {"num": 1, "den": 1} for z in zeros)
 
+    @pytest.mark.parametrize("f, t, counts", [
+        ("x+y", "1e-400", [1, 1]), ("(x+y)^2*(y^2-x^3)", "1e-330", [2, 2, 1, 1, 1, 1, 1])])
+    def test_a_tiny_t_holds(self, f, t, counts, capsys):
+        # the float image of t^2 is 0.0: this ended in a ZeroDivisionError
+        code, out, err = run_cli(["exponent", "--f", f, "--t", t], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["verdict"] == "holds"
+        assert sorted((z["zero"]["multiplicity"] for z in data["rows"][0]["zeros"]),
+                      reverse=True) == counts
+
     def test_radial_violation_is_expected_exit_zero(self, capsys):
         code, out, _ = run_cli(
             ["exponent", "--f", "x + y - 2*abs(x*y)^(1/2)", "--t", "1/100"],
@@ -289,9 +300,10 @@ class TestUsageErrors:
         "polygon-z": ["polygon", "--f", "z^2"],
         "polygon-zero": ["polygon", "--f", "0"],
         "probe-holder-negative-n": ["probe", "--kind", "holder", "--n", "-1"],
-        # the stencil reaches r <= 0; h^n underflows; r^(n+1/2) overflows
+        # the stencil reaches r <= 0; h^n underflows
         "probe-holder-large-n": ["probe", "--kind", "holder", "--n", "128"],
         "probe-holder-underflow": ["probe", "--kind", "holder", "--n", "60"],
+        # the probes have no sample scale and no radius option
         "probe-holder-overflow": ["probe", "--kind", "holder", "--n", "1", "--scale", "1e300"],
         "probe-holder-zero-scale": ["probe", "--kind", "holder", "--scale", "0"],
         "probe-holder-infinite-scale": ["probe", "--kind", "holder", "--scale", "inf"],
@@ -300,9 +312,13 @@ class TestUsageErrors:
                          "--t", "1/1000", "--r0", "nan"],
         "probe-negative-r0": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
                               "--t", "1/1000", "--r0", "-1"],
-        # exited 0 while the cut to the zeros' separation hid it
         "probe-infinite-r0": ["probe", "--kind", "multiplicity", "--f", "(x+y)^2",
                               "--t", "1/1000", "--r0", "inf"],
+        # |t|^2 underflows: K read J = 0 and a dropped cell flag
+        "sweep-tiny-t": ["sweep", "--f", "y^2-x^3", "--c", "0.15", "--R", "0.5",
+                         "--t-start", "1e-170", "--t-count", "2"],
+        "bound-tiny-t": ["bound", "--f", "y^2-x^3", "--c", "0.15", "--R", "0.5",
+                         "--t", "1e-400", "--t", "1/100", "--t", "1/1000"],
         "probe-c-zero": ["probe", "--kind", "multiplicity", "--f", "x+y",
                          "--t", "1/100", "--c", "0"],
         "counterexample-negative-n": ["counterexample", "--n", "-1"],
@@ -324,15 +340,20 @@ class TestUsageErrors:
         _, _, err = run_cli(self.BAD[name], capsys)
         assert "the radius R must be finite and > 0" in err
 
+    @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-tiny-t")])
+    def test_a_tiny_t_is_named(self, name, capsys):
+        _, _, err = run_cli(self.BAD[name], capsys)
+        assert "|t|^2 must be a normal float, 1.49e-154 <= |t|" in err
+
     @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-r0")])
     def test_bad_r0_is_named(self, name, capsys):
         _, _, err = run_cli(self.BAD[name], capsys)
-        assert "the probe radius r0 must be finite and > 0" in err
+        assert "unrecognized arguments: --r0" in err
 
     @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-scale")])
     def test_bad_scale_is_named(self, name, capsys):
         _, _, err = run_cli(self.BAD[name], capsys)
-        assert "sample_scale must be finite and positive" in err
+        assert "unrecognized arguments: --scale" in err
 
 
 class TestValuesBeginningWithAMinus:

@@ -272,6 +272,23 @@ class TestAberthRoots:
             sorted(float(r) for r in roots), rel=1e-13)
         assert all(z.imag == 0 for z in found)
 
+    @pytest.mark.parametrize("p, roots", [
+        (UnivariatePoly([Fraction(1, 10 ** 400), 0, 1]), [1e-200j, -1e-200j]),
+        (UnivariatePoly([10 ** 400, 0, 1]), [1e200j, -1e200j]),
+        (UnivariatePoly([-Fraction(1, 10 ** 340), 0, 0, 0, 0, 1]),
+         [1e-68 * cmath.exp(2j * math.pi * k / 5) for k in range(5)]),
+    ], ids=["underflow", "overflow", "quintic"])
+    def test_a_coefficient_past_the_float_range_is_scaled(self, p, roots):
+        # the float image of a_0 is 0.0 or out of range; p(2^s w) has none
+        found = _roots_of_unipoly(p)
+        assert len(found) == len(roots)
+        assert all(min(abs(z - r) for z in found) <= 1e-13 * abs(r) for r in roots)
+
+    def test_coefficients_wider_than_the_float_range_raise(self):
+        # 10^-400 stays 10^-400 next to 1 and 1 at every 2^s
+        with pytest.raises(ValueError, match="span more than the float range"):
+            _roots_of_unipoly(UnivariatePoly([1, Fraction(1, 10 ** 400), 0, 1]))
+
     def test_unfinished_roots_raise(self, monkeypatch):
         monkeypatch.setattr(degeneration, "ABERTH_MAX_PASSES", 1)
         with pytest.raises(ArithmeticError, match="unresolved"):
@@ -503,6 +520,25 @@ class TestLctFromResolution:
 
 
 class TestSemicontinuity:
+    @pytest.mark.parametrize("e, modulus", [(170, 1e-68), (200, 1e-80), (330, 1e-132),
+                                            (400, 1e-160)])
+    def test_a_tiny_t_finds_the_zeros_at_their_modulus(self, e, modulus):
+        # x^5 = t^2 on the cusp's fiber: t^2 has no normal float image
+        report = semicontinuity_check(parse_expression("y^2 - x^3"), [Fraction(1, 10 ** e)])
+        (row,) = report.rows
+        assert [abs(z.location_complex()) for z, _ in row.zeros] == pytest.approx(
+            [modulus] * 5, rel=1e-13, abs=0)
+        assert report.verdict == "holds"
+
+    def test_a_tiny_t_finds_the_zeros_of_a_product(self):
+        # (x + t/x)^2 (t^2/x^2 - x^3) at t = 10^-330: a double pair at
+        # +-i 10^-165 and five simple zeros at |x| = 10^-132
+        t = Fraction(1, 10 ** 330)
+        zeros = fiber_zeros(parse_expression("(x + y)^2*(y^2 - x^3)"), t)
+        assert sorted((z.multiplicity, abs(z.location_complex())) for z in zeros) == [
+            (1, pytest.approx(1e-132, rel=1e-13, abs=0))] * 5 + [
+            (2, pytest.approx(1e-165, rel=1e-13, abs=0))] * 2
+
     T_SAMPLES = [Fraction(1, 10 ** k) for k in range(2, 6)]
 
     def test_cusp_holds(self):

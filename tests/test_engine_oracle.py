@@ -227,13 +227,12 @@ def frozen_adaptive_polar(base_fn, annulus, cfg, angle, weight_fns=(frozen_unit_
         flags.append(f"max-depth-reached:{forced}")
     if dropped:
         flags.append(f"unresolved-singular-cell:{dropped}")
-    converged = forced == 0 and dropped == 0
     return ([float(v) for v in totals], [float(e) for e in errors],
-            cells_used, tuple(flags), converged)
+            cells_used, tuple(flags))
 
 
 def frozen_K(f, t, c, radius, cfg):
-    """(masses, errors, cells, flags, converged) of I, J and K at t != 0,
+    """(masses, errors, cells, flags) of I, J and K at t != 0,
     and the symmetry group (k, m) of the fiber's integrand."""
     tt = exact_param(t)
     t_abs = param_modulus(tt)
@@ -296,9 +295,9 @@ def assert_same_errors(errs, old_masses, old_errs):
 
 
 def assert_same_run(new, old):
-    masses, errs, cells, flags, converged = new
-    o_masses, o_errs, o_cells, o_flags, o_converged = old
-    assert (cells, flags, converged) == (o_cells, o_flags, o_converged)
+    masses, errs, cells, flags = new
+    o_masses, o_errs, o_cells, o_flags = old
+    assert (cells, flags) == (o_cells, o_flags)
     assert masses == pytest.approx(o_masses, rel=VALUE_REL, abs=0)
     assert_same_errors(errs, o_masses, o_errs)
 
@@ -323,7 +322,7 @@ def test_K_takes_the_frozen_engines_decisions(germ, q, kind, c_share, radius, to
     reports = (kr.i_report, kr.j_report, kr.k_report)
     k = kr.k_report
     new = ([r.value for r in reports], [r.error_estimate for r in reports],
-           k.cells_used, k.refinement_flags, k.converged)
+           k.cells_used, k.refinement_flags)
     old, (_, m) = frozen_K(f, t, c, radius, cfg)
     assert_same_run(new, old)
     for r in reports:
@@ -434,7 +433,7 @@ def test_one_infinite_node_takes_the_frozen_engines_decisions(k):
     with np.errstate(all="ignore"):
         old = frozen_adaptive_polar(base, PIN_ANNULUS, PIN_CFG, grid_angle(PIN_CFG, 1, 1))
     assert_same_run(new, old)
-    assert new[4] and math.isfinite(new[0][0])
+    assert new[3] == () and math.isfinite(new[0][0])
 
 
 @pytest.mark.parametrize("k", range(13))

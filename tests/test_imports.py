@@ -209,3 +209,30 @@ def test_every_traced_module_imports(module):
     """The traced benchmark imports each of these cselab modules by name."""
     assert (SRC / f"{module}.py").is_file()
     importlib.import_module(f"cselab.{module}")
+
+
+def constructor_calls(source, name):
+    """(line, enclosing top-level definition or None) of each call of name in source."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        found += [(node.lineno, owner) for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return found
+
+
+def test_only_mass_report_builds_an_integral_report():
+    """IntegralReport's converged and divergent are read off its flags, so
+    every report is built by one function, quadrature._mass_report."""
+    found = [(p.stem, owner) for p in SRC.glob("*.py")
+             for _, owner in constructor_calls(p.read_text(), "IntegralReport")]
+    assert found == [("quadrature", "_mass_report")]
+
+
+def test_a_constructor_call_is_found():
+    source = ("r = IntegralReport(1)\n"
+              "def f():\n    return q.IntegralReport(2)\n"
+              "class C:\n    def m(self):\n"
+              "        return [IntegralReport] + g(IntegralReport(3))\n")
+    assert constructor_calls(source, "IntegralReport") == [(1, None), (3, "f"), (6, "C")]

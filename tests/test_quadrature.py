@@ -11,6 +11,8 @@ from cselab import (
     Annulus,
     BivariatePoly,
     GaussianRational,
+    IdenticallyZeroError,
+    IntegralReport,
     LaurentForm,
     QuadratureConfig,
     UnivariatePoly,
@@ -89,6 +91,38 @@ class TestConfig:
             QuadratureConfig(angular_cells=3)
         with pytest.raises(ValueError):
             QuadratureConfig(target_rel_tolerance=0.5)
+
+    @pytest.mark.parametrize("name", ["radial_cells_per_decade", "angular_cells",
+                                      "max_refinement_depth"])
+    @pytest.mark.parametrize("value", [8.5, 8.0, "8", None])
+    def test_a_non_integral_count_is_rejected(self, name, value):
+        # 8.5 was accepted, and the first integral died in numpy
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            QuadratureConfig(**{name: value})
+
+    def test_an_index_is_a_count(self):
+        import numpy as np
+        cfg = QuadratureConfig(angular_cells=np.int64(8))
+        rep = annulus_integral(z_poly(0, 1), 0.5, Annulus(0.5, 1.0), config=cfg)
+        assert rep == annulus_integral(z_poly(0, 1), 0.5, Annulus(0.5, 1.0), config=CFG)
+
+
+class TestIntegralReportState:
+    @pytest.mark.parametrize("flags, converged, divergent", [
+        ((), True, False), (("divergent",), False, True),
+        (("max-depth-reached:3",), False, False), (("float-overflow",), False, False),
+        (("divergent", "max-depth-reached:3"), False, True)])
+    def test_the_state_is_read_off_the_flags(self, flags, converged, divergent):
+        rep = IntegralReport(value=1.0, error_estimate=0.0, cells_used=0, refinement_flags=flags,
+                             domain=Annulus(0.5, 1.0), chart="x", c=0.3)
+        assert (rep.converged, rep.divergent) == (converged, divergent)
+        assert rep.to_json_obj()["converged"] == converged
+        assert rep.to_json_obj()["divergent"] == divergent
+
+    def test_the_state_is_not_settable(self):
+        with pytest.raises(TypeError):
+            IntegralReport(value=1.0, error_estimate=0.0, cells_used=0, refinement_flags=(),
+                           domain=Annulus(0.5, 1.0), chart="x", c=0.3, converged=False)
 
 
 class TestAnnulusIntegral:
@@ -180,6 +214,25 @@ class TestAnnulusIntegral:
 
 
 class TestFiberIntegralK:
+    @pytest.mark.parametrize("t", [Fraction(1, 10 ** 170), Fraction(1, 10 ** 400),
+                                   Fraction(3, 10 ** 155) * GaussianRational(0, 1)])
+    @pytest.mark.parametrize("operation", [
+        lambda t: fiber_integral_K(Y * Y - X ** 3, t, 0.15, 0.5, CFG),
+        lambda t: convergence_sweep(Y * Y - X ** 3, 0.15, 0.5, [Fraction(1, 100), t], CFG),
+        lambda t: uniform_bound_check(Y * Y - X ** 3, 0.15, 0.5, [Fraction(1, 100), t], CFG),
+    ], ids=["K", "sweep", "bound"])
+    def test_a_t_whose_square_is_not_a_normal_float_is_refused(self, operation, t):
+        # at 10^-170 K read 2.6647 with J = 0.0 against K_0 = 4.3654; at
+        # 10^-400 |t| is 0.0 and the run failed with a math domain error
+        with pytest.raises(ValueError, match=r"\|t\|\^2 must be a normal float, 1\.49e-154"):
+            operation(t)
+
+    def test_a_t_whose_square_is_a_normal_float_runs(self):
+        kr = fiber_integral_K(Y * Y - X ** 3, Fraction(1, 10 ** 150), 0.15, 0.5, CFG)
+        k0 = fiber_integral_K(Y * Y - X ** 3, 0, 0.15, 0.5, CFG)
+        assert kr.k_report.converged and kr.j_report.value > 0
+        assert kr.k_report.value == pytest.approx(k0.k_report.value, rel=1e-6)
+
     def test_line_central_value(self):
         kr = fiber_integral_K(X + Y, 0, 0.5, 1.0, CFG)
         assert kr.k_report.value == pytest.approx(4 * math.pi, rel=1e-3)
@@ -378,6 +431,19 @@ class TestRadiusValidation:
     def test_radius_must_be_finite_and_positive(self, operation, radius):
         with pytest.raises(ValueError, match="radius R must be finite and > 0"):
             operation(radius)
+
+
+class TestIdenticallyZero:
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    @pytest.mark.parametrize("domain", [Annulus(0.5, 1.0), Annulus(0.0, 1.0)],
+                             ids=["annulus", "disc"])
+    def test_every_chart_c_and_domain_refuses_a_zero_fiber(self, chart, c, domain):
+        # at c = 0 an annulus died with an IndexError, a disc with a plain ValueError
+        fibers = [UnivariatePoly([0]), LaurentForm(UnivariatePoly([0]), 2, Fraction(1, 100))]
+        for fiber in fibers:
+            with pytest.raises(IdenticallyZeroError):
+                annulus_integral(fiber, c, domain, chart=chart, config=CFG)
 
 
 class TestNonFiniteInputs:
@@ -599,7 +665,7 @@ class TestExponentProbe:
         f = (UnivariatePoly([-one, one])
              * UnivariatePoly([one * 3, one])
              * UnivariatePoly([one * GaussianRational(0, 4), one]))
-        (res,) = exponent_probe_1d(f, [1.0], 0.4, CFG, r0=0.05)
+        (res,) = exponent_probe_1d(f, [1.0], 0.4, CFG)
         assert res.multiplicity_estimate == pytest.approx(1, rel=0.05)
 
     def test_guards(self):
