@@ -282,30 +282,41 @@ def _conjugate_closed(roots) -> list:
     return out
 
 
+def _cyclic_order(p: UnivariatePoly):
+    """(j, k) with p = x^j P(x^k), P(0) != 0, k the gcd of its exponents' gaps or 1."""
+    exps = [e for e, (cr, ci) in enumerate(p.nums) if cr or ci]
+    return exps[0], math.gcd(*(e - exps[0] for e in exps)) or 1
+
+
 def _form_zeros(form: LaurentForm) -> tuple:
     """Zeros of the form's numerator with exact multiplicities, in _zero_order.
 
-    They are found once per form and kept on it.  Each root of a squarefree
-    factor is simple, so it carries the factor's multiplicity.  Each float
-    root is snapped on ints by _snap_gaussian, which drops, before any
+    They are found once per form and kept on it: the roots of each
+    squarefree factor G of the numerator x^j P(x^k), deflated if k > 1
+    (_deflated_roots; 0 has multiplicity j), with G's multiplicity.  Each
+    float root is snapped on ints by _snap_gaussian, which drops, before any
     Fraction or exact test is made, every candidate whose part denominators
-    do not divide the factor's denominator den.  That filter is exact: the
-    factor is monic, so den * factor lies in Z[i][z] with leading
-    coefficient den, and Gauss's lemma puts den * r in Z[i] for every
-    Gaussian-rational root r; a dropped candidate would have failed
-    divides_power.  A candidate that passes and divides the factor is
-    exact, and each such candidate is used once: when a second root snaps
-    to a used one, the numeric roots are taken from the factor with the
-    exact roots divided out.  Raises IdenticallyZeroError for a zero form.
+    do not divide G's denominator den.  That filter is exact: G is monic, so
+    den * G lies in Z[i][z] with leading coefficient den, and Gauss's lemma
+    puts den * r in Z[i] for every Gaussian-rational root r; a dropped
+    candidate would have failed divides_power.  A candidate that passes and
+    divides G is exact, and each such candidate is used once: when a second
+    root snaps to a used one, the numeric roots are taken from G with the
+    exact roots divided out.  IdenticallyZeroError for a zero form.
     """
     if form._zeros is not None:
         return form._zeros
     if form.is_zero():
         raise IdenticallyZeroError("fiber function is identically zero")
-    zeros = []
-    for factor, mult in squarefree_decomposition(form.numerator):
+    j, k = _cyclic_order(form.numerator)
+    factors = _deflated_roots(form.numerator, j, k) if k > 1 else None
+    if factors is None:
+        j, factors = 0, [(g, mult, _roots_of_unipoly(g))
+                         for g, mult in squarefree_decomposition(form.numerator)]
+    zeros = [FiberZero(GaussianRational(0), j)] if j else []
+    for factor, mult, roots in factors:
         claimed, found, collided = set(), [], False
-        for root in _roots_of_unipoly(factor):
+        for root in roots:
             cand = _snap_gaussian(root, factor.den)
             if (cand is not None and cand not in claimed
                     and divides_power(factor, cand, 1)):
@@ -323,6 +334,37 @@ def _form_zeros(form: LaurentForm) -> tuple:
         zeros += found
     object.__setattr__(form, "_zeros", tuple(sorted(zeros, key=_zero_order)))
     return form._zeros
+
+
+def _deflated_roots(num: UnivariatePoly, j: int, k: int):
+    """[(G, multiplicity, float roots of G)] for the squarefree factors g of P,
+    num = x^j P(x^k), lifted to G = g(x^k), squarefree as g(0) != 0: the
+    closed forms if deg G <= 2, else the k-th roots of g's (conjugation-closed
+    for a real G), or None if a root of g has no normal float image."""
+    out, p = [], UnivariatePoly._from_ints(num.nums[j::k], num.den)
+    for g, mult in [(p.monic(), 1)] if p.degree == 1 else squarefree_decomposition(p):
+        lifted = [(0, 0) if i % k else g.nums[i // k] for i in range(k * g.degree + 1)]
+        big = UnivariatePoly._from_ints(lifted, g.den)
+        ws = _roots_of_unipoly(big if big.degree <= 2 else g)
+        if big.degree > 2:
+            if not all(sys.float_info.min <= abs(w) < math.inf for w in ws):
+                return None
+            ws = [x for w in ws for x in _kth_roots(w, k)]
+            ws = ws if any(ci for _, ci in g.nums) else _conjugate_closed(ws)
+        out.append((big, mult, ws))
+    return out
+
+
+def _kth_roots(w: complex, k: int) -> list:
+    """The k roots of x^k = w != 0, of modulus r = 2^n v^(1/k) for |w| = 2^(kn) v,
+    1/2 <= v < 2^(k-1) (1/k's rounding costs under an ulp); on an axis, w has
+    phase h pi/2, and its q-th root r i^((h + 4q)/k) is exact if on an axis."""
+    n = math.frexp(abs(w))[1] // k
+    r, phase = math.ldexp(math.ldexp(abs(w), -k * n) ** (1.0 / k), n), cmath.phase(w)
+    h = None if w.real and w.imag else round(2.0 * phase / math.pi)
+    axes = (complex(r, 0.0), complex(0.0, r), complex(-r, 0.0), complex(0.0, -r))
+    return [axes[(h + 4 * q) // k % 4] if h is not None and (h + 4 * q) % k == 0
+            else cmath.rect(r, (phase + 2.0 * math.pi * q) / k) for q in range(k)]
 
 
 def _fiber_form(f, t) -> LaurentForm:

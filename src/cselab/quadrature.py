@@ -53,13 +53,15 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from . import newton
-from .degeneration import FiberZero, _form_zeros, _zeros_in, central_exponent, fiber_zeros
+from .degeneration import (FiberZero, _cyclic_order, _form_zeros, _zeros_in, central_exponent,
+                           fiber_zeros)
 from .exponents import _log_log_fit
 from .polynomials import (IdenticallyZeroError, LaurentForm, UnivariatePoly, as_mixed,
                           substitute_fiber)
@@ -365,14 +367,12 @@ def _segments(parts, spans, lo, hi):
 
 def _symmetry(form: LaurentForm, center, chart: str):
     """(k, m) of |f|^(-2c) and its radial weights about center.  About 0
-    they are invariant under x -> wx for w^k = 1, k the gcd of the gaps
-    between the exponents of the numerator's nonzero terms (on the y chart,
-    x = t/y, the map y -> conj(w) y is the same); k is 1 for a monomial and
-    about any other centre.  m, the order of their symmetry group, is 2k when
-    x -> conj(x) keeps them too (a real numerator, a real centre and, on the
-    y chart, a real t), else k."""
-    exps = [j for j, (cr, ci) in enumerate(form.numerator.nums) if cr or ci]
-    k = (math.gcd(*(j - exps[0] for j in exps)) or 1) if center == 0 else 1
+    they are invariant under x -> wx for w^k = 1, k the numerator's cyclic
+    order (_cyclic_order; on the y chart, x = t/y, the map y -> conj(w) y is
+    the same), and k is 1 about any other centre.  m, the order of their
+    symmetry group, is 2k when x -> conj(x) keeps them too (a real numerator,
+    a real centre and, on the y chart, a real t), else k."""
+    k = _cyclic_order(form.numerator)[1] if center == 0 else 1
     mirror = (not any(ci for _, ci in form.numerator.nums) and center.imag == 0
               and (chart == "x" or form.t.is_real()))
     return k, k * (1 + mirror)
@@ -388,10 +388,13 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, 
     grid, with the cells that contain a detected zero split twice, so
     singular regions are refined before the tolerance test sees them.  The
     grid spans the sector theta in [0, 2pi/m] of a symmetry group (k, m)
-    (_symmetry) with ceil(n/m) angular cells, and each zero's angle is folded
-    into it: mod 2pi/k, then into [0, pi/k] when m = 2k, so that every orbit
-    of zeros marks the sector even where atan2 puts its member an ulp past
-    the far edge."""
+    (_symmetry) with ceil(n/m) angular cells.  Each zero is folded once into
+    a point (u, theta) of it, its angle mod 2pi/k, then into [0, pi/k] when
+    m = 2k, so that an orbit of zeros gives one point even where atan2 puts
+    a member an ulp past the far edge.  Bisection on the edges finds the
+    cells that hold a point, edges included; of their children, those that
+    hold a point are split again.  The unsplit cells, unsplit children and
+    grandchildren follow in that order."""
     import numpy as np
     u_lo = math.log(annulus.r_inner)
     u_hi = math.log(annulus.r_outer)
@@ -406,23 +409,33 @@ def _initial_grid(annulus: Annulus, cfg: QuadratureConfig, zero_points, center, 
     cells[..., 0], cells[..., 1] = ue[:-1, None], ue[1:, None]
     cells[..., 2], cells[..., 3] = te[:-1], te[1:]
     cells = cells.reshape(-1, 4)
-    depth = np.zeros(len(cells), dtype=np.int32)
 
     zs = [complex(z) - complex(center) for z in zero_points]
-    zs = np.array([(math.log(abs(z)), math.atan2(z.imag, z.real) % turn)
-                   for z in zs if abs(z) > 0]).reshape(-1, 2)
-    uz, tz = zs[:, :1], zs[:, 1:]
+    points = {(math.log(abs(z)), math.atan2(z.imag, z.real) % turn) for z in zs if abs(z) > 0}
     if m > k:   # x -> conj(x) maps theta in [pi/k, 2pi/k] onto [0, pi/k]
-        tz = np.minimum(tz, turn - tz)
-    for _ in range(2 if len(zs) else 0):
-        u0, u1, t0, t1 = cells.T
-        hit = ((u0 <= uz) & (uz <= u1) & (t0 <= tz) & (tz <= t1)).any(axis=0)
-        if not hit.any():
-            break
-        kids, kid_depth = _split_cells(cells[hit], depth[hit])
-        cells = np.concatenate([cells[~hit], kids])
-        depth = np.concatenate([depth[~hit], kid_depth])
-    return cells, depth
+        points = {(u, min(th, turn - th)) for u, th in points}
+    ul, tl, inside = ue.tolist(), te.tolist(), {}   # hit cell (i, l) -> its points
+    for u, th in points:
+        for i in range(max(bisect_left(ul, u) - 1, 0), min(bisect_right(ul, u), n_u)):
+            for l in range(max(bisect_left(tl, th) - 1, 0), min(bisect_right(tl, th), n_th)):
+                inside.setdefault((i, l), []).append((u, th))
+    if not inside:
+        return cells, np.zeros(len(cells), dtype=np.int32)
+    kids, grand = [], []
+    for i, l in sorted(inside):
+        for a, b, c, d in _quarters(ul[i], ul[i + 1], tl[l], tl[l + 1]):
+            if any(a <= u <= b and c <= th <= d for u, th in inside[i, l]):
+                grand += _quarters(a, b, c, d)
+            else:
+                kids.append((a, b, c, d))
+    rest = np.delete(cells, [i * n_th + l for i, l in inside], axis=0)
+    depth = np.repeat(np.arange(3, dtype=np.int32), [len(rest), len(kids), len(grand)])
+    return np.concatenate([rest, kids + grand]), depth
+
+
+def _quarters(u0, u1, t0, t1):   # _split_cells of one cell, on floats
+    um, tm = 0.5 * (u0 + u1), 0.5 * (t0 + t1)
+    return [(u0, um, t0, tm), (um, u1, t0, tm), (u0, um, tm, t1), (um, u1, tm, t1)]
 
 
 def _adaptive_polar(parts, cfg: QuadratureConfig):
@@ -1003,7 +1016,9 @@ def exponent_probe_1d(fiber, zeros, c: float,
         usable = [(part[1].r_inner, m[0], flags) for part, (m, _, _, flags)
                   in runs[k:k + PROBE_ANNULI] if math.isfinite(m[0]) and m[0] > 0]
         if len(usable) < 4:
-            raise ValueError("fewer than 4 usable annuli")
+            lost = all(not n for _, (_, _, n, _) in runs[k:k + PROBE_ANNULI])
+            raise ValueError("fewer than 4 usable annuli" + (": |f| underflows on the probe annuli, "
+                             "so every cell is dropped" if lost else ""))
         radii, masses, flags = zip(*usable)
         slope, residual = _log_log_fit(radii, masses)
         results.append(ProbeResult(multiplicity_estimate=(2.0 - slope) / (2.0 * c),

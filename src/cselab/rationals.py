@@ -216,8 +216,11 @@ def exact_param(t) -> GaussianRational:
 
 
 def param_modulus(t) -> float:
-    """|t| as a float; for real t this is exactly abs(float(t))."""
-    return abs(exact_param(t).to_complex())
+    """|t| as a float, exactly abs(float(t)) for real t; ValueError past the float range."""
+    try:
+        return abs(exact_param(t).to_complex())
+    except OverflowError:
+        raise ValueError("|t| must lie in the float range, below 1.8e308") from None
 
 
 def param_float(t) -> float:

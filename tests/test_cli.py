@@ -319,6 +319,13 @@ class TestUsageErrors:
                          "--t-start", "1e-170", "--t-count", "2"],
         "bound-tiny-t": ["bound", "--f", "y^2-x^3", "--c", "0.15", "--R", "0.5",
                          "--t", "1e-400", "--t", "1/100", "--t", "1/1000"],
+        # a t past the float range: this ended in an OverflowError traceback
+        "exponent-huge-t": ["exponent", "--f", "x+y", "--t", "1e700"],
+        "sweep-huge-t": ["sweep", "--f", "y^2-x^3", "--c", "0.15", "--R", "0.5",
+                         "--t-start", "1e700", "--t-count", "2"],
+        # |f| underflows on every probe annulus of the zeros at |x| = 1e-68
+        "probe-underflow": ["probe", "--kind", "multiplicity", "--f", "y^2-x^3",
+                            "--t", "1e-170"],
         "probe-c-zero": ["probe", "--kind", "multiplicity", "--f", "x+y",
                          "--t", "1/100", "--c", "0"],
         "counterexample-negative-n": ["counterexample", "--n", "-1"],
@@ -344,6 +351,15 @@ class TestUsageErrors:
     def test_a_tiny_t_is_named(self, name, capsys):
         _, _, err = run_cli(self.BAD[name], capsys)
         assert "|t|^2 must be a normal float, 1.49e-154 <= |t|" in err
+
+    @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-huge-t")])
+    def test_a_huge_t_is_named(self, name, capsys):
+        _, _, err = run_cli(self.BAD[name], capsys)
+        assert err == "error: |t| must lie in the float range, below 1.8e308\n"
+
+    def test_an_underflowing_probe_is_named(self, capsys):
+        _, _, err = run_cli(self.BAD["probe-underflow"], capsys)
+        assert "|f| underflows on the probe annuli" in err
 
     @pytest.mark.parametrize("name", [n for n in BAD if n.endswith("-r0")])
     def test_bad_r0_is_named(self, name, capsys):

@@ -30,7 +30,6 @@ from cselab import (
     young_combine,
 )
 from cselab import degeneration, quadrature
-from cselab.polynomials import squarefree_decomposition
 from cselab.quadrature import _AXIS, _G2, _G3, _NODE_T, _NODE_U
 
 X = BivariatePoly.variable("x")
@@ -517,13 +516,15 @@ class TestDecomposeI:
         assert i1.meta["divergent_zero"] == whole.meta["divergent_zero"] == "-0.1j"
 
     def test_each_form_finds_its_zeros_once(self, monkeypatch):
+        # x^2 + t has one squarefree factor, so one root search per form
         calls = []
+        roots_of = degeneration._roots_of_unipoly
 
         def spy(p):
             calls.append(p)
-            return squarefree_decomposition(p)
+            return roots_of(p)
 
-        monkeypatch.setattr(degeneration, "squarefree_decomposition", spy)
+        monkeypatch.setattr(degeneration, "_roots_of_unipoly", spy)
         t = Fraction(1, 100)
         decompose_I(X + Y, t, 0.5, 1.0, 5.0, CFG)
         fib = substitute_fiber(X + Y, t)
@@ -671,6 +672,28 @@ class TestExponentProbe:
     def test_guards(self):
         with pytest.raises(ValueError):
             exponent_probe_1d(z_poly(0, 1), [0.0], 0.0, CFG)
+
+    def test_an_underflowing_fiber_is_named(self):
+        # the cusp's zeros at t = 1e-170 lie at |x| = 1e-68: |f| reads 0.0 on
+        # every probe annulus, so every cell is dropped and each mass is 0
+        t = 1e-170
+        fib = substitute_fiber(parse_expression("y^2 - x^3"), t)
+        zeros = [z.location_complex() for z in fiber_zeros(fib, t)]
+        assert len(zeros) == 5 and abs(zeros[0]) == pytest.approx(1e-68, rel=1e-6)
+        with pytest.raises(ValueError, match=r"fewer than 4 usable annuli: \|f\| underflows "
+                                             r"on the probe annuli.*every cell is dropped"):
+            exponent_probe_1d(fib, zeros, 0.15, CFG)
+
+    def test_too_few_annuli_without_underflow_keep_the_short_message(self, monkeypatch):
+        # masses that are not finite, with cells used, are not an underflow
+        engine = quadrature._adaptive_polar
+
+        def no_mass(parts, cfg):
+            return [([math.inf] * len(m), e, n, f) for m, e, n, f in engine(parts, cfg)]
+
+        monkeypatch.setattr(quadrature, "_adaptive_polar", no_mass)
+        with pytest.raises(ValueError, match=r"^fewer than 4 usable annuli$"):
+            exponent_probe_1d(z_poly(-1, 1), [1.0], 0.4, CFG)
 
 
 def sector_meta(m):
